@@ -103,51 +103,40 @@ def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reps, group_of_value
 
 
+def _counting_distribution(f: GridFunction) -> StepDistribution:
+    """Step distribution with Lebesgue measure: each plateau counts the cells above it."""
+    reps, groups = _merged_value_groups(f.values.ravel())
+    counts = np.bincount(groups, minlength=reps.size)
+    cells_in_clusters_from = np.cumsum(counts[::-1])[::-1]  # clusters >= j
+    return StepDistribution(reps, cells_in_clusters_from * f.grid.cell_volume)
+
+
 def distribution(f: GridFunction, delta: float) -> StepDistribution:
     """Exact step distribution of f under the dyadic content of exponent delta.
 
-    For delta < dim the nested superlevel sets are evaluated with the
-    incremental tree engine (cells only leave as the threshold grows; the
-    results are bit-identical to a from-scratch pass per level).  For
-    delta == dim the content of a cell set equals its Lebesgue measure,
-    so plateaus are computed by counting.
+    For delta < dim all superlevel sets are evaluated in one bottom-up
+    pass over the dyadic tree, in which each node's cost is a step
+    function of the threshold index (ContentEngine.superlevel_contents);
+    every plateau is bit-identical to a from-scratch pass on its set.
+    For delta == dim the content of a cell set equals its Lebesgue
+    measure, so plateaus are computed by counting.
     """
+    if delta == f.grid.dim:
+        return _counting_distribution(f)
     grid = f.grid
     flat = f.values.ravel()
-    pos_mask = flat > 0
     reps, groups = _merged_value_groups(flat)
-    m = reps.size
-    if m == 0:
+    if reps.size == 0:
         return StepDistribution(np.empty(0), np.empty(0))
-
-    if delta == grid.dim:
-        # content of a cell set equals its Lebesgue measure at delta = dim
-        counts = np.bincount(groups, minlength=m)
-        cells_in_clusters_from = np.cumsum(counts[::-1])[::-1]
-        return StepDistribution(reps, cells_in_clusters_from * grid.cell_volume)
-
+    levels = np.full(flat.size, -1, dtype=np.int32)
+    levels[flat > 0] = groups
     engine = ContentEngine(grid, delta)
-    engine.build(pos_mask.reshape(grid.shape))
-    plateaus = np.empty(m)
-    plateaus[0] = engine.value
-    pos_flat_indices = np.flatnonzero(pos_mask)
-    for j in range(1, m):
-        leaving = pos_flat_indices[groups == j - 1]
-        engine.remove(np.unravel_index(leaving, grid.shape))
-        plateaus[j] = engine.value
-    return StepDistribution(reps, plateaus)
+    return StepDistribution(reps, engine.superlevel_contents(levels.reshape(grid.shape), reps.size))
 
 
 def lebesgue_distribution(f: GridFunction) -> StepDistribution:
     """Step distribution with Lebesgue measure in place of the content."""
-    grid = f.grid
-    reps, groups = _merged_value_groups(f.values.ravel())
-    m = reps.size
-    if m == 0:
-        return StepDistribution(np.empty(0), np.empty(0))
-    counts = np.bincount(groups, minlength=m)
-    cells_in_clusters_from = np.cumsum(counts[::-1])[::-1]  # clusters >= j
-    return StepDistribution(reps, cells_in_clusters_from * grid.cell_volume)
+    return _counting_distribution(f)
 
 
 # closed forms on a step distribution ------------------------------------

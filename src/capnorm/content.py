@@ -15,10 +15,12 @@ its 2^(k*dim) level-k descendants multiplies the cost by 2^(k*(dim-delta))
 the coarser cube is preferred, which keeps covers small and the output
 deterministic.
 
-An incremental engine supports removing cells (superlevel sets shrink as
-the threshold grows) by recomputing only the tree paths above removed
-leaves; child costs are accumulated in the same fixed order as the
-from-scratch pass, so incremental results are bit-identical to a rebuild.
+The contents of a whole nested family of sets (the superlevel sets of a
+grid function) come from one more bottom-up pass: each occupied node
+carries its cost as a step function of the family index, a parent's
+breakpoints being the union of its children's.  Child costs are summed
+in the same fixed order as the from-scratch pass and go through the same
+``min``, so every member's content is bit-identical to a rebuild.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ class CoverSolution:
 
 
 def _child_offsets(dim: int) -> tuple[tuple[int, ...], ...]:
-    # fixed C order; summation order must match between build and update
+    # fixed C order; summation order must match between build and sweep
     return tuple(itertools.product((0, 1), repeat=dim))
 
 
 class ContentEngine:
-    """Per-level cost arrays for one (grid, delta) pair, updatable in place."""
+    """Per-level cost arrays for one (grid, delta) pair."""
 
     def __init__(self, grid: DyadicGrid, delta: float):
         ContentParams(delta).validate(grid.dim)
@@ -92,24 +94,77 @@ class ContentEngine:
                 sl = tuple(slice(o, None, 2) for o in off)
                 block = child[sl]
                 acc = block.copy() if acc is None else acc + block
-            self.cost[k] = np.where(acc > 0, np.minimum(self.weights[k], acc), 0.0)
+            self.cost[k] = self._node_cost(k, acc)
 
-    def remove(self, leaf_index: tuple[np.ndarray, ...]):
-        """Zero out the given leaf cells and recompute their ancestor paths."""
-        L = self.depth
-        self.cost[L][leaf_index] = 0.0
-        idx = leaf_index
-        for k in range(L - 1, -1, -1):
-            parent_flat = np.unique(
-                np.ravel_multi_index(tuple(a >> 1 for a in idx), (2**k,) * self.dim)
-            )
-            idx = np.unravel_index(parent_flat, (2**k,) * self.dim)
+    def _node_cost(self, k: int, acc: np.ndarray) -> np.ndarray:
+        """Cost of level-k nodes whose children's costs sum to acc."""
+        return np.where(acc > 0, np.minimum(self.weights[k], acc), 0.0)
+
+    def superlevel_contents(self, levels: np.ndarray, m: int) -> np.ndarray:
+        """Contents of the nested sets {levels >= j} for j = 0, ..., m-1 in one pass.
+
+        `levels` has the grid's shape and holds one integer in [-1, m) per
+        leaf cell (-1: in no set).  The result's entry j is bit-identical
+        to ``build(levels >= j)`` followed by ``value``.
+
+        Every occupied node carries its cost as a step function of j:
+        sorted segment starts with one value each.  A parent's starts are
+        the union of its children's; a child's value at each start comes
+        from ``searchsorted`` and is 0.0 for an absent child, so the sum
+        in the fixed child order and the ``min`` with the cube weight are
+        the arithmetic of ``build``.  Adjacent equal segments are merged.
+        Nodes are keyed in Morton order (axis 0 most significant), which
+        makes the children of node K the keys K * 2**dim + o, o being the
+        C-order offset index.
+        """
+        dim, L = self.dim, self.depth
+        fan = 2**dim
+        # leaf groups in Morton order, one row of 2**dim children per level-(L-1) node
+        bits = np.asarray(levels, dtype=np.int32).reshape((2,) * (dim * L))
+        morton = [a * L + b for b in range(L) for a in range(dim)]
+        rows = bits.transpose(morton).reshape(-1, fan)
+
+        # level L-1 straight from the leaf groups: n children of a node are
+        # still in the set at j, each costing the leaf weight, and a sum of
+        # equal terms and exact zeros does not depend on where the zeros sit
+        key = np.flatnonzero(rows.max(axis=1) >= 0)
+        groups = rows[key]
+        zero = np.zeros((key.size, 1), dtype=np.int32)
+        start = np.sort(np.concatenate([zero, groups + 1], axis=1), axis=1)
+        n_in = np.zeros(start.shape, dtype=np.uint8)
+        for c in range(fan):
+            n_in += groups[:, [c]] >= start
+        sums = [0.0]
+        for _ in range(fan):
+            sums.append(sums[-1] + self.weights[L])
+        value = self._node_cost(L - 1, np.array(sums))[n_in]
+        keep = start < m
+        keep[:, 1:] &= value[:, 1:] != value[:, :-1]
+        key = np.broadcast_to(key[:, None], start.shape)[keep]
+        start, value = start[keep].astype(np.int64), value[keep]
+
+        for k in range(L - 2, -1, -1):
+            offset = (key & (fan - 1)).astype(np.uint8)
+            seg = (key >> dim) * m + start  # (parent, start), sorted within each offset
+            del key, start  # release the child level before the parent level is allocated
+            bp = np.sort(seg)  # sort and mask: faster here than np.unique's hashing
+            bp = bp[np.append(True, bp[1:] != bp[:-1])]
+            parent = bp // m
             acc = None
-            for off in self._offsets:
-                child_idx = tuple(2 * a + o for a, o in zip(idx, off))
-                block = self.cost[k + 1][child_idx]
-                acc = block.copy() if acc is None else acc + block
-            self.cost[k][idx] = np.where(acc > 0, np.minimum(self.weights[k], acc), 0.0)
+            for o in range(fan):
+                child_seg, child_value = seg[offset == o], value[offset == o]
+                i = np.searchsorted(child_seg, bp, side="right") - 1
+                hit = i >= 0
+                hit[hit] = child_seg[i[hit]] // m == parent[hit]
+                v = np.zeros(bp.size)
+                v[hit] = child_value[i[hit]]
+                acc = v if acc is None else acc + v
+            value = self._node_cost(k, acc)
+            keep = np.ones(bp.size, dtype=bool)
+            keep[1:] = (parent[1:] != parent[:-1]) | (value[1:] != value[:-1])
+            key, start, value = parent[keep], bp[keep] - parent[keep] * m, value[keep]
+
+        return np.repeat(value, np.diff(np.append(start, m)))
 
     @property
     def value(self) -> float:

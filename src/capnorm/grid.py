@@ -110,9 +110,9 @@ def make_grid(dim, depth, root_side, origin=None, cell_cap=DEFAULT_CELL_CAP) -> 
         raise GridError(f"dim must be 1, 2 or 3, got {dim}")
     if depth < 1:
         raise GridError(f"depth must be >= 1, got {depth}")
-    n_cells = 2 ** (depth * dim)
-    if n_cells > cell_cap:
-        raise GridError(f"grid would have {n_cells} leaf cells, exceeding the cap {cell_cap}")
+    # compare exponents first: a depth read from a file may be too large to power out
+    if depth * dim >= cell_cap.bit_length() or 2 ** (depth * dim) > cell_cap:
+        raise GridError(f"grid would have 2**{depth * dim} leaf cells, exceeding the cap {cell_cap}")
     if origin is None:
         origin = (-root_side / 2.0,) * dim
     origin = tuple(np.atleast_1d(np.asarray(origin, dtype=float)).tolist())

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .content import CoverSolution
-from .grid import CellSet, DyadicGrid, GridFunction
+from .grid import CellSet, DyadicGrid, GridFunction, make_grid
 
 
 def grid_to_dict(grid: DyadicGrid) -> dict:
@@ -27,10 +27,15 @@ def grid_to_dict(grid: DyadicGrid) -> dict:
 
 
 def grid_from_dict(doc: dict) -> DyadicGrid:
-    return DyadicGrid(
-        dim=int(doc["dim"]),
-        depth=int(doc["depth"]),
-        root_side=float(doc["root_side"]),
+    """Grid geometry of a document, through make_grid so its leaf-cell cap applies.
+
+    Callers read a document's cells or values only after this returns, so
+    an oversized grid fails with GridError before any of them is converted.
+    """
+    return make_grid(
+        int(doc["dim"]),
+        int(doc["depth"]),
+        float(doc["root_side"]),
         origin=tuple(float(x) for x in doc["origin"]),
     )
 

@@ -6,7 +6,7 @@ import pytest
 
 from capnorm import io
 from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config
-from capnorm.grid import CellSet, GridFunction, Sampler, make_grid, sample
+from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
 
 
 @pytest.fixture
@@ -142,3 +142,22 @@ def test_emitted_json_reparses_and_revalidates(indicator_fn, tmp_path):
     f = io.gridfunction_from_dict(doc)
     doc2 = io.gridfunction_to_dict(f)
     assert doc == doc2
+
+
+def test_oversized_grid_document_refused_before_values(tmp_path, capsys):
+    # 2D depth 13 is 2^26 leaf cells, past make_grid's cap; the values are
+    # never read, so even an unparsable one cannot be the reported error
+    grid = {"dim": 2, "depth": 13, "root_side": 1.0, "origin": [0.0, 0.0]}
+    with pytest.raises(GridError, match="cap"):
+        io.gridfunction_from_dict({"grid": grid, "values": ["not a number"]})
+    with pytest.raises(GridError, match="cap"):
+        io.cellset_from_dict({"grid": grid, "cells": [1]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"grid": grid, "values": ["not a number"]}))
+    assert run(["norm", "--fn", str(path), "--delta", "1.5", "--p", "2"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_grid_document_roundtrip_under_cap():
+    g = make_grid(3, 4, 1.7, origin=(0.25, -3.0, 1e-17))
+    assert io.grid_from_dict(json.loads(io.dumps(io.grid_to_dict(g)))) == g

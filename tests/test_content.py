@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from capnorm.choquet import distribution
 from capnorm.content import (
-    ContentEngine,
     ContentError,
     ContentParams,
     ball_bracket_ratio_bound,
@@ -14,7 +14,7 @@ from capnorm.content import (
     dyadic_content,
     strong_subadditivity_check,
 )
-from capnorm.grid import CellSet, GridError, make_grid
+from capnorm.grid import CellSet, GridError, GridFunction, make_grid
 
 
 def random_cellset(grid, rng, density=None):
@@ -156,25 +156,20 @@ def test_delta_dim_equals_measure():
             assert content_value(cells, float(dim)) == pytest.approx(cells.measure, abs=1e-12)
 
 
-def test_incremental_removal_bit_identical():
+def test_superlevel_sweep_bit_identical():
+    # every plateau of the one-pass distribution equals a from-scratch DP on
+    # its superlevel set, bit for bit, including tied and single-cell levels
     rng = np.random.default_rng(41)
-    g = make_grid(2, 4, 1.0)
-    delta = 1.3
-    mask = rng.random(g.shape) < 0.8
-    engine = ContentEngine(g, delta)
-    engine.build(mask)
-    current = mask.copy()
-    for _ in range(6):
-        occupied = np.flatnonzero(current.ravel())
-        if occupied.size == 0:
-            break
-        leaving = rng.choice(occupied, size=max(1, occupied.size // 4), replace=False)
-        current.ravel()[leaving] = False
-        engine.remove(np.unravel_index(leaving, g.shape))
-        fresh = ContentEngine(g, delta)
-        fresh.build(current)
-        for k in range(g.depth + 1):
-            assert np.array_equal(engine.cost[k], fresh.cost[k])
+    for dim, depth, deltas in ((1, 7, (0.3, 0.9)), (2, 4, (0.5, 1.3, 1.9)), (3, 3, (0.7, 1.5, 2.6))):
+        g = make_grid(dim, depth, 1.7)
+        vals = rng.integers(0, 6, size=g.shape) * 0.37 * (rng.random(g.shape) < 0.8)
+        vals.flat[int(rng.integers(g.n_cells))] = 9.0  # the top level holds one cell
+        f = GridFunction(g, vals)
+        for delta in deltas:
+            dist = distribution(f, delta)
+            lower = np.concatenate([[0.0], dist.thresholds[:-1]])
+            fresh = np.array([content_value(CellSet(g, vals > v), delta) for v in lower])
+            assert np.array_equal(dist.plateaus.view(np.uint64), fresh.view(np.uint64))
 
 
 def test_ball_bracket_examples():

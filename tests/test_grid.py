@@ -28,6 +28,8 @@ def test_make_grid_2d():
 def test_make_grid_cell_cap():
     with pytest.raises(GridError, match="cap"):
         make_grid(3, 9, 1.0, cell_cap=2**24)  # 2^27 cells
+    with pytest.raises(GridError, match="cap"):
+        make_grid(2, 10**12, 1.0)  # refused without powering out 2^(2*10^12)
 
 
 def test_make_grid_validation():
