@@ -95,66 +95,14 @@ def shape_from_config(cfg: dict) -> verify.Shape:
     return s
 
 
-EXPERIMENT_DEFAULTS = {
-    "poincare": {
-        "shape": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        "sampler": {"kind": "linear", "coeffs": [1.0, 0.0]},
-        "delta": 2.0, "p": 1.5, "q": 1.5, "depths": [4, 5, 6],
-        "c_ball": 0.25, "root_side": None, "b_scan": True, "seed": 20240501,
-    },
-    "poincare_weak": {
-        "shape": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        "sampler": {"kind": "linear", "coeffs": [1.0, 0.0]},
-        "delta": 2.0, "p": 1.0, "depths": [4, 5, 6],
-        "c_ball": 0.25, "root_side": None, "seed": 20240501,
-    },
-    "poincare_sobolev": {
-        "shape": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        "sampler": {"kind": "linear", "coeffs": [1.0, 0.0]},
-        "mu": 0.0, "delta": 2.0, "p": 1.5, "q": 6.0, "depths": [4, 5, 6],
-        "c_ball": 0.25, "root_side": None, "seed": 20240501,
-    },
-    "compact_support": {
-        "shape": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        "sampler": {"kind": "bump", "center": [0.0, 0.0], "radius": 0.7},
-        "delta": 2.0, "p": 1.5, "q": 1.5, "mu": 0.0, "depths": [4, 5, 6],
-        "root_side": None, "seed": 20240501,
-    },
-    "riesz_bound": {
-        "sampler": {"kind": "ball_indicator", "center": [0.0, 0.0], "radius": 0.5},
-        "alpha": 1.0, "mu": 0.0, "delta": 2.0, "p": 1.5, "q": 6.0,
-        "depths": [4, 5, 6], "dim": 2, "root_side": 2.0, "seed": 20240501,
-    },
-    "maximal_bound": {
-        "sampler": {"kind": "ball_indicator", "center": [0.0, 0.0], "radius": 0.5},
-        "delta": 2.0, "mu": 0.0, "p": 1.5, "s": 1.5, "r": 1.5,
-        "depths": [4, 5, 6], "dim": 2, "root_side": 2.0, "seed": 20240501,
-    },
-    "hedberg": {
-        "sampler": {"kind": "ball_indicator", "center": [0.0, 0.0], "radius": 0.5},
-        "alpha": 1.0, "mu": 0.0, "delta": 2.0, "p": 1.5, "q": 1.5,
-        "depths": [5, 6, 7], "dim": 2, "root_side": 2.0, "seed": 20240501,
-    },
-    "sharpness_poincare": {
-        "delta": 2.0, "mu": 0.0, "p": 1.05, "s": 4.0, "q": 4.0, "eta": -0.8,
-        "eps_list": [0.25, 0.125, 0.0625, 0.03125], "depth": 8, "dim": 2,
-        "root_side": 2.0, "qt": "inf", "seed": 20240501,
-    },
-    "sharpness_riesz": {
-        "delta": 2.0, "mu": 0.0, "alpha": 1.0, "p": 1.5, "s": 8.0, "q": 8.0,
-        "eta": -1.3, "eps_list": [0.5, 0.25, 0.125, 0.0625], "depth": 10,
-        "dim": 2, "root_side": 20.48, "qt": "inf", "outer_radius": 10.0,
-        "seed": 20240501,
-    },
-}
+def _experiment(name: str) -> verify.Experiment:
+    if name not in verify.EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(verify.EXPERIMENTS)}")
+    return verify.EXPERIMENTS[name]
 
 
 def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
-    if experiment not in EXPERIMENT_DEFAULTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENT_DEFAULTS)}"
-        )
-    cfg = copy.deepcopy(EXPERIMENT_DEFAULTS[experiment])
+    cfg = copy.deepcopy(_experiment(experiment).defaults)
     for source in (file_cfg, overrides):
         for key, value in source.items():
             if key not in cfg:
@@ -164,59 +112,18 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
 
 
 def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
-    c = dict(cfg)
-    c.pop("seed", None)
-    if experiment == "poincare":
-        return verify.poincare_check(
-            shape_from_config(c["shape"]), sampler_from_config(c["sampler"]),
-            c["delta"], c["p"], c["q"], c["depths"],
-            c_ball=c["c_ball"], root_side=c["root_side"], b_scan=c["b_scan"],
-        )
-    if experiment == "poincare_weak":
-        return verify.poincare_weak_check(
-            shape_from_config(c["shape"]), sampler_from_config(c["sampler"]),
-            c["delta"], c["p"], c["depths"], c_ball=c["c_ball"], root_side=c["root_side"],
-        )
-    if experiment == "poincare_sobolev":
-        return verify.poincare_sobolev_check(
-            shape_from_config(c["shape"]), sampler_from_config(c["sampler"]),
-            c["mu"], c["delta"], c["p"], c["q"], c["depths"],
-            c_ball=c["c_ball"], root_side=c["root_side"],
-        )
-    if experiment == "compact_support":
-        return verify.compact_support_check(
-            shape_from_config(c["shape"]), sampler_from_config(c["sampler"]),
-            c["delta"], c["p"], c["q"], c["mu"], c["depths"], root_side=c["root_side"],
-        )
-    if experiment == "riesz_bound":
-        return verify.riesz_boundedness_check(
-            sampler_from_config(c["sampler"]), c["alpha"], c["mu"], c["delta"],
-            c["p"], c["q"], c["depths"], dim=c["dim"], root_side=c["root_side"],
-        )
-    if experiment == "maximal_bound":
-        return verify.maximal_inequality_check(
-            sampler_from_config(c["sampler"]), c["delta"], c["mu"], c["p"],
-            c["s"], c["r"], c["depths"], dim=c["dim"], root_side=c["root_side"],
-        )
-    if experiment == "hedberg":
-        return verify.hedberg_constant_check(
-            sampler_from_config(c["sampler"]), c["alpha"], c["mu"], c["delta"],
-            c["p"], c["q"], c["depths"], dim=c["dim"], root_side=c["root_side"],
-        )
-    if experiment == "sharpness_poincare":
-        _, report = verify.sharpness_poincare(
-            c["delta"], c["mu"], c["p"], c["s"], c["q"], c["eta"], c["eps_list"],
-            depth=c["depth"], dim=c["dim"], root_side=c["root_side"], qt=_parse_q(c["qt"]),
-        )
-        return report
-    if experiment == "sharpness_riesz":
-        _, report = verify.sharpness_riesz(
-            c["delta"], c["mu"], c["alpha"], c["p"], c["s"], c["q"], c["eta"],
-            c["eps_list"], depth=c["depth"], dim=c["dim"], root_side=c["root_side"],
-            qt=_parse_q(c["qt"]), outer_radius=c["outer_radius"],
-        )
-        return report
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    """Call the experiment's runner with the config as keywords.
+
+    The runner is looked up on the verify module at call time; shape,
+    sampler and qt are the only config values that are converted.
+    """
+    kwargs = dict(cfg)
+    converters = (("shape", shape_from_config), ("sampler", sampler_from_config), ("qt", _parse_q))
+    for key, convert in converters:
+        if key in kwargs:
+            kwargs[key] = convert(kwargs[key])
+    result = getattr(verify, _experiment(experiment).runner)(**kwargs)
+    return result[1] if isinstance(result, tuple) else result  # sharpness runners return (fit, report)
 
 
 def _selftest(seed: int = 20240501) -> dict:
@@ -401,11 +308,7 @@ def run(argv=None) -> int:
         if args.command == "verify":
             file_cfg = {}
             if args.config:
-                try:
-                    file_cfg = io.load_path(args.config)
-                except FileNotFoundError:
-                    print(f"config file not found: {args.config}", file=sys.stderr)
-                    return 2
+                file_cfg = io.load_path(args.config)
             overrides = {}
             for item in args.overrides:
                 key, _, raw = item.partition("=")
@@ -432,8 +335,6 @@ def run(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("no command handled")
-    return 2
 
 
 def main():

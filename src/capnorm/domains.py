@@ -113,6 +113,14 @@ class Shape:
         upper_right = np.all(rel >= self.size / 2.0, axis=-1)
         return inside_square & ~upper_right
 
+    @property
+    def diameter(self) -> float:
+        if self.kind in ("ball", "punctured_ball"):
+            return 2 * self.radius
+        if self.kind == "rectangle":
+            return math.hypot(*self.sides)
+        return self.size * math.sqrt(2.0)
+
     def john_constants(self) -> tuple[float, float, tuple[float, ...]]:
         """(alpha, beta, john_center) per the derivations in the module docstring."""
         if self.kind in ("ball", "punctured_ball"):

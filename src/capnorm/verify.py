@@ -1,10 +1,19 @@
 """Experiment runners for the inequality checks and sharpness scalings.
 
-Each runner sweeps grid depths (or truncation radii), computes the two
-sides of one inequality with the exact norm machinery, and emits a
-self-contained ExperimentReport: full parameter record, (label, value)
-series, a pass/fail verdict, and a config hash.  Re-running with the
-embedded parameters reproduces the series bit-identically.
+Every experiment is one pattern: sweep grid depths (or truncation radii),
+compute the two sides of one inequality with the exact norm machinery,
+and emit a self-contained ExperimentReport: full parameter record,
+(label, value) series, a pass/fail verdict, and a config hash.
+Re-running with the embedded parameters reproduces the series
+bit-identically.
+
+Two skeletons carry the pattern.  _ratio_sweep runs the depth sweep of
+poincare, poincare_weak, poincare_sobolev, riesz_bound and maximal_bound:
+each runner validates its exponents, records its params and passes a
+per-depth sides function.  _eps_sweep runs the truncation sweep of the
+two sharpness runners and fits the log-log slope.  compact_support and
+hedberg keep their own loops.  EXPERIMENTS declares each experiment once
+for the CLI: its runner's name and the defaults the signature lacks.
 
 Stability verdicts operationalize existential constants: the measured
 left/right ratio may grow by at most GROWTH_FACTOR_LIMIT per grid
@@ -20,6 +29,7 @@ and must not beat the ball mean by more than a factor two.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -29,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .choquet import LorentzExponents, choquet_p_norm, lorentz_norm
-from .domains import JohnDomain, MeanValueBall, Shape, make_john_domain, mean_value, mean_value_ball
-from .grid import GridFunction, Sampler, gradient_magnitude, make_grid, sample
+from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
+from .grid import DyadicGrid, GridFunction, Sampler, gradient_magnitude, make_grid, sample
 from .operators import MaximalParams, RieszParams, hedberg_ratio_field, maximal, riesz
 
 GROWTH_FACTOR_LIMIT = 1.2
@@ -199,28 +209,81 @@ def _golden_min(fun: Callable[[float], float], lo: float, hi: float, iters: int 
     return min(fc, fd)
 
 
+# sweep skeletons ------------------------------------------------------------
+
+
+def _ratio_sweep(experiment: str, params: dict, sides: Callable[[int], tuple]) -> ExperimentReport:
+    """Over params["depths"]: sides(depth) = (lhs, rhs, *extra entries); ratios judged by growth."""
+    series, ratios = [], []
+    for depth in params["depths"]:
+        lhs, rhs, *extra = sides(depth)
+        ratio = _safe_ratio(lhs, rhs, experiment)
+        ratios.append(ratio)
+        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio), *extra]
+    return _report(experiment, params, series, growth_factors_ok(ratios))
+
+
+def _eps_sweep(
+    experiment: str,
+    params: dict,
+    predicted_key: str,
+    fields: Callable[[DyadicGrid, float], tuple[GridFunction, GridFunction]],
+    slope_ok: Callable[[float, float], bool],
+) -> tuple[SlopeFit, ExperimentReport]:
+    """Over params["eps_list"] on one grid: fields(grid, eps) = (left, right) grid functions.
+
+    Their norms are the sides, in L^{s,q} over the content of exponent
+    delta - mu p and in L^{p,qt}.  The verdict needs slope_ok(fitted slope,
+    predicted) and a right-side variation below RHS_VARIATION_LIMIT.
+    """
+    grid = make_grid(params["dim"], params["depth"], params["root_side"])
+    delta, p = params["delta"], params["p"]
+    left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
+    right = LorentzExponents(p, params["qt"], delta)
+    lhs_vals, rhs_vals, series = [], [], []
+    for eps in params["eps_list"]:
+        left_fn, right_fn = fields(grid, eps)
+        lhs, rhs = lorentz_norm(left_fn, left), lorentz_norm(right_fn, right)
+        lhs_vals.append(lhs)
+        rhs_vals.append(rhs)
+        series += [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
+    fit = fit_loglog(params["eps_list"], lhs_vals)
+    predicted = params[predicted_key]
+    rhs_variation = max(rhs_vals) / min(rhs_vals) - 1.0
+    series += [("fitted_slope", fit.slope), (predicted_key, predicted),
+               ("r_squared", fit.r_squared), ("rhs_variation", rhs_variation)]
+    verdict = slope_ok(fit.slope, predicted) and rhs_variation < RHS_VARIATION_LIMIT
+    return fit, _report(experiment, params, series, verdict)
+
+
 # shared geometry ------------------------------------------------------------
 
 
-def _default_root(shape: Shape) -> tuple[float, tuple[float, ...]]:
-    lo, hi = shape.bounding_box()
-    extent = float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
-    side = 2.0 * extent
-    return side, (-side / 2.0,) * shape.dim
+def _domain_at_depth(shape: Shape, depth: int, root_side=None) -> JohnDomain:
+    origin = None
+    if root_side is None:  # the smallest origin-centred root holding the shape
+        lo, hi = shape.bounding_box()
+        root_side = 2.0 * float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+        origin = (-root_side / 2.0,) * shape.dim
+    return make_john_domain(shape, make_grid(shape.dim, depth, root_side, origin))
 
 
-def _domain_at_depth(shape: Shape, depth: int, root_side=None, origin=None) -> JohnDomain:
-    if root_side is None:
-        root_side, default_origin = _default_root(shape)
-        origin = default_origin if origin is None else origin
-    grid = make_grid(shape.dim, depth, root_side, origin)
-    return make_john_domain(shape, grid)
+def _domain_params(shape: Shape, sampler: Sampler, **record) -> dict:
+    """Params of a run on a John domain: its arguments, John constants and growth limit."""
+    alpha_john, beta_john, x0 = shape.john_constants()
+    return {
+        "shape": repr(shape), "sampler": repr(sampler), **record,
+        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
+        "growth_limit": GROWTH_FACTOR_LIMIT,
+    }
 
 
 def _poincare_sides(
-    domain: JohnDomain, u: Sampler, ball: MeanValueBall
-) -> tuple[GridFunction, GridFunction, float]:
-    """(|u - u_B| on the domain, |grad u| on the domain, u_B)."""
+    shape: Shape, u: Sampler, depth: int, c_ball: float, root_side
+) -> tuple[JohnDomain, GridFunction, GridFunction]:
+    """(domain, |u - u_B| on the domain, |grad u| on the domain) at one depth."""
+    domain = _domain_at_depth(shape, depth, root_side)
+    ball = mean_value_ball(domain, c_ball)
     grid = domain.grid
     raw = u.evaluate(grid.centers()).reshape(grid.shape)
     if np.ptp(raw[domain.cells.mask]) == 0.0:
@@ -230,7 +293,26 @@ def _poincare_sides(
     w = np.where(domain.cells.mask, np.abs(raw - u_ball), 0.0)
     diff = GridFunction(grid, w)
     grad = gradient_magnitude(u, grid).restrict(domain.cells)
-    return diff, grad, u_ball
+    return domain, diff, grad
+
+
+def _john_factor(domain: JohnDomain) -> float:
+    """beta (beta/alpha)^{2 dim}, the John weight of the gradient side."""
+    return domain.beta_john * (domain.beta_john / domain.alpha_john) ** (2 * domain.grid.dim)
+
+
+def _b_scan_ok(domain: JohnDomain, u: Sampler, exps: LorentzExponents, lhs: float) -> float:
+    """1.0 unless some shift b beats the ball mean by more than B_SCAN_FACTOR."""
+    grid = domain.grid
+    raw = u.evaluate(grid.centers()).reshape(grid.shape)
+    vals = raw[domain.cells.mask]
+
+    def norm_at(b):
+        w = np.where(domain.cells.mask, np.abs(raw - b), 0.0)
+        return lorentz_norm(GridFunction(grid, w), exps)
+
+    best = _golden_min(norm_at, float(vals.min()), float(vals.max()))
+    return float(lhs <= B_SCAN_FACTOR * best + 1e-12)
 
 
 # experiments ----------------------------------------------------------------
@@ -238,14 +320,13 @@ def _poincare_sides(
 
 def poincare_check(
     shape: Shape,
-    u: Sampler,
+    sampler: Sampler,
     delta: float,
     p: float,
     q: float,
     depths: Sequence[int],
     c_ball: float = 0.25,
     root_side: Optional[float] = None,
-    origin=None,
     b_scan: bool = True,
 ) -> ExperimentReport:
     """Mean-oscillation norm against the John-weighted gradient norm.
@@ -259,80 +340,48 @@ def poincare_check(
         raise VerifyError(f"p must be in (delta/dim, inf) = ({delta / dim:g}, inf), got {p}")
     if not (delta / dim < q < math.inf):
         raise VerifyError(f"q must be in (delta/dim, inf) = ({delta / dim:g}, inf), got {q}")
-    alpha_john, beta_john, x0 = shape.john_constants()
-    params = {
-        "shape": repr(shape), "sampler": repr(u), "delta": delta, "p": p, "q": q,
-        "depths": list(depths), "c_ball": c_ball, "root_side": root_side,
-        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
-        "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
-    series, ratios = [], []
     exps = LorentzExponents(p, q, delta)
-    for depth in depths:
-        domain = _domain_at_depth(shape, depth, root_side, origin)
-        ball = mean_value_ball(domain, c_ball)
-        diff, grad, _ = _poincare_sides(domain, u, ball)
-        john = domain.beta_john * (domain.beta_john / domain.alpha_john) ** (2 * dim)
+
+    def sides(depth):
+        domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         lhs = lorentz_norm(diff, exps)
-        rhs = john * lorentz_norm(grad, exps)
-        ratio = _safe_ratio(lhs, rhs, "poincare")
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
-        if b_scan and lhs > 0:
-            grid = domain.grid
-            raw = u.evaluate(grid.centers()).reshape(grid.shape)
-            vals = raw[domain.cells.mask]
+        rhs = _john_factor(domain) * lorentz_norm(grad, exps)
+        if not (b_scan and lhs > 0):
+            return lhs, rhs
+        # diagnostic only: recorded after the ratio, never gates the verdict
+        return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, sampler, exps, lhs))
 
-            def norm_at(b):
-                w = np.where(domain.cells.mask, np.abs(raw - b), 0.0)
-                return lorentz_norm(GridFunction(grid, w), exps)
-
-            best = _golden_min(norm_at, float(vals.min()), float(vals.max()))
-            # diagnostic only: the optimal shift may not beat the ball mean
-            # by more than B_SCAN_FACTOR; recorded, never gates the verdict
-            series.append((f"b_scan_ok@d{depth}", float(lhs <= B_SCAN_FACTOR * best + 1e-12)))
-    return _report("poincare", params, series, growth_factors_ok(ratios))
+    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, depths=list(depths),
+                            c_ball=c_ball, root_side=root_side)
+    return _ratio_sweep("poincare", params, sides)
 
 
 def poincare_weak_check(
     shape: Shape,
-    u: Sampler,
+    sampler: Sampler,
     delta: float,
     p: float,
     depths: Sequence[int],
     c_ball: float = 0.25,
     root_side: Optional[float] = None,
-    origin=None,
 ) -> ExperimentReport:
     """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
-    dim = shape.dim
-    if p != delta / dim:
-        raise VerifyError(f"endpoint check requires p = delta/dim = {delta / dim:g}, got {p}")
-    alpha_john, beta_john, x0 = shape.john_constants()
-    params = {
-        "shape": repr(shape), "sampler": repr(u), "delta": delta, "p": p,
-        "depths": list(depths), "c_ball": c_ball, "root_side": root_side,
-        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
-        "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
-    series, ratios = [], []
+    if p != delta / shape.dim:
+        raise VerifyError(f"endpoint check requires p = delta/dim = {delta / shape.dim:g}, got {p}")
     weak = LorentzExponents(p, math.inf, delta)
-    for depth in depths:
-        domain = _domain_at_depth(shape, depth, root_side, origin)
-        ball = mean_value_ball(domain, c_ball)
-        diff, grad, _ = _poincare_sides(domain, u, ball)
-        john = domain.beta_john * (domain.beta_john / domain.alpha_john) ** (2 * dim)
-        lhs = lorentz_norm(diff, weak)
-        rhs = john * choquet_p_norm(grad, p, delta)
-        ratio = _safe_ratio(lhs, rhs, "poincare_weak")
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
-    return _report("poincare_weak", params, series, growth_factors_ok(ratios))
+
+    def sides(depth):
+        domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        return lorentz_norm(diff, weak), _john_factor(domain) * choquet_p_norm(grad, p, delta)
+
+    params = _domain_params(shape, sampler, delta=delta, p=p, depths=list(depths),
+                            c_ball=c_ball, root_side=root_side)
+    return _ratio_sweep("poincare_weak", params, sides)
 
 
 def poincare_sobolev_check(
     shape: Shape,
-    u: Sampler,
+    sampler: Sampler,
     mu: float,
     delta: float,
     p: float,
@@ -340,7 +389,6 @@ def poincare_sobolev_check(
     depths: Sequence[int],
     c_ball: float = 0.25,
     root_side: Optional[float] = None,
-    origin=None,
 ) -> ExperimentReport:
     """Sobolev-improved oscillation norm over the lowered content dimension.
 
@@ -368,37 +416,27 @@ def poincare_sobolev_check(
             raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
         left = LorentzExponents(left_p, q, left_delta)
         right = LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)
-    alpha_john, beta_john, x0 = shape.john_constants()
-    params = {
-        "shape": repr(shape), "sampler": repr(u), "mu": mu, "delta": delta, "p": p,
-        "q": q, "left_p": left_p, "left_delta": left_delta, "depths": list(depths),
-        "c_ball": c_ball, "root_side": root_side, "endpoint": endpoint,
-        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
-        "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
-    series, ratios = [], []
-    for depth in depths:
-        domain = _domain_at_depth(shape, depth, root_side, origin)
-        ball = mean_value_ball(domain, c_ball)
-        diff, grad, _ = _poincare_sides(domain, u, ball)
-        lhs = lorentz_norm(diff, left)
+
+    def sides(depth):
+        _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         rhs = choquet_p_norm(grad, p, delta) if endpoint else lorentz_norm(grad, right)
-        ratio = _safe_ratio(lhs, rhs, "poincare_sobolev")
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
-    return _report("poincare_sobolev", params, series, growth_factors_ok(ratios))
+        return lorentz_norm(diff, left), rhs
+
+    params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left_p,
+                            left_delta=left_delta, depths=list(depths), c_ball=c_ball,
+                            root_side=root_side, endpoint=endpoint)
+    return _ratio_sweep("poincare_sobolev", params, sides)
 
 
 def compact_support_check(
     shape: Shape,
-    u: Sampler,
+    sampler: Sampler,
     delta: float,
     p: float,
     q: float,
     mu: float,
     depths: Sequence[int],
     root_side: Optional[float] = None,
-    origin=None,
 ) -> ExperimentReport:
     """Shift-free bounds for functions supported strictly inside the domain.
 
@@ -417,64 +455,46 @@ def compact_support_check(
     if not (0 <= mu < 1):
         raise VerifyError(f"mu must be in [0, 1), got {mu}")
     p_end = delta / dim
-    diam = {
-        "ball": 2 * shape.radius,
-        "punctured_ball": 2 * shape.radius,
-        "rectangle": math.hypot(*shape.sides),
-        "l_shape": shape.size * math.sqrt(2.0),
-    }[shape.kind]
-    alpha_john, beta_john, x0 = shape.john_constants()
-    params = {
-        "shape": repr(shape), "sampler": repr(u), "delta": delta, "p": p, "q": q,
-        "mu": mu, "depths": list(depths), "root_side": root_side, "diam": diam,
-        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
-        "growth_limit": GROWTH_FACTOR_LIMIT,
+    diam = shape.diameter
+    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu, depths=list(depths),
+                            root_side=root_side, diam=diam)
+    # variant -> (exponents of f's norm, the gradient side)
+    variants = {
+        "strong": (LorentzExponents(p, q, delta),
+                   lambda g: diam * lorentz_norm(g, LorentzExponents(p, q, delta))),
+        "weak": (LorentzExponents(p_end, math.inf, delta),
+                 lambda g: diam * choquet_p_norm(g, p_end, delta)),
+        "sobolev": (
+            LorentzExponents(sobolev_left_exponent(p, delta, mu), q, delta - mu * p),
+            lambda g: lorentz_norm(g, LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)),
+        ),
+        "sobolev_weak": (
+            LorentzExponents(sobolev_left_exponent(p_end, delta, mu), math.inf, delta - mu * p_end),
+            lambda g: choquet_p_norm(g, p_end, delta),
+        ),
     }
-    variants = ("strong", "weak", "sobolev", "sobolev_weak")
     per_variant = {v: [] for v in variants}
     series = []
     for depth in depths:
-        domain = _domain_at_depth(shape, depth, root_side, origin)
+        domain = _domain_at_depth(shape, depth, root_side)
         grid = domain.grid
-        f = sample(u, grid)
-        supp = f.support.mask
+        f = sample(sampler, grid)
         box = np.ones((3,) * grid.dim, dtype=bool)  # sup-norm margin
-        grown = ndimage.binary_dilation(supp, structure=box, iterations=2)
+        grown = ndimage.binary_dilation(f.support.mask, structure=box, iterations=2)
         if not np.all(~grown | domain.cells.mask):
             raise VerifyError("support touches the domain boundary (needs a 2-cell margin)")
-        grad = gradient_magnitude(u, grid).restrict(domain.cells)
+        grad = gradient_magnitude(sampler, grid).restrict(domain.cells)
         fr = f.restrict(domain.cells)
-        vals = {}
-        vals["strong"] = _safe_ratio(
-            lorentz_norm(fr, LorentzExponents(p, q, delta)),
-            diam * lorentz_norm(grad, LorentzExponents(p, q, delta)),
-            "compact_support strong",
-        )
-        vals["weak"] = _safe_ratio(
-            lorentz_norm(fr, LorentzExponents(p_end, math.inf, delta)),
-            diam * choquet_p_norm(grad, p_end, delta),
-            "compact_support weak",
-        )
-        vals["sobolev"] = _safe_ratio(
-            lorentz_norm(fr, LorentzExponents(sobolev_left_exponent(p, delta, mu), q, delta - mu * p)),
-            lorentz_norm(grad, LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)),
-            "compact_support sobolev",
-        )
-        left_end = sobolev_left_exponent(p_end, delta, mu)
-        vals["sobolev_weak"] = _safe_ratio(
-            lorentz_norm(fr, LorentzExponents(left_end, math.inf, delta - mu * p_end)),
-            choquet_p_norm(grad, p_end, delta),
-            "compact_support sobolev_weak",
-        )
-        for v in variants:
-            per_variant[v].append(vals[v])
-            series.append((f"{v}@d{depth}", vals[v]))
-    verdict = all(growth_factors_ok(per_variant[v]) for v in variants)
+        for v, (exps, gradient_side) in variants.items():
+            ratio = _safe_ratio(lorentz_norm(fr, exps), gradient_side(grad), f"compact_support {v}")
+            per_variant[v].append(ratio)
+            series.append((f"{v}@d{depth}", ratio))
+    verdict = all(growth_factors_ok(ratios) for ratios in per_variant.values())
     return _report("compact_support", params, series, verdict)
 
 
 def riesz_boundedness_check(
-    f: Sampler,
+    sampler: Sampler,
     alpha: float,
     mu: float,
     delta: float,
@@ -483,7 +503,6 @@ def riesz_boundedness_check(
     depths: Sequence[int],
     dim: int = 2,
     root_side: float = 2.0,
-    origin=None,
 ) -> ExperimentReport:
     """Riesz potential norm over the lowered content against the source norm."""
     if not (0 < alpha < dim):
@@ -506,27 +525,23 @@ def riesz_boundedness_check(
             raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
         left = LorentzExponents(left_p, q, left_delta)
         right = LorentzExponents(p, riesz_right_q(q, p, delta, mu, alpha), delta)
+
+    def sides(depth):
+        ff = sample(sampler, make_grid(dim, depth, root_side))
+        lhs = lorentz_norm(riesz(ff, RieszParams(alpha)), left)
+        return lhs, choquet_p_norm(ff, p, delta) if endpoint else lorentz_norm(ff, right)
+
     params = {
-        "sampler": repr(f), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
+        "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
         "left_p": left_p, "left_delta": left_delta, "depths": list(depths),
         "dim": dim, "root_side": root_side, "endpoint": endpoint,
         "growth_limit": GROWTH_FACTOR_LIMIT,
     }
-    series, ratios = [], []
-    for depth in depths:
-        grid = make_grid(dim, depth, root_side, origin)
-        ff = sample(f, grid)
-        pot = riesz(ff, RieszParams(alpha))
-        lhs = lorentz_norm(pot, left)
-        rhs = choquet_p_norm(ff, p, delta) if endpoint else lorentz_norm(ff, right)
-        ratio = _safe_ratio(lhs, rhs, "riesz_bound")
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
-    return _report("riesz_bound", params, series, growth_factors_ok(ratios))
+    return _ratio_sweep("riesz_bound", params, sides)
 
 
 def maximal_inequality_check(
-    f: Sampler,
+    sampler: Sampler,
     delta: float,
     mu: float,
     p: float,
@@ -535,7 +550,6 @@ def maximal_inequality_check(
     depths: Sequence[int],
     dim: int = 2,
     root_side: float = 2.0,
-    origin=None,
 ) -> ExperimentReport:
     """Fractional maximal operator between Lorentz-content norms."""
     p_hi = math.inf if mu == 0 else delta / mu
@@ -546,26 +560,23 @@ def maximal_inequality_check(
     if not (0 < s <= r):
         raise VerifyError(f"s must be in (0, r] = (0, {r:g}], got {s}")
     left_delta = delta - mu * p
+
+    def sides(depth):
+        ff = sample(sampler, make_grid(dim, depth, root_side))
+        mf = maximal(ff, MaximalParams(mu))
+        lhs = lorentz_norm(mf, LorentzExponents(p, r, left_delta))
+        return lhs, lorentz_norm(ff, LorentzExponents(p, s, delta))
+
     params = {
-        "sampler": repr(f), "delta": delta, "mu": mu, "p": p, "s": s, "r": r,
+        "sampler": repr(sampler), "delta": delta, "mu": mu, "p": p, "s": s, "r": r,
         "left_delta": left_delta, "depths": list(depths), "dim": dim,
         "root_side": root_side, "growth_limit": GROWTH_FACTOR_LIMIT,
     }
-    series, ratios = [], []
-    for depth in depths:
-        grid = make_grid(dim, depth, root_side, origin)
-        ff = sample(f, grid)
-        mf = maximal(ff, MaximalParams(mu))
-        lhs = lorentz_norm(mf, LorentzExponents(p, r, left_delta))
-        rhs = lorentz_norm(ff, LorentzExponents(p, s, delta))
-        ratio = _safe_ratio(lhs, rhs, "maximal_bound")
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
-    return _report("maximal_bound", params, series, growth_factors_ok(ratios))
+    return _ratio_sweep("maximal_bound", params, sides)
 
 
 def hedberg_constant_check(
-    f: Sampler,
+    sampler: Sampler,
     alpha: float,
     mu: float,
     delta: float,
@@ -574,27 +585,23 @@ def hedberg_constant_check(
     depths: Sequence[int],
     dim: int = 2,
     root_side: float = 2.0,
-    origin=None,
-    stability: float = HEDBERG_STABILITY,
 ) -> ExperimentReport:
     """Sup over the grid of the pointwise Riesz-by-maximal ratio, per depth."""
     params = {
-        "sampler": repr(f), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
+        "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
         "depths": list(depths), "dim": dim, "root_side": root_side,
-        "stability": stability,
+        "stability": HEDBERG_STABILITY,
     }
     exps = LorentzExponents(p, q, delta)
     sups = []
     series = []
     for depth in depths:
-        grid = make_grid(dim, depth, root_side, origin)
-        ff = sample(f, grid)
-        field_vals = hedberg_ratio_field(ff, alpha, mu, exps)
-        sup = field_vals.max()
+        ff = sample(sampler, make_grid(dim, depth, root_side))
+        sup = hedberg_ratio_field(ff, alpha, mu, exps).max()
         sups.append(sup)
         series.append((f"sup_ratio@d{depth}", sup))
     finite = all(math.isfinite(s) for s in sups)
-    spread_ok = finite and (max(sups) <= (1.0 + stability) * min(sups))
+    spread_ok = finite and (max(sups) <= (1.0 + HEDBERG_STABILITY) * min(sups))
     return _report("hedberg", params, series, finite and spread_ok)
 
 
@@ -626,31 +633,20 @@ def sharpness_poincare(
     lo, hi = gradient_eta_window(p, s, delta, mu)
     if not (lo < eta <= hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}], got {eta}")
-    predicted = gradient_slope_prediction(eta, p, s, delta, mu)
+
+    def fields(grid, eps):
+        u = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, 1.0))
+        return sample(u, grid), gradient_magnitude(u, grid)
+
     params = {
         "delta": delta, "mu": mu, "p": p, "s": s, "q": q, "eta": eta,
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
-        "root_side": root_side, "qt": qt, "predicted_slope": predicted,
+        "root_side": root_side, "qt": qt,
+        "predicted_slope": gradient_slope_prediction(eta, p, s, delta, mu),
         "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT,
     }
-    grid = make_grid(dim, depth, root_side)
-    left = LorentzExponents(s, q, delta - mu * p)
-    right = LorentzExponents(p, qt, delta)
-    eps_sorted = sorted(float(e) for e in eps_list)
-    lhs_vals, rhs_vals, series = [], [], []
-    for eps in eps_sorted:
-        u = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, 1.0))
-        lhs = lorentz_norm(sample(u, grid), left)
-        rhs = lorentz_norm(gradient_magnitude(u, grid), right)
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-        series += [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
-    fit = fit_loglog(eps_sorted, lhs_vals)
-    rhs_variation = max(rhs_vals) / min(rhs_vals) - 1.0
-    series += [("fitted_slope", fit.slope), ("predicted_slope", predicted),
-               ("r_squared", fit.r_squared), ("rhs_variation", rhs_variation)]
-    verdict = abs(fit.slope - predicted) <= SLOPE_TOLERANCE and rhs_variation < RHS_VARIATION_LIMIT
-    return fit, _report("sharpness_poincare", params, series, verdict)
+    return _eps_sweep("sharpness_poincare", params, "predicted_slope", fields,
+                      lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
 
 
 def sharpness_riesz(
@@ -681,31 +677,65 @@ def sharpness_riesz(
     lo, hi = riesz_eta_window(p, s, delta, mu, alpha)
     if not (lo < eta < hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}), got {eta}")
-    predicted = riesz_blowup_prediction(eta, p, s, delta, mu, alpha)
+
+    def fields(grid, eps):
+        fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, outer_radius))
+        ff = sample(fs, grid)
+        return riesz(ff, RieszParams(alpha)), ff
+
     params = {
         "delta": delta, "mu": mu, "alpha": alpha, "p": p, "s": s, "q": q, "eta": eta,
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
         "root_side": root_side, "qt": qt, "outer_radius": outer_radius,
-        "predicted_blowup": predicted, "slope_tolerance": SLOPE_TOLERANCE,
-        "rhs_variation_limit": RHS_VARIATION_LIMIT,
+        "predicted_blowup": riesz_blowup_prediction(eta, p, s, delta, mu, alpha),
+        "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT,
     }
-    grid = make_grid(dim, depth, root_side)
-    left = LorentzExponents(s, q, delta - mu * p)
-    right = LorentzExponents(p, qt, delta)
-    eps_sorted = sorted(float(e) for e in eps_list)
-    lhs_vals, rhs_vals, series = [], [], []
-    for eps in eps_sorted:
-        fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, outer_radius))
-        ff = sample(fs, grid)
-        pot = riesz(ff, RieszParams(alpha))
-        lhs = lorentz_norm(pot, left)
-        rhs = lorentz_norm(ff, right)
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-        series += [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
-    fit = fit_loglog(eps_sorted, lhs_vals)
-    rhs_variation = max(rhs_vals) / min(rhs_vals) - 1.0
-    series += [("fitted_slope", fit.slope), ("predicted_blowup", predicted),
-               ("r_squared", fit.r_squared), ("rhs_variation", rhs_variation)]
-    verdict = fit.slope <= predicted + SLOPE_TOLERANCE and rhs_variation < RHS_VARIATION_LIMIT
-    return fit, _report("sharpness_riesz", params, series, verdict)
+    return _eps_sweep("sharpness_riesz", params, "predicted_blowup", fields,
+                      lambda slope, predicted: slope <= predicted + SLOPE_TOLERANCE)
+
+
+# registry -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A `capnorm verify` experiment: the name of its runner in this module,
+    looked up when it runs and never bound here, and its default config,
+    keyed by the runner's keyword names."""
+
+    runner: str
+    defaults: dict
+
+
+def _declare(runner: str, **required) -> Experiment:
+    """The runner's keyword defaults, read once at import, then the values its signature lacks."""
+    params = inspect.signature(globals()[runner]).parameters.values()
+    defaults = {par.name: par.default for par in params if par.default is not par.empty}
+    return Experiment(runner, {**defaults, **required})
+
+
+_UNIT_BALL = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
+_LINEAR = {"kind": "linear", "coeffs": [1.0, 0.0]}
+_INDICATOR = {"kind": "ball_indicator", "center": [0.0, 0.0], "radius": 0.5}
+# qt is given as text so that the echoed config stays plain JSON
+EXPERIMENTS = {
+    "poincare": _declare("poincare_check", shape=_UNIT_BALL, sampler=_LINEAR, delta=2.0, p=1.5,
+                         q=1.5, depths=[4, 5, 6]),
+    "poincare_weak": _declare("poincare_weak_check", shape=_UNIT_BALL, sampler=_LINEAR, delta=2.0,
+                              p=1.0, depths=[4, 5, 6]),
+    "poincare_sobolev": _declare("poincare_sobolev_check", shape=_UNIT_BALL, sampler=_LINEAR,
+                                 mu=0.0, delta=2.0, p=1.5, q=6.0, depths=[4, 5, 6]),
+    "compact_support": _declare("compact_support_check", shape=_UNIT_BALL,
+                                sampler={"kind": "bump", "center": [0.0, 0.0], "radius": 0.7},
+                                delta=2.0, p=1.5, q=1.5, mu=0.0, depths=[4, 5, 6]),
+    "riesz_bound": _declare("riesz_boundedness_check", sampler=_INDICATOR, alpha=1.0, mu=0.0,
+                            delta=2.0, p=1.5, q=6.0, depths=[4, 5, 6]),
+    "maximal_bound": _declare("maximal_inequality_check", sampler=_INDICATOR, delta=2.0, mu=0.0,
+                              p=1.5, s=1.5, r=1.5, depths=[4, 5, 6]),
+    "hedberg": _declare("hedberg_constant_check", sampler=_INDICATOR, alpha=1.0, mu=0.0,
+                        delta=2.0, p=1.5, q=1.5, depths=[5, 6, 7]),
+    "sharpness_poincare": _declare("sharpness_poincare", delta=2.0, mu=0.0, p=1.05, s=4.0, q=4.0,
+                                   eta=-0.8, eps_list=[0.25, 0.125, 0.0625, 0.03125], qt="inf"),
+    "sharpness_riesz": _declare("sharpness_riesz", delta=2.0, mu=0.0, alpha=1.0, p=1.5, s=8.0,
+                                q=8.0, eta=-1.3, eps_list=[0.5, 0.25, 0.125, 0.0625], qt="inf"),
+}

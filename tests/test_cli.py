@@ -161,3 +161,23 @@ def test_oversized_grid_document_refused_before_values(tmp_path, capsys):
 def test_grid_document_roundtrip_under_cap():
     g = make_grid(3, 4, 1.7, origin=(0.25, -3.0, 1e-17))
     assert io.grid_from_dict(json.loads(io.dumps(io.grid_to_dict(g)))) == g
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", 2.7), ("depth", 3.9), ("dim", True), ("depth", "3"), ("depth", math.inf),
+])
+def test_grid_document_requires_integer_dim_and_depth(key, value, tmp_path, capsys):
+    grid = {"dim": 2, "depth": 3, "root_side": 1.0, "origin": [0.0, 0.0], key: value}
+    with pytest.raises(GridError, match=f"grid {key} must be an integer"):
+        io.grid_from_dict(grid)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"grid": grid, "values": ["1"] * 64}))
+    assert run(["norm", "--fn", str(path), "--delta", "1.5", "--p", "2"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_grid_document_accepts_integral_floats():
+    # JSON Schema counts 2.0 as an integer
+    g = io.grid_from_dict({"dim": 2.0, "depth": 3.0, "root_side": 1.0, "origin": [0.0, 0.0]})
+    assert g == make_grid(2, 3, 1.0, origin=(0.0, 0.0))
+    assert type(g.dim) is int and type(g.depth) is int

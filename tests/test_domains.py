@@ -55,6 +55,21 @@ def test_shape_outside_root_rejected():
         make_john_domain(Shape.ball((0.9, 0.0), 0.5), g)
 
 
+@pytest.mark.parametrize("shape, expected", [
+    (Shape.ball((0.0, 0.0), 1.5), 3.0),
+    (Shape.punctured_ball((0.0, 0.0), 0.75), 1.5),
+    (Shape.rectangle((0.0, 0.0), 3.0, 1.5), math.sqrt(3.0**2 + 1.5**2)),
+    (Shape.l_shape((-1.0, -1.0), 1.5), math.sqrt(1.5**2 + 1.5**2)),
+], ids=["ball", "punctured_ball", "rectangle", "l_shape"])
+def test_shape_diameter(shape, expected):
+    assert shape.diameter == pytest.approx(expected, rel=1e-15)
+    # the occupied cell centers come within two cell diagonals of it
+    g = make_grid(2, 6, 4.0)
+    pts = g.centers()[make_john_domain(shape, g).cells.mask.ravel()]
+    centers_diam = math.sqrt(float(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).max()))
+    assert shape.diameter - 2 * math.sqrt(2.0) * g.h <= centers_diam <= shape.diameter
+
+
 def test_diameter_within_john_bound():
     g = make_grid(2, 5, 4.0)
     for shape in (

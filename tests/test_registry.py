@@ -1,0 +1,233 @@
+"""The experiment registry: config keys, defaults, and pinned small-sweep reports.
+
+The pinned series and config hashes were recorded before the nine runners
+were moved onto the shared sweep skeletons; they must not move.
+"""
+
+import functools
+import inspect
+import json
+
+import pytest
+
+from capnorm import cli, verify
+from capnorm.cli import ConfigError, resolve_config, run
+
+# (test id, experiment, overrides): small sweeps, a few seconds in all
+CASES = [
+    ("poincare", "poincare", {"depths": [3, 4]}),
+    ("poincare_rectangle", "poincare", {
+        "depths": [5, 6], "b_scan": False,
+        "shape": {"shape": "rectangle", "center": [0.0, 0.0], "sides": [1.6, 1.0]}}),
+    ("poincare_weak", "poincare_weak", {"depths": [3, 4]}),
+    ("poincare_sobolev", "poincare_sobolev", {"depths": [3, 4]}),
+    ("poincare_sobolev_endpoint", "poincare_sobolev", {"depths": [3, 4], "p": 1.0, "q": None}),
+    ("compact_support", "compact_support", {"depths": [4, 5]}),
+    ("riesz_bound", "riesz_bound", {"depths": [3, 4]}),
+    ("riesz_bound_endpoint", "riesz_bound", {"depths": [3, 4], "p": 1.0, "q": None}),
+    ("maximal_bound", "maximal_bound", {"depths": [3, 4]}),
+    ("hedberg", "hedberg", {"depths": [3, 4]}),
+    ("sharpness_poincare", "sharpness_poincare", {"depth": 5}),
+    ("sharpness_riesz", "sharpness_riesz", {"depth": 7}),
+]
+
+# test id -> (provenance.config_hash, series)
+PINS = {
+    'poincare': (
+        '1ada863754a35cecc845e3f4a78722dfecf08898cb783abd1932d2201aaf9df2',
+        [
+            ('lhs@d3', 1.0354588522814572),
+            ('rhs@d3', 2.194095738832282),
+            ('ratio@d3', 0.47192965828945),
+            ('b_scan_ok@d3', 1.0),
+            ('lhs@d4', 1.0394545495063003),
+            ('rhs@d4', 2.194095738832282),
+            ('ratio@d4', 0.4737507717231645),
+            ('b_scan_ok@d4', 1.0),
+        ],
+    ),
+    'poincare_rectangle': (
+        '071a19275619621d6f73296056db1ddcdb4ed4030cadad8cae9952bfdf29a5ae',
+        [
+            ('lhs@d5', 0.5938975240514225),
+            ('rhs@d5', 16.35592037800813),
+            ('ratio@d5', 0.03631085932956523),
+            ('lhs@d6', 0.5940657477701469),
+            ('rhs@d6', 16.35592037800813),
+            ('ratio@d6', 0.036321144517731746),
+        ],
+    ),
+    'poincare_weak': (
+        '4e1000dfe3093f8aa3a53fc55a6594d21cb983c9144e612669e48f39bddce3c7',
+        [
+            ('lhs@d3', 0.84375),
+            ('rhs@d3', 3.25),
+            ('ratio@d3', 0.25961538461538464),
+            ('lhs@d4', 0.765625),
+            ('rhs@d4', 3.25),
+            ('ratio@d4', 0.23557692307692307),
+        ],
+    ),
+    'poincare_sobolev': (
+        '2a51c46343e202c7ed04ea10745c4fa456180e4cec1eaee97455cb72dc0d9eea',
+        [
+            ('lhs@d3', 0.8048799458855032),
+            ('rhs@d3', 2.194095738832282),
+            ('ratio@d3', 0.3668390269578062),
+            ('lhs@d4', 0.8060263690487002),
+            ('rhs@d4', 2.194095738832282),
+            ('ratio@d4', 0.3673615306676065),
+        ],
+    ),
+    'poincare_sobolev_endpoint': (
+        '2c87d90325c286c60f85027ba9570a31877d7e2d0ecca1aecc54e2d78423d397',
+        [
+            ('lhs@d3', 0.6987712429686843),
+            ('rhs@d3', 3.25),
+            ('ratio@d3', 0.21500653629805672),
+            ('lhs@d4', 0.644424707103165),
+            ('rhs@d4', 3.25),
+            ('ratio@d4', 0.1982845252625123),
+        ],
+    ),
+    'compact_support': (
+        '732eb930efc80038a4d7dcfb8ddeca25c09a209a752c2a582099dfbb24170276',
+        [
+            ('strong@d4', 0.12460101632014481),
+            ('weak@d4', 0.05704645256889186),
+            ('sobolev@d4', 0.019892198356895614),
+            ('sobolev_weak@d4', 0.16525479307968216),
+            ('strong@d5', 0.12435569695870118),
+            ('weak@d5', 0.051227766488694225),
+            ('sobolev@d5', 0.01974476051564902),
+            ('sobolev_weak@d5', 0.15618610984621303),
+        ],
+    ),
+    'riesz_bound': (
+        '3c677dee8b6a05cb732ce6266a2b4e9d31bb167af20ccca7415c57fa7cdae1a0',
+        [
+            ('lhs@d3', 0.40238857692541014),
+            ('rhs@d3', 0.8254818122236567),
+            ('ratio@d3', 0.48745904630105485),
+            ('lhs@d4', 0.4271803346320269),
+            ('rhs@d4', 0.8707274709853271),
+            ('ratio@d4', 0.4906016507652203),
+        ],
+    ),
+    'riesz_bound_endpoint': (
+        'bce766f2940dd6bda4736101dc54bf0d238d523fd2b566fd9fc37a2665f11042',
+        [
+            ('lhs@d3', 0.3378225264997344),
+            ('rhs@d3', 0.75),
+            ('ratio@d3', 0.45043003533297915),
+            ('lhs@d4', 0.3291792231098344),
+            ('rhs@d4', 0.8125),
+            ('ratio@d4', 0.4051436592121039),
+        ],
+    ),
+    'maximal_bound': (
+        '8e810ea35aaf6788f20b5b5a26783b1dbe9372b3c0f1c25a144080aa20e90ea1',
+        [
+            ('lhs@d3', 0.8622885742317826),
+            ('rhs@d3', 0.8254818122236567),
+            ('ratio@d3', 1.0445882168002916),
+            ('lhs@d4', 1.053313005083516),
+            ('rhs@d4', 0.8707274709853271),
+            ('ratio@d4', 1.2096930901830543),
+        ],
+    ),
+    'hedberg': (
+        '1bbd96d7a9d4c08f061cd744269405e69a47c3e177503a6849c85383d65fca0a',
+        [
+            ('sup_ratio@d3', 0.20639388622995514),
+            ('sup_ratio@d4', 0.20856726512733836),
+        ],
+    ),
+    'sharpness_poincare': (
+        '8bde9fa49d59758fd9d8983ee2df6656f2bae3b7783cd80080e5840af6f0db49',
+        [
+            ('lhs@eps=0.03125', 4.601695430889508),
+            ('rhs@eps=0.03125', 4.180820752146401),
+            ('lhs@eps=0.0625', 3.2430273113164163),
+            ('rhs@eps=0.0625', 2.403257692291285),
+            ('lhs@eps=0.125', 2.773465990044081),
+            ('rhs@eps=0.125', 2.3805246489479313),
+            ('lhs@eps=0.25', 2.1594985107295024),
+            ('rhs@eps=0.25', 2.267028963466238),
+            ('fitted_slope', -0.35000586746972184),
+            ('predicted_slope', -0.30000000000000004),
+            ('r_squared', 0.978024366172808),
+            ('rhs_variation', 0.8441849749259562),
+        ],
+    ),
+    'sharpness_riesz': (
+        '6453656d847bf83c2a63cd303bc2eb5bd79e9988dda7b82d51116eef0bb77e01',
+        [
+            ('lhs@eps=0.0625', 5.422872333726205),
+            ('rhs@eps=0.0625', 3.719747759198268),
+            ('lhs@eps=0.125', 4.314488052605827),
+            ('rhs@eps=0.125', 2.3191271195217613),
+            ('lhs@eps=0.25', 4.314488052605827),
+            ('rhs@eps=0.25', 2.3191271195217613),
+            ('lhs@eps=0.5', 3.4066736412041094),
+            ('rhs@eps=0.5', 2.315524191280899),
+            ('fitted_slope', -0.20120803873778334),
+            ('predicted_blowup', -0.050000000000000044),
+            ('r_squared', 0.8998798968758179),
+            ('rhs_variation', 0.6064387378050162),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
+def test_config_keys_are_runner_keywords(name):
+    cfg = resolve_config(name, {}, {})
+    runner = getattr(verify, verify.EXPERIMENTS[name].runner)
+    assert sorted(cfg) == sorted(inspect.signature(runner).parameters)
+    assert "seed" not in cfg and "origin" not in cfg
+
+
+@pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
+def test_seed_key_rejected(name, tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        resolve_config(name, {}, {"seed": 1})
+    assert run(["verify", name, "--set", "seed=1"]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 20240501}))
+    assert run(["verify", name, "--config", str(path)]) == 2
+
+
+def test_removed_runner_keywords_rejected():
+    assert run(["verify", "riesz_bound", "--set", "origin=[0.0, 0.0]"]) == 2
+    assert run(["verify", "hedberg", "--set", "stability=0.5"]) == 2
+
+
+def test_defaults_are_fresh_copies():
+    cfg = resolve_config("poincare", {}, {})
+    cfg["shape"]["radius"] = 9.0
+    cfg["depths"].append(7)
+    again = resolve_config("poincare", {}, {})
+    assert again["shape"]["radius"] == 1.0 and again["depths"] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("case, name, overrides", CASES, ids=[c[0] for c in CASES])
+def test_pinned_report(case, name, overrides, monkeypatch):
+    # the runner is looked up on the verify module at call time, so a
+    # wrapper installed there (as the benchmark's span recorder does) runs
+    attr = verify.EXPERIMENTS[name].runner
+    runner, calls = getattr(verify, attr), []
+
+    @functools.wraps(runner)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, attr, counted)
+    report = cli.run_experiment(name, resolve_config(name, {}, overrides))
+    assert calls == [1]
+    config_hash, series = PINS[case]
+    assert report.provenance["config_hash"] == config_hash
+    assert [label for label, _ in report.series] == [label for label, _ in series]
+    for (label, value), (_, pinned) in zip(report.series, series):
+        assert value == pytest.approx(pinned, rel=1e-12, abs=0.0), label
