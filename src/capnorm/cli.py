@@ -53,21 +53,27 @@ def _emit_csv(series, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def sampler_from_config(cfg: dict) -> Sampler:
+def sampler_from_config(cfg: dict, dim: int = 2) -> Sampler:
+    """Build a sampler for a dim-dimensional run; a missing center is the origin."""
     cfg = dict(cfg)
     kind = cfg.pop("kind")
+
+    def center():
+        c = np.atleast_1d(cfg.pop("center", (0.0,) * dim))
+        if c.size != dim:
+            raise ConfigError(f"sampler center has {c.size} coordinates but the run has dim {dim}")
+        return c
+
     if kind == "constant":
         s = Sampler.constant(cfg.pop("value"))
     elif kind == "radial_power":
-        s = Sampler.radial_power(
-            cfg.pop("exponent"), cfg.pop("center", (0.0, 0.0)), cfg.pop("annulus", None)
-        )
+        s = Sampler.radial_power(cfg.pop("exponent"), center(), cfg.pop("annulus", None))
     elif kind == "ball_indicator":
-        s = Sampler.ball_indicator(cfg.pop("center", (0.0, 0.0)), cfg.pop("radius"))
+        s = Sampler.ball_indicator(center(), cfg.pop("radius"))
     elif kind == "linear":
         s = Sampler.linear(cfg.pop("coeffs"), cfg.pop("offset", 0.0))
     elif kind == "bump":
-        s = Sampler.bump(cfg.pop("center", (0.0, 0.0)), cfg.pop("radius"), cfg.pop("amplitude", 1.0))
+        s = Sampler.bump(center(), cfg.pop("radius"), cfg.pop("amplitude", 1.0))
     else:
         raise ConfigError(f"unknown sampler kind {kind!r}")
     if cfg:
@@ -115,13 +121,17 @@ def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
     """Call the experiment's runner with the config as keywords.
 
     The runner is looked up on the verify module at call time; shape,
-    sampler and qt are the only config values that are converted.
+    sampler and qt are the only config values that are converted.  The
+    sampler takes the run's dimension: the config's dim, else the shape's.
     """
     kwargs = dict(cfg)
-    converters = (("shape", shape_from_config), ("sampler", sampler_from_config), ("qt", _parse_q))
-    for key, convert in converters:
-        if key in kwargs:
-            kwargs[key] = convert(kwargs[key])
+    if "shape" in kwargs:
+        kwargs["shape"] = shape_from_config(kwargs["shape"])
+    if "sampler" in kwargs:
+        dim = kwargs["dim"] if "dim" in kwargs else kwargs["shape"].dim
+        kwargs["sampler"] = sampler_from_config(kwargs["sampler"], dim)
+    if "qt" in kwargs:
+        kwargs["qt"] = _parse_q(kwargs["qt"])
     result = getattr(verify, _experiment(experiment).runner)(**kwargs)
     return result[1] if isinstance(result, tuple) else result  # sharpness runners return (fit, report)
 

@@ -3,9 +3,12 @@
 Both operators act on grid functions extended by zero outside the grid.
 Ball membership is decided by cell centers (consistent with midpoint
 sampling) while ball volumes are the exact continuum ones, which keeps
-averages of constants near the constant.  Sums over cells run either as
-direct fixed-order convolution (small grids) or FFT convolution (large
-grids); both are deterministic, so reruns are byte-identical.
+averages of constants near the constant.  Sums over cells run as FFT
+convolution, which is deterministic, so reruns are byte-identical.  FFT
+rounding leaves noise near 1e-16 of the largest value, so a sum that is
+exactly zero can come out slightly negative and is clipped to zero.  The
+point evaluators `maximal_at` and `riesz_unnormalized_at` sum the same
+cells directly at one point; they are the exact reference for the fields.
 
 The maximal supremum is taken over a geometric radius sweep from one
 cell side up to twice the grid diameter; the averaged quantity varies
@@ -20,12 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import signal
 
 from .choquet import LorentzExponents, choquet_integral, choquet_p_norm, lorentz_norm
 from .grid import DyadicGrid, GridError, GridFunction
 
-DIRECT_CELL_LIMIT = 4096
 RADIUS_SWEEP_FACTOR = 1.25
 
 
@@ -92,21 +94,6 @@ class RieszParams:
         return self.c_alpha if self.c_alpha is not None else riesz_normalization(dim, self.alpha)
 
 
-def _resolve_method(method: str, grid: DyadicGrid) -> str:
-    if method == "auto":
-        return "direct" if grid.n_cells <= DIRECT_CELL_LIMIT else "fft"
-    if method not in ("direct", "fft"):
-        raise OperatorError(f"unknown method {method!r}")
-    return method
-
-
-def _convolve(values: np.ndarray, kernel: np.ndarray, method: str) -> np.ndarray:
-    if method == "direct":
-        return ndimage.correlate(values, kernel[(slice(None, None, -1),) * kernel.ndim],
-                                 mode="constant", cval=0.0)
-    return signal.fftconvolve(values, kernel, mode="same")
-
-
 def _offset_distances(dim: int, k: int, h: float) -> np.ndarray:
     """|offset| * h over the lattice cube [-k, k]^dim."""
     ax = np.abs(np.arange(-k, k + 1, dtype=float))
@@ -114,9 +101,13 @@ def _offset_distances(dim: int, k: int, h: float) -> np.ndarray:
     return h * np.sqrt(sum(g**2 for g in grids))
 
 
-def maximal(
-    f: GridFunction, params: MaximalParams, method: str = "auto"
-) -> GridFunction:
+def _self_cell_weight(grid: DyadicGrid, alpha: float) -> float:
+    """Exact radial integral of |y|^(alpha - dim) over the ball of one cell's volume."""
+    rho = (grid.cell_volume / unit_ball_volume(grid.dim)) ** (1.0 / grid.dim)
+    return unit_sphere_area(grid.dim) * rho**alpha / alpha
+
+
+def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
     """Fractional maximal function: sup over radii of r^mu times the ball average.
 
     At each cell center x the average over B(x, r) sums the values of
@@ -126,7 +117,6 @@ def maximal(
     grid = f.grid
     params.validate(grid.dim)
     radii = params.resolve_radii(grid)
-    method = _resolve_method(method, grid)
     m = grid.cells_per_axis
     h = grid.h
     vol_unit = unit_ball_volume(grid.dim)
@@ -144,13 +134,13 @@ def maximal(
         k = min(m - 1, int(math.floor(r / h)))
         dist = _offset_distances(grid.dim, k, h)
         mask = (dist < r).astype(np.float64)
-        sums = _convolve(f.values, mask, method)
+        sums = signal.fftconvolve(f.values, mask, mode="same")
         np.maximum(out, scale * np.maximum(sums, 0.0), out=out)
     return GridFunction(grid, out)
 
 
-def riesz(f: GridFunction, params: RieszParams, method: str = "auto") -> GridFunction:
-    """Riesz potential by direct kernel summation over cell centers.
+def riesz(f: GridFunction, params: RieszParams) -> GridFunction:
+    """Riesz potential by FFT convolution with the cell-center kernel.
 
     Distinct cells contribute |x - y|^(alpha - dim) * cell_volume at the
     center distance; the self cell uses the exact radial integral over
@@ -160,7 +150,6 @@ def riesz(f: GridFunction, params: RieszParams, method: str = "auto") -> GridFun
     """
     grid = f.grid
     params.validate(grid.dim)
-    method = _resolve_method(method, grid)
     alpha = params.alpha
     dim = grid.dim
     h = grid.h
@@ -170,10 +159,9 @@ def riesz(f: GridFunction, params: RieszParams, method: str = "auto") -> GridFun
     center = (m - 1,) * dim
     dist[center] = 1.0  # placeholder, overwritten below
     kernel = grid.cell_volume * dist ** (alpha - dim)
-    rho = (grid.cell_volume / unit_ball_volume(dim)) ** (1.0 / dim)
-    kernel[center] = unit_sphere_area(dim) * rho**alpha / alpha
+    kernel[center] = _self_cell_weight(grid, alpha)
 
-    result = _convolve(f.values, kernel, method)
+    result = signal.fftconvolve(f.values, kernel, mode="same")
     result = np.maximum(result, 0.0) / params.normalization(dim)
     return GridFunction(grid, result)
 
@@ -187,8 +175,7 @@ def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
     d = np.sqrt(np.sum((centers - centers[cell]) ** 2, axis=1))
     d[cell] = 1.0
     weights = grid.cell_volume * d ** (alpha - grid.dim)
-    rho = (grid.cell_volume / unit_ball_volume(grid.dim)) ** (1.0 / grid.dim)
-    weights[cell] = unit_sphere_area(grid.dim) * rho**alpha / alpha
+    weights[cell] = _self_cell_weight(grid, alpha)
     return float(np.dot(weights, f.values.ravel()))
 
 
@@ -233,6 +220,30 @@ def hedberg_exponents(dim: int, delta: float, alpha: float, mu: float, p: float,
     return maximal_power, norm_power, norm_q
 
 
+def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExponents):
+    """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
+
+    Main branch requires p in (delta/dim, delta/alpha); the endpoint
+    branch p = delta/dim uses the plain p-norm in the denominator.
+    """
+    dim = f.grid.dim
+    p, q, delta = exps.p, exps.q, exps.delta
+    endpoint = p == delta / dim
+    if not endpoint and not (delta / dim < p < delta / alpha):
+        raise OperatorError(
+            f"p must equal delta/dim or lie in (delta/dim, delta/alpha) = "
+            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
+        )
+    maximal_power, norm_power, norm_q = hedberg_exponents(dim, delta, alpha, mu, p, q)
+    if not f.values.any():
+        return None
+    if endpoint:
+        norm = choquet_p_norm(f, p, delta)
+    else:
+        norm = lorentz_norm(f, LorentzExponents(p, norm_q, delta))
+    return maximal_power, norm**norm_power
+
+
 def hedberg_ratio(
     f: GridFunction,
     x,
@@ -243,55 +254,29 @@ def hedberg_ratio(
 ) -> float:
     """Empirical constant at x for the pointwise Riesz-by-maximal bound.
 
-    Main branch requires p in (delta/dim, delta/alpha); the endpoint
-    branch p = delta/dim uses the plain p-norm in the denominator.
     Returns 0 for f identically zero (both sides vanish).
     """
-    grid = f.grid
-    dim = grid.dim
-    p, q, delta = exps.p, exps.q, exps.delta
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta / alpha):
-        raise OperatorError(
-            f"p must equal delta/dim or lie in (delta/dim, delta/alpha) = "
-            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
-        )
-    maximal_power, norm_power, norm_q = hedberg_exponents(dim, delta, alpha, mu, p, q)
-    if not f.values.any():
+    factors = _hedberg_factors(f, alpha, mu, exps)
+    if factors is None:
         return 0.0
+    maximal_power, norm_factor = factors
     lhs = riesz_unnormalized_at(f, x, alpha)
     mf = maximal_at(f, x, mu, radii)
-    if endpoint:
-        norm = choquet_p_norm(f, p, delta)
-    else:
-        norm = lorentz_norm(f, LorentzExponents(p, norm_q, delta))
     # nonzero f has mf > 0 everywhere: some sweep ball reaches the support
-    return lhs / (mf**maximal_power * norm**norm_power)
+    return lhs / (mf**maximal_power * norm_factor)
 
 
 def hedberg_ratio_field(
-    f: GridFunction, alpha: float, mu: float, exps: LorentzExponents, method: str = "auto"
+    f: GridFunction, alpha: float, mu: float, exps: LorentzExponents
 ) -> GridFunction:
     """Hedberg ratio at every cell center; the max is the empirical constant."""
-    grid = f.grid
-    dim = grid.dim
-    p, q, delta = exps.p, exps.q, exps.delta
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta / alpha):
-        raise OperatorError(
-            f"p must equal delta/dim or lie in (delta/dim, delta/alpha), got {p}"
-        )
-    maximal_power, norm_power, norm_q = hedberg_exponents(dim, delta, alpha, mu, p, q)
-    if not f.values.any():
-        return GridFunction.zeros(grid)
-    lhs = riesz(f, RieszParams(alpha), method).values * riesz_normalization(dim, alpha)
-    mf = maximal(f, MaximalParams(mu), method).values
-    if endpoint:
-        norm = choquet_p_norm(f, p, delta)
-    else:
-        norm = lorentz_norm(f, LorentzExponents(p, norm_q, delta))
-    ratio = lhs / (mf**maximal_power * norm**norm_power)
-    return GridFunction(grid, ratio)
+    factors = _hedberg_factors(f, alpha, mu, exps)
+    if factors is None:
+        return GridFunction.zeros(f.grid)
+    maximal_power, norm_factor = factors
+    lhs = riesz(f, RieszParams(alpha)).values * riesz_normalization(f.grid.dim, alpha)
+    mf = maximal(f, MaximalParams(mu)).values
+    return GridFunction(f.grid, lhs / (mf**maximal_power * norm_factor))
 
 
 @dataclass(frozen=True)

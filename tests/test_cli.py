@@ -126,6 +126,29 @@ def test_sampler_from_config_rejects_unknown_keys():
     assert s.kind == "radial_power"
 
 
+_RIESZ_3D = ["riesz_bound", "--set", "dim=3", "--set", "delta=3.0", "--set", "p=2.0",
+             "--set", "depths=[2,3]"]
+
+
+# the run's dimension comes from the config's dim, else from the shape
+@pytest.mark.parametrize("args", [
+    _RIESZ_3D + ["--set", 'sampler={"kind": "ball_indicator", "radius": 0.5}'],
+    ["compact_support", "--set", 'shape={"shape": "ball", "center": [0, 0, 0], "radius": 1.0}',
+     "--set", 'sampler={"kind": "bump", "radius": 0.5}', "--set", "delta=3.0",
+     "--set", "p=1.5", "--set", "depths=[4]"],
+])
+def test_verify_sampler_center_defaults_to_origin_of_run_dim(args, capsys):
+    assert run(["verify", *args]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "center=(0.0, 0.0, 0.0)" in doc["params"]["sampler"]
+
+
+def test_verify_sampler_center_of_wrong_length_exits_2(capsys):
+    sampler = 'sampler={"kind": "ball_indicator", "center": [0, 0], "radius": 0.5}'
+    assert run(["verify", *_RIESZ_3D, "--set", sampler]) == 2
+    assert "center has 2 coordinates but the run has dim 3" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     assert run(["selftest"]) == 0
     doc = json.loads(capsys.readouterr().out)
