@@ -29,7 +29,7 @@ from .choquet import (
     lorentz_norm_of,
 )
 from .content import ContentParams, content_oracle, content_value, dyadic_content
-from .grid import CellSet, GridError, GridFunction, Sampler, make_grid
+from .grid import CellSet, GridError, GridFunction, Sampler, grid_integer, make_grid
 from .interp import InterpPair, interpolation_norm, k_profile
 from .operators import MaximalParams, RieszParams, maximal, riesz
 
@@ -71,7 +71,10 @@ def sampler_from_config(cfg: dict, dim: int = 2) -> Sampler:
     elif kind == "ball_indicator":
         s = Sampler.ball_indicator(center(), cfg.pop("radius"))
     elif kind == "linear":
-        s = Sampler.linear(cfg.pop("coeffs"), cfg.pop("offset", 0.0))
+        coeffs = np.atleast_1d(cfg.pop("coeffs"))
+        if coeffs.size != dim:
+            raise ConfigError(f"sampler coeffs has {coeffs.size} entries but the run has dim {dim}")
+        s = Sampler.linear(coeffs, cfg.pop("offset", 0.0))
     elif kind == "bump":
         s = Sampler.bump(center(), cfg.pop("radius"), cfg.pop("amplitude", 1.0))
     else:
@@ -120,11 +123,14 @@ def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
 def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
     """Call the experiment's runner with the config as keywords.
 
-    The runner is looked up on the verify module at call time; shape,
-    sampler and qt are the only config values that are converted.  The
-    sampler takes the run's dimension: the config's dim, else the shape's.
+    The runner is looked up on the verify module at call time; dim,
+    shape, sampler and qt are the only config values that are converted.
+    dim follows make_grid's integer rule, so 3.0 runs as 3.  The sampler
+    takes the run's dimension: the config's dim, else the shape's.
     """
     kwargs = dict(cfg)
+    if "dim" in kwargs:
+        kwargs["dim"] = grid_integer("dim", kwargs["dim"])
     if "shape" in kwargs:
         kwargs["shape"] = shape_from_config(kwargs["shape"])
     if "sampler" in kwargs:

@@ -17,6 +17,7 @@ never coincide with the singularity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,12 +101,22 @@ class DyadicGrid:
         return hash((self.dim, self.depth, self.root_side, self.origin))
 
 
+def grid_integer(key: str, value) -> int:
+    """An integer argument; as in JSON Schema, 3.0 counts as an integer, 3.5, true and "3" do not."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise GridError(f"grid {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_grid(dim, depth, root_side, origin=None, cell_cap=DEFAULT_CELL_CAP) -> DyadicGrid:
     """Build a dyadic grid, enforcing the leaf-cell memory cap.
 
-    ``origin`` defaults to ``-root_side/2`` per axis, which puts the
-    coordinate origin on a cell corner at every depth.
+    ``dim`` and ``depth`` may be integral floats such as 3.0.  ``origin``
+    defaults to ``-root_side/2`` per axis, which puts the coordinate
+    origin on a cell corner at every depth.
     """
+    dim, depth = grid_integer("dim", dim), grid_integer("depth", depth)
     if dim not in (1, 2, 3):
         raise GridError(f"dim must be 1, 2 or 3, got {dim}")
     if depth < 1:

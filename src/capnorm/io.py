@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .content import CoverSolution
-from .grid import CellSet, DyadicGrid, GridError, GridFunction, make_grid
+from .grid import CellSet, DyadicGrid, GridFunction, make_grid
 
 
 def grid_to_dict(grid: DyadicGrid) -> dict:
@@ -26,15 +26,6 @@ def grid_to_dict(grid: DyadicGrid) -> dict:
     }
 
 
-def _integer(doc: dict, key: str) -> int:
-    """An integer field; as in JSON Schema, 3.0 counts as an integer, 3.5, true and "3" do not."""
-    value = doc[key]
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise GridError(f"grid {key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def grid_from_dict(doc: dict) -> DyadicGrid:
     """Grid geometry of a document, through make_grid so its leaf-cell cap applies.
 
@@ -42,8 +33,8 @@ def grid_from_dict(doc: dict) -> DyadicGrid:
     an oversized grid fails with GridError before any of them is converted.
     """
     return make_grid(
-        _integer(doc, "dim"),
-        _integer(doc, "depth"),
+        doc["dim"],
+        doc["depth"],
         float(doc["root_side"]),
         origin=tuple(float(x) for x in doc["origin"]),
     )

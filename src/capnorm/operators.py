@@ -3,17 +3,29 @@
 Both operators act on grid functions extended by zero outside the grid.
 Ball membership is decided by cell centers (consistent with midpoint
 sampling) while ball volumes are the exact continuum ones, which keeps
-averages of constants near the constant.  Sums over cells run as FFT
-convolution, which is deterministic, so reruns are byte-identical.  FFT
-rounding leaves noise near 1e-16 of the largest value, so a sum that is
-exactly zero can come out slightly negative and is clipped to zero.  The
-point evaluators `maximal_at` and `riesz_unnormalized_at` sum the same
-cells directly at one point; they are the exact reference for the fields.
+averages of constants near the constant.
+
+Sums over cells run as one FFT convolution on a 2m-periodic lattice (m
+cells per axis): f is zero-padded to 2m points per axis, the kernel is
+laid out with offset j and j - 2m at one index, and the m^dim output
+cells are read from the corner of the circular convolution.  Two cells
+are one of 2m - 1 offsets apart per axis, so any period of at least
+2m - 1 keeps wrapped terms off the output cells; 2m is the smallest such
+period that is a power of two, a fast FFT length.  The padded arrays hold
+2^dim times the grid's cells; a grid whose padded transform would exceed
+``grid.DEFAULT_CELL_CAP`` cells is refused with GridError before any of
+them is allocated.  FFT is deterministic, so reruns are byte-identical.
+Its rounding leaves noise near 1e-16 of the largest value, so a sum that
+is exactly zero can come out slightly negative and is clipped to zero.
+The point evaluators `maximal_at` and `riesz_unnormalized_at` sum the
+same cells directly at one point; they are the exact reference for the
+fields.
 
 The maximal supremum is taken over a geometric radius sweep from one
 cell side up to twice the grid diameter; the averaged quantity varies
 polynomially in the radius, so the sweep captures the continuum
-supremum within a factor tied to the sweep ratio.
+supremum within a factor tied to the sweep ratio.  f is transformed once
+per call and its spectrum reused for every radius of the sweep.
 """
 
 from __future__ import annotations
@@ -23,10 +35,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import signal
+from scipy import fft
 
 from .choquet import LorentzExponents, choquet_integral, choquet_p_norm, lorentz_norm
-from .grid import DyadicGrid, GridError, GridFunction
+from .grid import DEFAULT_CELL_CAP, DyadicGrid, GridError, GridFunction
 
 RADIUS_SWEEP_FACTOR = 1.25
 
@@ -94,11 +106,37 @@ class RieszParams:
         return self.c_alpha if self.c_alpha is not None else riesz_normalization(dim, self.alpha)
 
 
-def _offset_distances(dim: int, k: int, h: float) -> np.ndarray:
-    """|offset| * h over the lattice cube [-k, k]^dim."""
-    ax = np.abs(np.arange(-k, k + 1, dtype=float))
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    return h * np.sqrt(sum(g**2 for g in grids))
+def _padded_shape(grid: DyadicGrid) -> tuple[int, ...]:
+    """Shape (2m,)^dim of the periodic lattice; refuses grids past the cell cap."""
+    cells = 2**grid.dim * grid.n_cells
+    if cells > DEFAULT_CELL_CAP:
+        raise GridError(
+            f"convolution on a {grid.dim}D depth-{grid.depth} grid would transform "
+            f"{cells} padded cells, exceeding the cap {DEFAULT_CELL_CAP}"
+        )
+    return (2 * grid.cells_per_axis,) * grid.dim
+
+
+def _periodic_distances(grid: DyadicGrid) -> np.ndarray:
+    """|offset| * h on the 2m-periodic lattice, where offsets j and j - 2m share index j.
+
+    Index m (offset +-m) is never read by an output cell.
+    """
+    n = 2 * grid.cells_per_axis
+    i = np.arange(n, dtype=float)
+    sq = np.minimum(i, n - i) ** 2
+    axes = range(grid.dim)
+    squares = sum(sq.reshape([n if a == axis else 1 for a in axes]) for axis in axes)
+    return grid.h * np.sqrt(squares)
+
+
+def _convolve(f_hat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Sums of f against a kernel on the 2m-periodic lattice, at the m^dim grid cells.
+
+    f_hat is rfftn of f zero-padded to the kernel's shape.
+    """
+    full = fft.irfftn(f_hat * fft.rfftn(kernel), kernel.shape)
+    return full[(slice(0, kernel.shape[0] // 2),) * kernel.ndim]
 
 
 def _self_cell_weight(grid: DyadicGrid, alpha: float) -> float:
@@ -112,56 +150,58 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
 
     At each cell center x the average over B(x, r) sums the values of
     cells whose center lies in the open ball, times the cell volume,
-    divided by the exact continuum ball volume.
+    divided by the exact continuum ball volume.  f is transformed once and
+    its spectrum reused for every radius, so each radius below the largest
+    cell offset costs one transform of its ball mask and one inverse, both
+    of shape (2m)^dim; larger radii see every cell and use the total mass.
+    Raises GridError when that shape exceeds the leaf-cell cap.
     """
     grid = f.grid
     params.validate(grid.dim)
     radii = params.resolve_radii(grid)
+    shape = _padded_shape(grid)
     m = grid.cells_per_axis
-    h = grid.h
     vol_unit = unit_ball_volume(grid.dim)
     total_mass = float(f.values.sum())
-    max_offset = (m - 1) * h * math.sqrt(grid.dim)
+    max_offset = (m - 1) * grid.h * math.sqrt(grid.dim)
+    f_hat = fft.rfftn(f.values, shape)
+    dist = _periodic_distances(grid)
 
     out = np.zeros(grid.shape)
     for r in radii:
         scale = r**params.mu * grid.cell_volume / (vol_unit * r**grid.dim)
         if r > max_offset:
             # the ball sees every cell from every center
-            ball_sums = total_mass
-            np.maximum(out, scale * ball_sums, out=out)
+            np.maximum(out, scale * total_mass, out=out)
             continue
-        k = min(m - 1, int(math.floor(r / h)))
-        dist = _offset_distances(grid.dim, k, h)
-        mask = (dist < r).astype(np.float64)
-        sums = signal.fftconvolve(f.values, mask, mode="same")
+        sums = _convolve(f_hat, (dist < r).astype(np.float64))
         np.maximum(out, scale * np.maximum(sums, 0.0), out=out)
     return GridFunction(grid, out)
 
 
 def riesz(f: GridFunction, params: RieszParams) -> GridFunction:
-    """Riesz potential by FFT convolution with the cell-center kernel.
+    """Riesz potential by periodic FFT convolution with the cell-center kernel.
 
     Distinct cells contribute |x - y|^(alpha - dim) * cell_volume at the
     center distance; the self cell uses the exact radial integral over
     the ball of equal volume (sphere_area * rho^alpha / alpha with
     vol(ball(rho)) = cell_volume), which is error O(h^(alpha+1)) and has
-    no tunable constant.
+    no tunable constant.  The kernel covers every offset between two cells
+    on the (2m)^dim periodic lattice, so one call costs three transforms of
+    that shape.  Raises GridError when that shape exceeds the leaf-cell cap.
     """
     grid = f.grid
     params.validate(grid.dim)
     alpha = params.alpha
     dim = grid.dim
-    h = grid.h
-    m = grid.cells_per_axis
+    shape = _padded_shape(grid)
 
-    dist = _offset_distances(dim, m - 1, h)
-    center = (m - 1,) * dim
-    dist[center] = 1.0  # placeholder, overwritten below
+    dist = _periodic_distances(grid)
+    dist.flat[0] = 1.0  # self cell: placeholder, overwritten below
     kernel = grid.cell_volume * dist ** (alpha - dim)
-    kernel[center] = _self_cell_weight(grid, alpha)
+    kernel.flat[0] = _self_cell_weight(grid, alpha)
 
-    result = signal.fftconvolve(f.values, kernel, mode="same")
+    result = _convolve(fft.rfftn(f.values, shape), kernel)
     result = np.maximum(result, 0.0) / params.normalization(dim)
     return GridFunction(grid, result)
 

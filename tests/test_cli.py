@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from capnorm import io
+from capnorm import io, operators
 from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config
 from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
+from capnorm.operators import MaximalParams, RieszParams, maximal, riesz
 
 
 @pytest.fixture
@@ -147,6 +148,41 @@ def test_verify_sampler_center_of_wrong_length_exits_2(capsys):
     sampler = 'sampler={"kind": "ball_indicator", "center": [0, 0], "radius": 0.5}'
     assert run(["verify", *_RIESZ_3D, "--set", sampler]) == 2
     assert "center has 2 coordinates but the run has dim 3" in capsys.readouterr().err
+
+
+def test_verify_integral_float_dim_runs_as_integer(capsys):
+    sampler = 'sampler={"kind": "ball_indicator", "radius": 0.5}'
+    assert run(["verify", *_RIESZ_3D, "--set", sampler]) == 0
+    as_int = json.loads(capsys.readouterr().out)
+    assert run(["verify", *_RIESZ_3D, "--set", sampler, "--set", "dim=3.0"]) == 0
+    as_float = json.loads(capsys.readouterr().out)
+    assert as_float["series"] == as_int["series"]
+    assert run(["verify", *_RIESZ_3D, "--set", sampler, "--set", "dim=2.5"]) == 2
+    assert "grid dim must be an integer, got 2.5" in capsys.readouterr().err
+
+
+def test_verify_linear_sampler_coeffs_of_wrong_length_exits_2(capsys):
+    ball_3d = 'shape={"shape": "ball", "center": [0, 0, 0], "radius": 1.0}'
+    args = ["verify", "poincare", "--set", ball_3d, "--set", "depths=[3]", "--set", "delta=3.0"]
+    assert run(args) == 2  # the default sampler's coeffs are 2D
+    assert "sampler coeffs has 2 entries but the run has dim 3" in capsys.readouterr().err
+    assert run([*args, "--set", 'sampler={"kind": "linear", "coeffs": [1.0, -0.5, 0.25]}']) == 0
+
+
+@pytest.mark.parametrize("dim, depth", [(2, 12), (3, 8)])
+def test_operator_memory_budget_exits_2(dim, depth, monkeypatch, capsys):
+    # the grid is under make_grid's cell cap, but its (2m)^dim padded transform
+    # is not; the one a depth lower is admitted
+    f = GridFunction.zeros(make_grid(dim, depth, 1.0))
+    with pytest.raises(GridError, match="exceeding the cap"):
+        maximal(f, MaximalParams(0.5))
+    with pytest.raises(GridError, match="exceeding the cap"):
+        riesz(f, RieszParams(1.0))
+    assert operators._padded_shape(make_grid(dim, depth - 1, 1.0)) == (2**depth,) * dim
+    monkeypatch.setattr(io, "read_gridfunction", lambda path: f)
+    for command, flag in (("maximal", "--mu"), ("riesz", "--alpha")):
+        assert run([command, "--fn", "unread.json", flag, "1.0"]) == 2
+        assert "exceeding the cap" in capsys.readouterr().err
 
 
 def test_selftest(capsys):

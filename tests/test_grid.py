@@ -32,6 +32,15 @@ def test_make_grid_cell_cap():
         make_grid(2, 10**12, 1.0)  # refused without powering out 2^(2*10^12)
 
 
+def test_make_grid_integer_dim_and_depth():
+    g = make_grid(3.0, 2.0, 1.0)
+    assert g == make_grid(3, 2, 1.0)
+    assert type(g.dim) is int and type(g.depth) is int
+    for dim, depth in ((2.5, 2), (True, 2), ("3", 2), (2, 2.5), (2, "3")):
+        with pytest.raises(GridError, match="must be an integer"):
+            make_grid(dim, depth, 1.0)
+
+
 def test_make_grid_validation():
     with pytest.raises(GridError):
         make_grid(4, 2, 1.0)

@@ -118,16 +118,22 @@ def test_maximal_homogeneity_and_subdistributivity():
     assert np.all(m_sum.values <= mf.values + mg.values + 1e-12)
 
 
-FIELD_CASES = ((1, 8), (2, 5), (3, 3))
+# (dim, depth, bump centre coordinate) on the root [-1, 1)^dim.  The centred
+# bump reaches offsets of about 0.9 m cells from any output cell; the one on
+# the root corner -1 reaches the full m - 1, so only it sees every offset a
+# too-short FFT period would wrap.
+FIELD_CASES = tuple(
+    (dim, depth, c) for dim, depth in ((1, 8), (2, 5), (3, 3)) for c in (0.0, -1.0)
+)
 
 
 def test_maximal_field_matches_point_evaluator():
-    for dim, depth in FIELD_CASES:
+    for dim, depth, c in FIELD_CASES:
         g = make_grid(dim, depth, 2.0)
-        f = sample(Sampler.bump((0.0,) * dim, 0.8), g)
+        f = sample(Sampler.bump((c,) * dim, 0.8), g)
         field = maximal(f, MaximalParams(0.25)).values
         point = _point_field(f, lambda h, x: maximal_at(h, x, 0.25))
-        assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth)
+        assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth, c)
 
 
 def test_riesz_normalization_formula():
@@ -192,13 +198,13 @@ def test_riesz_nonnegative_and_monotone():
 
 def test_riesz_field_matches_point_evaluator():
     alpha = 0.7
-    for dim, depth in FIELD_CASES:
+    for dim, depth, c in FIELD_CASES:
         g = make_grid(dim, depth, 2.0)
-        f = sample(Sampler.bump((0.0,) * dim, 0.8), g)
+        f = sample(Sampler.bump((c,) * dim, 0.8), g)
         field = riesz(f, RieszParams(alpha)).values
         point = _point_field(f, lambda h, x: riesz_unnormalized_at(h, x, alpha))
         point /= riesz_normalization(dim, alpha)
-        assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth)
+        assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth, c)
 
 
 @pytest.mark.parametrize("dim,depth", [(2, 4), (2, 5), (2, 6), (3, 3)])
