@@ -7,9 +7,12 @@ of f, so layer-cake integrals reduce to finite sums.  No lambda
 quadrature appears in the production path (a quadrature oracle lives in
 the tests only).
 
-Superlevel sets use strict inequality {f > lam} throughout.  Sampled
-values that agree within 1e-12 relative are merged into one threshold to
-avoid spurious zero-width steps.
+Superlevel sets use strict inequality {f > lam} throughout.  Sorted
+distinct positive values are merged into one threshold wherever the gap
+between neighbours is at most MERGE_RTOL (1e-12) relative, to avoid
+spurious zero-width steps.  Merging is transitive over adjacent gaps, so
+a cluster can be wider than MERGE_RTOL; its threshold is the cluster
+maximum.
 """
 
 from __future__ import annotations
@@ -83,31 +86,51 @@ class StepDistribution:
         return float(self.plateaus[j])
 
 
-def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct positive values merged at MERGE_RTOL; returns (reps, group_of_cell).
+def _clusters(uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted distinct positive values at MERGE_RTOL; returns (opens, reps).
 
-    reps are the cluster maxima, strictly increasing.  group_of_cell maps
+    A cluster opens at every value whose gap to the previous value exceeds
+    MERGE_RTOL times the value; opens[i] is True there (and at 0).  Merging
+    is transitive over adjacent gaps, so a chain of values each within
+    MERGE_RTOL of the next forms one cluster that can be wider than
+    MERGE_RTOL.  reps are the cluster maxima (each cluster's last value),
+    strictly increasing.  uniq must be nonempty.
+    """
+    opens = np.empty(uniq.size, dtype=bool)
+    opens[0] = True
+    np.greater(np.diff(uniq), MERGE_RTOL * uniq[1:], out=opens[1:])
+    return opens, uniq[np.append(opens[1:], True)]
+
+
+def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster the positive values as _clusters does; returns (reps, group_of_cell).
+
+    Merging is transitive over adjacent sorted gaps of at most MERGE_RTOL
+    relative, so a cluster can be wider than MERGE_RTOL.  reps are the
+    cluster maxima, strictly increasing.  group_of_cell maps
     each positive cell (in the order of `values`) to its cluster, 0-based.
     """
-    pos = values[values > 0]
-    uniq = np.unique(pos)
+    uniq, value_of_cell = np.unique(values[values > 0], return_inverse=True)
     if uniq.size == 0:
         return np.empty(0), np.empty(0, dtype=np.intp)
-    gaps = np.diff(uniq)
-    new_cluster = gaps > MERGE_RTOL * uniq[1:]
-    cluster_id = np.concatenate([[0], np.cumsum(new_cluster)])
-    n_clusters = int(cluster_id[-1]) + 1
-    reps = np.zeros(n_clusters)
-    np.maximum.at(reps, cluster_id, uniq)
-    group_of_value = cluster_id[np.searchsorted(uniq, pos)]
-    return reps, group_of_value
+    opens, reps = _clusters(uniq)
+    cluster_of_value = np.cumsum(opens) - 1
+    return reps, cluster_of_value[value_of_cell]
 
 
 def _counting_distribution(f: GridFunction) -> StepDistribution:
-    """Step distribution with Lebesgue measure: each plateau counts the cells above it."""
-    reps, groups = _merged_value_groups(f.values.ravel())
-    counts = np.bincount(groups, minlength=reps.size)
-    cells_in_clusters_from = np.cumsum(counts[::-1])[::-1]  # clusters >= j
+    """Step distribution with Lebesgue measure: each plateau counts the cells above it.
+
+    One sort of the positive values gives the per-value cell counts; each
+    cluster's count is the sum over its values, so no cell is looked up.
+    """
+    values = f.values.ravel()
+    uniq, counts = np.unique(values[values > 0], return_counts=True)
+    if uniq.size == 0:
+        return StepDistribution(np.empty(0), np.empty(0))
+    opens, reps = _clusters(uniq)
+    cells_in_cluster = np.add.reduceat(counts, np.flatnonzero(opens))
+    cells_in_clusters_from = np.cumsum(cells_in_cluster[::-1])[::-1]  # clusters >= j
     return StepDistribution(reps, cells_in_clusters_from * f.grid.cell_volume)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capnorm.choquet import (
+    MERGE_RTOL,
     ExponentError,
     LorentzExponents,
     choquet_integral,
@@ -96,6 +97,57 @@ def test_distribution_merges_close_values():
     f = GridFunction(GRID, vals)
     dist = distribution(f, 1.0)
     assert dist.thresholds.size == 1
+
+
+# each value within MERGE_RTOL of the next, the whole chain wider than MERGE_RTOL
+CHAIN = np.cumprod(np.full(9, 1.0 + 0.9 * MERGE_RTOL))
+
+
+def _cells(*assignments):
+    """Values on GRID: zero except value v on the first n cells of C order, per (n, v)."""
+    vals = np.zeros(GRID.n_cells)
+    start = 0
+    for n, v in assignments:
+        vals[start : start + n] = v
+        start += n
+    return vals.reshape(GRID.shape)
+
+
+SIGNED_ZEROS = np.where(np.arange(GRID.n_cells) % 3 == 0, -0.0, 0.0).reshape(GRID.shape)
+SIGNED_ZEROS.flat[[5, 9, 40]] = [4.0, 1.0, 4.0]
+# (values, thresholds, cells above each lower threshold): thresholds are the
+# cluster maxima, plateau j counts the cells above threshold j-1 (0 for j = 0)
+COUNTING_CASES = {
+    "zero": (np.zeros(GRID.shape), [], []),
+    "one_cell": (_cells((0, 0.0), (1, 2.5)), [2.5], [1]),
+    "all_equal": (np.full(GRID.shape, 3.0), [3.0], [64]),
+    "signed_zeros": (SIGNED_ZEROS, [1.0, 4.0], [3, 2]),
+    "subnormals": (
+        _cells((3, 5e-324), (2, 1e-323), (1, 2.5e-308)),
+        [5e-324, 1e-323, 2.5e-308],
+        [6, 3, 1],
+    ),
+    # value k of the chain on k + 1 cells (45 in all), then 2.0 on two cells
+    "chain": (_cells(*((k + 1, v) for k, v in enumerate(CHAIN)), (2, 2.0)), [CHAIN[-1], 2.0], [47, 2]),
+}
+
+
+@pytest.mark.parametrize("name", COUNTING_CASES)
+def test_counting_distribution_cases(name):
+    values, thresholds, cells = COUNTING_CASES[name]
+    f = GridFunction(GRID, values)
+    plateaus = np.array(cells, dtype=np.int64) * GRID.cell_volume
+    for dist in (lebesgue_distribution(f), distribution(f, 2.0)):
+        assert dist.thresholds.tobytes() == np.array(thresholds, dtype=np.float64).tobytes()
+        assert dist.plateaus.tobytes() == plateaus.tobytes()
+
+
+def test_merging_is_transitive_over_adjacent_gaps():
+    assert np.all(np.diff(CHAIN) <= MERGE_RTOL * CHAIN[1:])
+    assert CHAIN[-1] - CHAIN[0] > MERGE_RTOL * CHAIN[-1]
+    f = GridFunction(GRID, COUNTING_CASES["chain"][0])
+    # the same clusters below dim, where the plateaus come from the content tree
+    assert np.array_equal(distribution(f, 1.3).thresholds, [CHAIN[-1], 2.0])
 
 
 def test_integral_indicator_and_homogeneity():

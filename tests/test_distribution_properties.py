@@ -1,4 +1,9 @@
-"""Property test: the one-pass distribution against from-scratch content DPs."""
+"""Property tests: the step distribution against independent from-scratch references.
+
+The one-pass tree sweep is checked against from-scratch content DPs; the
+value clustering and the counting path against a plain loop over the
+sorted distinct values.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.choquet import distribution  # noqa: E402
+from capnorm.choquet import MERGE_RTOL, distribution, lebesgue_distribution  # noqa: E402
 from capnorm.content import content_value  # noqa: E402
 from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
@@ -49,3 +54,73 @@ def test_one_pass_distribution_matches_from_scratch(case):
     lower = np.concatenate([[0.0], dist.thresholds])[: dist.thresholds.size]
     fresh = np.array([content_value(CellSet(f.grid, f.values > v), delta) for v in lower])
     assert np.array_equal(dist.plateaus.view(np.uint64), fresh.view(np.uint64))
+
+
+def _reference_counting(values, cell_volume):
+    """Cluster maxima by a loop over the sorted distinct positive values, and counted plateaus.
+
+    A value opens a new cluster when its gap to the previous distinct value
+    exceeds MERGE_RTOL times the value; plateau j counts the cells above
+    threshold j-1, with threshold -1 taken as 0.
+    """
+    thresholds = []
+    previous = None
+    for v in sorted({float(x) for x in values.ravel() if x > 0}):
+        if previous is not None and v - previous <= MERGE_RTOL * v:
+            thresholds[-1] = v
+        else:
+            thresholds.append(v)
+        previous = v
+    lower = ([0.0] + thresholds)[: len(thresholds)]
+    plateaus = [(values > t).sum() * cell_volume for t in lower]
+    return np.array(thresholds, dtype=np.float64), np.array(plateaus, dtype=np.float64)
+
+
+@st.composite
+def clustered_functions(draw):
+    """A grid of up to 2^12 cells, values on runs of near neighbours of a few base values.
+
+    Each run multiplies its base by 1 + s for drawn steps s of up to
+    2 MERGE_RTOL, so runs merge transitively, split, or both; bases
+    include 0 and subnormals.
+    """
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 12 // dim))
+    grid = make_grid(dim, depth, draw(st.sampled_from([0.5, 1.0, 2.75])))
+    bases = draw(st.lists(st.floats(0.0, 1e300, allow_subnormal=True), min_size=1, max_size=6))
+    steps = draw(st.lists(st.floats(0.0, 2 * MERGE_RTOL), max_size=8))
+    pool = []
+    for v in bases:
+        pool.append(v)
+        for s in steps:
+            v *= 1.0 + s
+            pool.append(v)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(pool)[rng.integers(0, len(pool), size=grid.shape)]
+    values *= rng.random(grid.shape) < draw(st.floats(0.0, 1.0))
+    return GridFunction(grid, values)
+
+
+def _on_grid(dim, depth, values):
+    grid = make_grid(dim, depth, 1.0)
+    return GridFunction(grid, np.resize(np.asarray(values, dtype=np.float64), grid.shape))
+
+
+CHAIN = np.cumprod(np.full(9, 1.0 + 0.9 * MERGE_RTOL))  # each within MERGE_RTOL of the next
+
+
+@given(clustered_functions())
+@settings(max_examples=80, deadline=None)
+@example(GridFunction.zeros(make_grid(2, 3, 1.0)))  # f == 0
+@example(_single_cell(3, 4, 1234, 0.5)[0])  # one positive cell
+@example(_on_grid(2, 3, [7.25]))  # all values equal
+@example(_on_grid(2, 3, [0.0, -0.0, 3.0, -0.0, 1.5]))  # zeros of both signs
+@example(_on_grid(1, 5, [5e-324, 1e-323, 2.5e-308, 0.0]))  # subnormals
+@example(_on_grid(2, 3, np.append(CHAIN, 2.0)))  # a chain wider than MERGE_RTOL
+def test_counting_distribution_matches_loop_reference(f):
+    thresholds, plateaus = _reference_counting(f.values, f.grid.cell_volume)
+    for dist in (lebesgue_distribution(f), distribution(f, f.grid.dim)):
+        assert dist.thresholds.tobytes() == thresholds.tobytes()
+        assert dist.plateaus.tobytes() == plateaus.tobytes()
+    # below dim the same clusters feed the tree sweep
+    assert distribution(f, 0.5 * f.grid.dim).thresholds.tobytes() == thresholds.tobytes()
