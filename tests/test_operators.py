@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
+from capnorm import operators
 from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
 from capnorm.grid import GridFunction, Sampler, make_grid, sample
 from capnorm.operators import (
-    L1ContentReport,
+    L1_CONTENT_BOUND,
     MaximalParams,
     OperatorError,
     RieszParams,
@@ -134,6 +136,79 @@ def test_maximal_field_matches_point_evaluator():
         field = maximal(f, MaximalParams(0.25)).values
         point = _point_field(f, lambda h, x: maximal_at(h, x, 0.25))
         assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth, c)
+
+
+# The transform path against a full-lattice reference built here: every
+# kernel is laid out on all (2m)^dim offsets of the periodic lattice, where
+# index j holds the signed offset j, or j - 2m past m.
+TRANSFORM_RTOL = 1e-15
+TRANSFORM_GRIDS = ((1, 6), (2, 4), (3, 3))
+
+
+def _full_distances(grid):
+    """|offset| * h at every index of the 2m-periodic lattice."""
+    n = 2 * grid.cells_per_axis
+    j = np.arange(n)
+    offsets = np.where(j <= n // 2, j, j - n).astype(float)
+    grids = np.meshgrid(*[offsets] * grid.dim, indexing="ij")
+    return grid.h * np.sqrt(sum(o**2 for o in grids))
+
+
+def _full_even(quarter):
+    """The even 2m-periodic layout of a kernel given on offsets 0..m."""
+    m = quarter.shape[0] - 1
+    folded = np.abs((np.arange(2 * m) + m) % (2 * m) - m)
+    return quarter[np.ix_(*[folded] * quarter.ndim)]
+
+
+def _corner(full, size):
+    return full[(slice(0, size),) * full.ndim]
+
+
+def _assert_within(actual, reference):
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max() <= TRANSFORM_RTOL * np.abs(reference).max()
+
+
+def test_quarter_distances_are_the_lattice_corner():
+    for dim, depth in TRANSFORM_GRIDS:
+        g = make_grid(dim, depth, 2.0)
+        full = _full_distances(g)
+        quarter = operators._quarter_distances(g)
+        assert np.array_equal(quarter, _corner(full, g.cells_per_axis + 1))
+        assert np.array_equal(_full_even(quarter), full)
+
+
+def test_kernel_spectrum_matches_full_lattice_rfftn():
+    alpha = 0.7
+    for dim, depth in TRANSFORM_GRIDS:
+        g = make_grid(dim, depth, 2.0)
+        m = g.cells_per_axis
+        dist = _full_distances(g)
+        safe = np.where(dist > 0, dist, 1.0)
+        riesz_kernel = np.where(
+            dist > 0, g.cell_volume * safe ** (alpha - dim), operators._self_cell_weight(g, alpha)
+        )
+        kernels = [_full_even(RNG.random((m + 1,) * dim)), riesz_kernel]
+        kernels += [(dist < r).astype(float) for r in (0.5 * g.h, 1.5 * g.h, 0.37 * m * g.h, 0.9 * m * g.h)]
+        for full in kernels:
+            spectrum = operators._kernel_spectrum(_corner(full, m + 1))
+            _assert_within(spectrum, fft.rfftn(full))
+
+
+def test_pruned_convolution_matches_full_lattice():
+    for dim, depth in TRANSFORM_GRIDS:
+        g = make_grid(dim, depth, 2.0)
+        m = g.cells_per_axis
+        n = 2 * m
+        spectrum = operators._kernel_spectrum(RNG.random((m + 1,) * dim))
+        for c in (0.0, -1.0):
+            values = sample(Sampler.bump((c,) * dim, 0.8), g).values
+            reference_hat = fft.rfftn(values, (n,) * dim)
+            f_hat = operators._forward(values, n)
+            _assert_within(f_hat, reference_hat)
+            reference = _corner(fft.irfftn(reference_hat * spectrum, (n,) * dim), m)
+            _assert_within(operators._convolve(f_hat, spectrum), reference)
 
 
 def test_riesz_normalization_formula():
@@ -281,7 +356,7 @@ def test_l1_content_bound():
         for _ in range(30):
             mask = rng.random(g.shape) < rng.random()
             rep = l1_content_bound_check(GridFunction(g, mask.astype(float)), delta)
-            assert rep.ratio <= rep.bound_constant + 1e-12
+            assert rep.ratio <= L1_CONTENT_BOUND + 1e-12
     zero = l1_content_bound_check(GridFunction.zeros(g), 1.5)
     assert zero.lhs == 0.0 and zero.ratio == 0.0
     f = sample(Sampler.radial_power(-0.7, center=(0.0, 0.0)), g)
