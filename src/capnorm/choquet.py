@@ -7,6 +7,12 @@ of f, so layer-cake integrals reduce to finite sums.  No lambda
 quadrature appears in the production path (a quadrature oracle lives in
 the tests only).
 
+There are two closed forms on a distribution: the Lorentz integral form
+`lorentz_norm_of` and the dyadic-level sum `dyadic_sum_norm_of`.  The
+Choquet integral is the Lorentz (1, 1) case, the Choquet p-norm the
+(p, p) case, and the classical Lorentz norm with Lebesgue measure the
+case delta = dim, where the content of a cell set is its measure.
+
 Superlevel sets use strict inequality {f > lam} throughout.  Sorted
 distinct positive values are merged into one threshold wherever the gap
 between neighbours is at most MERGE_RTOL (1e-12) relative, to avoid
@@ -157,32 +163,15 @@ def distribution(f: GridFunction, delta: float) -> StepDistribution:
     return StepDistribution(reps, engine.superlevel_contents(levels.reshape(grid.shape), reps.size))
 
 
-def lebesgue_distribution(f: GridFunction) -> StepDistribution:
-    """Step distribution with Lebesgue measure in place of the content."""
-    return _counting_distribution(f)
-
-
 # closed forms on a step distribution ------------------------------------
 
 
-def integral_of(dist: StepDistribution) -> float:
-    """Layer-cake integral: sum over plateaus of width times height."""
-    if dist.is_zero:
-        return 0.0
-    ext = np.concatenate([[0.0], dist.thresholds])
-    return float(np.sum(np.diff(ext) * dist.plateaus))
-
-
-def p_norm_of(dist: StepDistribution, p: float) -> float:
-    if not (0 < p < math.inf):
-        raise ExponentError(f"p must be in (0, inf), got {p}")
-    if dist.is_zero:
-        return 0.0
-    ext = np.concatenate([[0.0], dist.thresholds]) ** p
-    return float(np.sum(np.diff(ext) * dist.plateaus)) ** (1.0 / p)
-
-
 def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
+    """(p/q sum_j (v_j^q - v_{j-1}^q) h_j^{q/p})^{1/q}, or max_j v_j h_j^{1/p} for q = inf.
+
+    (1, 1) is the layer-cake integral and (p, p) the p-norm, bit for bit:
+    at q = p the factor p/q and the power q/p are exactly one.
+    """
     if not (0 < p < math.inf) or not (0 < q):
         raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
     if dist.is_zero:
@@ -192,8 +181,8 @@ def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
         # right endpoint approached from below, exact for step data
         return float(np.max(dist.thresholds * dist.plateaus ** (1.0 / p)))
     ext = np.concatenate([[0.0], dist.thresholds]) ** q
-    s = np.sum(np.diff(ext) * dist.plateaus ** (q / p))
-    return float((p / q) * s) ** (1.0 / q)
+    h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
+    return float((p / q) * np.sum(np.diff(ext) * h)) ** (1.0 / q)
 
 
 def _largest_pow2_below(v: float) -> int:
@@ -250,11 +239,11 @@ def dyadic_sum_comparability(p: float, q: float) -> tuple[float, float]:
 
 
 def choquet_integral(f: GridFunction, delta: float) -> float:
-    return integral_of(distribution(f, delta))
+    return lorentz_norm_of(distribution(f, delta), 1.0, 1.0)
 
 
 def choquet_p_norm(f: GridFunction, p: float, delta: float) -> float:
-    return p_norm_of(distribution(f, delta), p)
+    return lorentz_norm_of(distribution(f, delta), p, p)
 
 
 def lorentz_norm(f: GridFunction, exps: LorentzExponents) -> float:
@@ -267,7 +256,7 @@ def lorentz_norm_dyadic(f: GridFunction, exps: LorentzExponents) -> float:
 
 def lebesgue_lorentz_norm(f: GridFunction, p: float, q: float) -> float:
     """Classical Lorentz quasi-norm with Lebesgue measure on cell sets."""
-    return lorentz_norm_of(lebesgue_distribution(f), p, q)
+    return lorentz_norm_of(distribution(f, f.grid.dim), p, q)
 
 
 def lebesgue_embedding_constant(dim: int, delta: float, q: float) -> float:

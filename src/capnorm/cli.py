@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, io, verify
-from .choquet import (
-    choquet_p_norm,
-    distribution,
-    dyadic_sum_norm_of,
-    lebesgue_distribution,
-    lorentz_norm_of,
-)
+from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import ContentParams, content_oracle, content_value, dyadic_content
 from .grid import CellSet, GridError, GridFunction, Sampler, grid_integer, make_grid
 from .interp import InterpPair, interpolation_norm, k_profile
@@ -175,10 +169,11 @@ def _selftest(seed: int = 20240501) -> dict:
         vals = rng.choice([0.0, 0.5, 1.0, 2.5], size=g2.shape)
         f = GridFunction(g2, vals)
         dist = distribution(f, 1.3)
+        ext = np.concatenate([[0.0], dist.thresholds])
         for p in (0.7, 1.0, 1.5, 2.0):
-            lpq = lorentz_norm_of(dist, p, p)
-            lp = choquet_p_norm(f, p, 1.3)
-            ok &= lpq == lp
+            # the p-norm is Lorentz (p, p): bit for bit the plain layer-cake sum
+            layer_cake = float(np.sum(np.diff(ext**p) * dist.plateaus)) ** (1.0 / p)
+            ok &= lorentz_norm_of(dist, p, p) == layer_cake
         for nu in (0.5, 2.0, 3.0):
             lhs = lorentz_norm_of(distribution(f.power(nu), 1.3), 1.5, 2.0)
             rhs = lorentz_norm_of(dist, nu * 1.5, nu * 2.0) ** nu
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--p", required=True, type=float)
     p_norm.add_argument("--q", default=None)
     p_norm.add_argument("--dyadic", action="store_true", help="dyadic-level sum form")
-    p_norm.add_argument("--lebesgue", action="store_true", help="Lebesgue-measure Lorentz norm")
+    p_norm.add_argument("--lebesgue", action="store_true", help="Lebesgue measure (delta = dim)")
     p_norm.add_argument("--out")
 
     p_max = sub.add_parser("maximal", help="fractional maximal function")
@@ -266,10 +261,9 @@ def run(argv=None) -> int:
             f = io.read_gridfunction(args.fn)
             q = _parse_q(args.q)
             q_eff = args.p if q is None else q
-            if args.lebesgue:
-                dist = lebesgue_distribution(f)
-            else:
-                dist = distribution(f, args.delta)
+            # the content of exponent dim is the Lebesgue measure
+            delta = float(f.grid.dim) if args.lebesgue else args.delta
+            dist = distribution(f, delta)
             if args.dyadic:
                 norm = dyadic_sum_norm_of(dist, args.p, q_eff)
             else:
@@ -279,7 +273,7 @@ def run(argv=None) -> int:
                     "norm": norm,
                     "p": args.p,
                     "q": "inf" if q_eff == math.inf else q_eff,
-                    "delta": args.delta,
+                    "delta": delta,
                     "dyadic_sum": bool(args.dyadic),
                     "lebesgue": bool(args.lebesgue),
                     "distribution": {

@@ -34,6 +34,11 @@ import numpy as np
 from .grid import CellSet, DyadicCube, DyadicGrid, GridError
 
 ORACLE_CELL_LIMIT = 2**12
+# Nodes the oracle's search may pop before it gives up (a few microseconds
+# each).  The leaf-cell cap alone does not bound the search: a random 2D
+# depth-4 set can run for minutes.  Random sets on the 64-cell grids of the
+# oracle tests popped at most about 10^5 nodes in 6000 draws.
+ORACLE_NODE_LIMIT = 5 * 10**5
 
 
 class ContentError(ValueError):
@@ -220,7 +225,9 @@ def content_oracle(cells: CellSet, params: ContentParams | float) -> float:
     branching on the ancestors of the first uncovered cell, pruned with
     the admissible bound (uncovered cells) * (cheapest per-cell cube
     rate).  For delta <= dim that rate is attained at the root level.
-    Test-only; refuses instances above ORACLE_CELL_LIMIT leaf cells.
+    Test-only; refuses instances above ORACLE_CELL_LIMIT leaf cells and
+    gives up with ContentError once the search has popped more than
+    ORACLE_NODE_LIMIT nodes.
     """
     delta = params.delta if isinstance(params, ContentParams) else float(params)
     grid = cells.grid
@@ -233,9 +240,8 @@ def content_oracle(cells: CellSet, params: ContentParams | float) -> float:
     if occupied.size == 0:
         return 0.0
 
-    L, dim, m = grid.depth, grid.dim, grid.cells_per_axis
-    pos_of = {int(f): i for i, f in enumerate(occupied)}
-    n_occ = occupied.size
+    L = grid.depth
+    n_occ = occupied.size  # bit i stands for occupied[i], in scan (C) order
     multi = np.unravel_index(occupied, grid.shape)
 
     # bitmask of occupied cells under each cube, keyed by (level, index)
@@ -260,35 +266,29 @@ def content_oracle(cells: CellSet, params: ContentParams | float) -> float:
     # at s = root_side for delta <= dim
     per_cell = grid.root_side**delta / grid.n_cells
 
-    full = (1 << n_occ) - 1
     leaf_weight = grid.h**delta
     best = min(grid.root_side**delta, n_occ * leaf_weight)
 
-    order = np.argsort(occupied)  # fixed scan order
-    scan = [int(occupied[j]) for j in order]
-
-    def first_uncovered(covered: int) -> int:
-        for f in scan:
-            if not covered & (1 << pos_of[f]):
-                return pos_of[f]
-        return -1
-
     stack = [(0, 0.0)]
+    popped = 0
     # explicit DFS to avoid recursion limits on large occupied sets
     while stack:
+        popped += 1
+        if popped > ORACLE_NODE_LIMIT:
+            raise ContentError(
+                f"oracle instance too large: search passed {ORACLE_NODE_LIMIT} nodes"
+            )
         covered, cost = stack.pop()
-        remaining = n_occ - bin(covered).count("1")
+        remaining = n_occ - covered.bit_count()
         if cost + remaining * per_cell >= best:
             continue
-        i = first_uncovered(covered)
-        if i < 0:
-            best = min(best, cost)
-            continue
+        # only sets with an uncovered cell are pushed; take its lowest clear bit
+        i = (~covered & (covered + 1)).bit_length() - 1
         for key in ancestors[i]:
             w = cube_weight[key]
             new_cost = cost + w
             new_cov = covered | cube_bits[key]
-            rem = n_occ - bin(new_cov).count("1")
+            rem = n_occ - new_cov.bit_count()
             if new_cost + rem * per_cell < best:
                 if rem == 0:
                     best = new_cost

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .choquet import StepDistribution, distribution, p_norm_of
+from .choquet import StepDistribution, distribution, lorentz_norm_of
 from .grid import GridFunction
 
 T_GRID_POINTS = 64
@@ -80,8 +80,8 @@ def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.
         low = StepDistribution(thr[:k], h[:k])
         # f0 = (f - c)_+: thresholds v_{k+1}-c, ..., v_m - c, plateaus h_k..
         high = StepDistribution(thr[k:] - c, h[k:])
-        a[k] = p_norm_of(high, p0)
-        b[k] = p_norm_of(low, p1)
+        a[k] = lorentz_norm_of(high, p0, p0)
+        b[k] = lorentz_norm_of(low, p1, p1)
     return a, b
 
 

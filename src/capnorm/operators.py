@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 from scipy import fft
 
-from .choquet import LorentzExponents, choquet_integral, choquet_p_norm, lorentz_norm
+from .choquet import LorentzExponents, choquet_integral, lorentz_norm
 from .grid import DEFAULT_CELL_CAP, DyadicGrid, GridError, GridFunction
 
 RADIUS_SWEEP_FACTOR = 1.25
@@ -307,7 +307,8 @@ def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExpo
     """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
 
     Main branch requires p in (delta/dim, delta/alpha); the endpoint
-    branch p = delta/dim uses the plain p-norm in the denominator.
+    branch p = delta/dim uses the plain p-norm, Lorentz (p, p), in the
+    denominator.
     """
     dim = f.grid.dim
     p, q, delta = exps.p, exps.q, exps.delta
@@ -320,10 +321,7 @@ def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExpo
     maximal_power, norm_power, norm_q = hedberg_exponents(dim, delta, alpha, mu, p, q)
     if not f.values.any():
         return None
-    if endpoint:
-        norm = choquet_p_norm(f, p, delta)
-    else:
-        norm = lorentz_norm(f, LorentzExponents(p, norm_q, delta))
+    norm = lorentz_norm(f, LorentzExponents(p, p if endpoint else norm_q, delta))
     return maximal_power, norm**norm_power
 
 

@@ -15,6 +15,11 @@ two sharpness runners and fits the log-log slope.  compact_support and
 hedberg keep their own loops.  EXPERIMENTS declares each experiment once
 for the CLI: its runner's name and the defaults the signature lacks.
 
+Every side is one Lorentz norm, ``lorentz_norm`` at some (p, q, delta);
+a plain p-norm is the (p, p) case.  One rule, _improved_exponents, gives
+the two sides of the Sobolev-Poincare (order alpha = 1) and Riesz
+(order alpha) inequalities, with its delta/dim endpoint.
+
 Stability verdicts operationalize existential constants: the measured
 left/right ratio may grow by at most GROWTH_FACTOR_LIMIT per grid
 refinement across the sweep.  A genuinely unbounded constant grows
@@ -38,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .choquet import LorentzExponents, choquet_p_norm, lorentz_norm
+from .choquet import LorentzExponents, lorentz_norm
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
 from .grid import DyadicGrid, GridFunction, Sampler, gradient_magnitude, make_grid, sample
 from .operators import MaximalParams, RieszParams, hedberg_ratio_field, maximal, riesz
@@ -62,31 +67,66 @@ class VerifyError(ValueError):
 # exponent windows -----------------------------------------------------------
 
 
-def sobolev_left_exponent(p: float, delta: float, mu: float) -> float:
-    """Target exponent p(delta - mu p)/(delta - p) of the Sobolev-side norm."""
-    return p * (delta - mu * p) / (delta - p)
-
-
-def sobolev_right_q(q: float, p: float, delta: float, mu: float) -> float:
-    """Second index q(delta - p)/(delta - mu p) of the gradient norm."""
-    return q * (delta - p) / (delta - mu * p)
-
-
-def sobolev_q_lower(p: float, delta: float, mu: float, dim: int) -> float:
-    """Lower admissibility bound delta(delta - mu p)/(dim (delta - p)) for q."""
-    return delta * (delta - mu * p) / (dim * (delta - p))
-
-
 def riesz_left_exponent(p: float, delta: float, mu: float, alpha: float) -> float:
+    """Target exponent p(delta - mu p)/(delta - alpha p) of the left norm."""
     return p * (delta - mu * p) / (delta - p * alpha)
 
 
 def riesz_right_q(q: float, p: float, delta: float, mu: float, alpha: float) -> float:
+    """Second index q(delta - alpha p)/(delta - mu p) of the right norm."""
     return q * (delta - p * alpha) / (delta - mu * p)
 
 
 def riesz_q_lower(p: float, delta: float, mu: float, alpha: float, dim: int) -> float:
+    """Lower admissibility bound delta(delta - mu p)/(dim (delta - alpha p)) for q."""
     return delta * (delta - mu * p) / (dim * (delta - p * alpha))
+
+
+# the gradient is the order-one case: p * 1.0 == p, so these equal the
+# alpha-free formulas bit for bit
+
+
+def sobolev_left_exponent(p: float, delta: float, mu: float) -> float:
+    return riesz_left_exponent(p, delta, mu, 1.0)
+
+
+def sobolev_right_q(q: float, p: float, delta: float, mu: float) -> float:
+    return riesz_right_q(q, p, delta, mu, 1.0)
+
+
+def sobolev_q_lower(p: float, delta: float, mu: float, dim: int) -> float:
+    return riesz_q_lower(p, delta, mu, 1.0, dim)
+
+
+def _improved_exponents(
+    p: float, q: Optional[float], delta: float, mu: float, alpha: float, dim: int
+) -> tuple[LorentzExponents, LorentzExponents]:
+    """Checked (left, right) exponents of an improved inequality of order alpha.
+
+    alpha = 1 for the gradient, alpha for the Riesz potential.  Needs mu
+    in [0, alpha).  Main branch: p in (delta/dim, delta/alpha) and q
+    above riesz_q_lower; left L^{riesz_left_exponent, q} over the content
+    of exponent delta - mu p, right L^{p, riesz_right_q} over delta.
+    Endpoint p = delta/dim: the left norm is weak (q = inf) and the right
+    one the p-norm L^{p, p}; q is not read.
+    """
+    if not (0 <= mu < alpha):
+        raise VerifyError(f"mu must be in [0, {alpha:g}), got {mu}")
+    endpoint = p == delta / dim
+    if not endpoint and not (delta / dim < p < delta / alpha):
+        raise VerifyError(
+            f"p must be delta/dim or in (delta/dim, delta/alpha) = "
+            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
+        )
+    left_p = riesz_left_exponent(p, delta, mu, alpha)
+    left_delta = delta - mu * p
+    if endpoint:
+        return LorentzExponents(left_p, math.inf, left_delta), LorentzExponents(p, p, delta)
+    q_lo = riesz_q_lower(p, delta, mu, alpha, dim)
+    if q is None or not (q_lo < q < math.inf):
+        raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
+    right = LorentzExponents(p, riesz_right_q(q, p, delta, mu, alpha), delta)
+    return LorentzExponents(left_p, q, left_delta), right
 
 
 def gradient_eta_window(p: float, s: float, delta: float, mu: float) -> tuple[float, float]:
@@ -368,11 +408,11 @@ def poincare_weak_check(
     """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
     if p != delta / shape.dim:
         raise VerifyError(f"endpoint check requires p = delta/dim = {delta / shape.dim:g}, got {p}")
-    weak = LorentzExponents(p, math.inf, delta)
+    weak, strong = LorentzExponents(p, math.inf, delta), LorentzExponents(p, p, delta)
 
     def sides(depth):
         domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
-        return lorentz_norm(diff, weak), _john_factor(domain) * choquet_p_norm(grad, p, delta)
+        return lorentz_norm(diff, weak), _john_factor(domain) * lorentz_norm(grad, strong)
 
     params = _domain_params(shape, sampler, delta=delta, p=p, depths=list(depths),
                             c_ball=c_ball, root_side=root_side)
@@ -392,39 +432,18 @@ def poincare_sobolev_check(
 ) -> ExperimentReport:
     """Sobolev-improved oscillation norm over the lowered content dimension.
 
-    Main branch: p in (delta/dim, delta) and q above the admissibility
-    bound; left norm L^{p(delta-mu p)/(delta-p), q} over the content of
-    exponent delta - mu p, right norm L^{p, q(delta-p)/(delta-mu p)}
-    over exponent delta.  Endpoint branch p = delta/dim: weak left norm,
-    plain p-norm right.
+    The sides are those of _improved_exponents at alpha = 1: main branch
+    p in (delta/dim, delta), endpoint p = delta/dim.
     """
-    dim = shape.dim
-    if not (0 <= mu < 1):
-        raise VerifyError(f"mu must be in [0, 1), got {mu}")
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta):
-        raise VerifyError(
-            f"p must be delta/dim or in (delta/dim, delta) = ({delta / dim:g}, {delta:g}), got {p}"
-        )
-    left_p = sobolev_left_exponent(p, delta, mu)
-    left_delta = delta - mu * p
-    if endpoint:
-        left = LorentzExponents(left_p, math.inf, left_delta)
-    else:
-        q_lo = sobolev_q_lower(p, delta, mu, dim)
-        if q is None or not (q_lo < q < math.inf):
-            raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
-        left = LorentzExponents(left_p, q, left_delta)
-        right = LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)
+    left, right = _improved_exponents(p, q, delta, mu, 1.0, shape.dim)
 
     def sides(depth):
         _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
-        rhs = choquet_p_norm(grad, p, delta) if endpoint else lorentz_norm(grad, right)
-        return lorentz_norm(diff, left), rhs
+        return lorentz_norm(diff, left), lorentz_norm(grad, right)
 
-    params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left_p,
-                            left_delta=left_delta, depths=list(depths), c_ball=c_ball,
-                            root_side=root_side, endpoint=endpoint)
+    params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left.p,
+                            left_delta=left.delta, depths=list(depths), c_ball=c_ball,
+                            root_side=root_side, endpoint=p == delta / shape.dim)
     return _ratio_sweep("poincare_sobolev", params, sides)
 
 
@@ -458,20 +477,15 @@ def compact_support_check(
     diam = shape.diameter
     params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu, depths=list(depths),
                             root_side=root_side, diam=diam)
-    # variant -> (exponents of f's norm, the gradient side)
+    strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
+    # variant -> (exponents of f's norm, gradient factor, exponents of the gradient's norm)
     variants = {
-        "strong": (LorentzExponents(p, q, delta),
-                   lambda g: diam * lorentz_norm(g, LorentzExponents(p, q, delta))),
-        "weak": (LorentzExponents(p_end, math.inf, delta),
-                 lambda g: diam * choquet_p_norm(g, p_end, delta)),
-        "sobolev": (
-            LorentzExponents(sobolev_left_exponent(p, delta, mu), q, delta - mu * p),
-            lambda g: lorentz_norm(g, LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)),
-        ),
-        "sobolev_weak": (
-            LorentzExponents(sobolev_left_exponent(p_end, delta, mu), math.inf, delta - mu * p_end),
-            lambda g: choquet_p_norm(g, p_end, delta),
-        ),
+        "strong": (strong, diam, strong),
+        "weak": (LorentzExponents(p_end, math.inf, delta), diam, p_norm),
+        "sobolev": (LorentzExponents(sobolev_left_exponent(p, delta, mu), q, delta - mu * p), 1.0,
+                    LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)),
+        "sobolev_weak": (LorentzExponents(sobolev_left_exponent(p_end, delta, mu), math.inf,
+                                          delta - mu * p_end), 1.0, p_norm),
     }
     per_variant = {v: [] for v in variants}
     series = []
@@ -485,8 +499,9 @@ def compact_support_check(
             raise VerifyError("support touches the domain boundary (needs a 2-cell margin)")
         grad = gradient_magnitude(sampler, grid).restrict(domain.cells)
         fr = f.restrict(domain.cells)
-        for v, (exps, gradient_side) in variants.items():
-            ratio = _safe_ratio(lorentz_norm(fr, exps), gradient_side(grad), f"compact_support {v}")
+        for v, (left, factor, right) in variants.items():
+            lhs, rhs = lorentz_norm(fr, left), factor * lorentz_norm(grad, right)
+            ratio = _safe_ratio(lhs, rhs, f"compact_support {v}")
             per_variant[v].append(ratio)
             series.append((f"{v}@d{depth}", ratio))
     verdict = all(growth_factors_ok(ratios) for ratios in per_variant.values())
@@ -507,34 +522,16 @@ def riesz_boundedness_check(
     """Riesz potential norm over the lowered content against the source norm."""
     if not (0 < alpha < dim):
         raise VerifyError(f"alpha must be in (0, dim), got {alpha}")
-    if not (0 <= mu < alpha):
-        raise VerifyError(f"mu must be in [0, alpha), got {mu}")
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta / alpha):
-        raise VerifyError(
-            f"p must be delta/dim or in (delta/dim, delta/alpha) = "
-            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
-        )
-    left_p = riesz_left_exponent(p, delta, mu, alpha)
-    left_delta = delta - mu * p
-    if endpoint:
-        left = LorentzExponents(left_p, math.inf, left_delta)
-    else:
-        q_lo = riesz_q_lower(p, delta, mu, alpha, dim)
-        if q is None or not (q_lo < q < math.inf):
-            raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
-        left = LorentzExponents(left_p, q, left_delta)
-        right = LorentzExponents(p, riesz_right_q(q, p, delta, mu, alpha), delta)
+    left, right = _improved_exponents(p, q, delta, mu, alpha, dim)
 
     def sides(depth):
         ff = sample(sampler, make_grid(dim, depth, root_side))
-        lhs = lorentz_norm(riesz(ff, RieszParams(alpha)), left)
-        return lhs, choquet_p_norm(ff, p, delta) if endpoint else lorentz_norm(ff, right)
+        return lorentz_norm(riesz(ff, RieszParams(alpha)), left), lorentz_norm(ff, right)
 
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "left_p": left_p, "left_delta": left_delta, "depths": list(depths),
-        "dim": dim, "root_side": root_side, "endpoint": endpoint,
+        "left_p": left.p, "left_delta": left.delta, "depths": list(depths),
+        "dim": dim, "root_side": root_side, "endpoint": p == delta / dim,
         "growth_limit": GROWTH_FACTOR_LIMIT,
     }
     return _ratio_sweep("riesz_bound", params, sides)

@@ -12,14 +12,11 @@ from capnorm.choquet import (
     distribution,
     dyadic_sum_comparability,
     dyadic_sum_norm_of,
-    integral_of,
-    lebesgue_distribution,
     lebesgue_embedding_constant,
     lebesgue_lorentz_norm,
     lorentz_norm,
     lorentz_norm_dyadic,
     lorentz_norm_of,
-    p_norm_of,
 )
 from capnorm.content import ContentEngine, content_value
 from capnorm.grid import CellSet, GridFunction, make_grid
@@ -137,7 +134,7 @@ def test_counting_distribution_cases(name):
     values, thresholds, cells = COUNTING_CASES[name]
     f = GridFunction(GRID, values)
     plateaus = np.array(cells, dtype=np.int64) * GRID.cell_volume
-    for dist in (lebesgue_distribution(f), distribution(f, 2.0)):
+    for dist in (distribution(f, GRID.dim), distribution(f, 2.0)):  # int and float dim
         assert dist.thresholds.tobytes() == np.array(thresholds, dtype=np.float64).tobytes()
         assert dist.plateaus.tobytes() == plateaus.tobytes()
 
@@ -188,10 +185,17 @@ def test_p_norm_against_quadrature_oracle():
 
 
 def test_lorentz_q_equals_p_is_p_norm_exact():
+    # the integral and the p-norm are Lorentz (1, 1) and (p, p): bit for bit
+    # the plain layer-cake sums over the plateaus
     for _ in range(100):
         f = random_step_function()
+        dist = distribution(f, 1.3)
+        ext = np.concatenate([[0.0], dist.thresholds])
+        assert choquet_integral(f, 1.3) == float(np.sum(np.diff(ext) * dist.plateaus))
         for p in (0.7, 1.0, 1.5, 2.0):
             assert lorentz_norm(f, LorentzExponents(p, p, 1.3)) == choquet_p_norm(f, p, 1.3)
+            layer_cake = float(np.sum(np.diff(ext**p) * dist.plateaus)) ** (1.0 / p)
+            assert choquet_p_norm(f, p, 1.3) == layer_cake
 
 
 def test_lorentz_indicator_closed_forms():
@@ -357,4 +361,4 @@ def test_exponent_validation():
         LorentzExponents(1.0, -1.0, 1.0)
     f = random_step_function()
     with pytest.raises(ExponentError):
-        p_norm_of(distribution(f, 1.0), math.inf)
+        choquet_p_norm(f, math.inf, 1.0)

@@ -50,6 +50,20 @@ def test_norm_dyadic_and_lebesgue_flags(indicator_fn, capsys):
     assert d1["norm"] > 0 and d2["norm"] > 0
 
 
+def test_norm_lebesgue_echoes_the_delta_it_uses(indicator_fn, capsys):
+    # --lebesgue computes at delta = dim whatever --delta says, and says so
+    base = ["norm", "--fn", indicator_fn, "--p", "1.5", "--q", "2"]
+    assert run(base + ["--delta", "1.3", "--lebesgue"]) == 0
+    lebesgue = json.loads(capsys.readouterr().out)
+    assert run(base + ["--delta", "2"]) == 0
+    at_dim = json.loads(capsys.readouterr().out)
+    assert run(base + ["--delta", "1.3"]) == 0
+    at_13 = json.loads(capsys.readouterr().out)
+    assert lebesgue.pop("lebesgue") is True and at_dim.pop("lebesgue") is False
+    assert lebesgue == at_dim and lebesgue["delta"] == 2.0
+    assert at_13["norm"] != at_dim["norm"]
+
+
 def test_maximal_riesz_roundtrip(indicator_fn, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert run(["maximal", "--fn", indicator_fn, "--mu", "0.5", "--out", str(out)]) == 0

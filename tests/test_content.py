@@ -5,6 +5,7 @@ import pytest
 
 from capnorm.choquet import distribution
 from capnorm.content import (
+    ORACLE_CELL_LIMIT,
     ContentError,
     ContentParams,
     ball_bracket_ratio_bound,
@@ -70,6 +71,16 @@ def test_oracle_instance_limit():
     g = make_grid(2, 7, 1.0)  # 2^14 cells
     with pytest.raises(ContentError, match="too large"):
         content_oracle(CellSet.full(g), 1.0)
+
+
+def test_oracle_node_limit():
+    # a random 2D depth-4 set far below the cell cap; without the node
+    # limit its search ran for more than five minutes
+    g = make_grid(2, 4, 1.0)
+    cells = CellSet(g, np.random.default_rng(0).random(g.shape) < 0.82)
+    assert cells.count == 197 and g.n_cells <= ORACLE_CELL_LIMIT
+    with pytest.raises(ContentError, match="too large"):
+        content_oracle(cells, 1.732)
 
 
 def test_oracle_equivalence_random():

@@ -2,7 +2,8 @@
 
 Random cell sets small enough for the oracle's exhaustive search; the DP
 value must equal the oracle's minimum, and growing a set must not lower
-its content.
+its content.  On larger random pairs the DP content is strongly
+subadditive.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.content import content_oracle, content_value  # noqa: E402
+from capnorm.content import content_oracle, content_value, strong_subadditivity_check  # noqa: E402
 from capnorm.grid import CellSet, make_grid  # noqa: E402
 
 # deepest grid per dimension whose random sets the oracle searches in milliseconds
@@ -50,3 +51,25 @@ def test_content_value_matches_oracle_and_is_monotone(case):
         assert abs(dp - content_oracle(cells, delta)) <= 1e-12 * max(1.0, dp)
         values.append(dp)
     assert values[0] <= values[1] * (1 + 1e-12)
+
+
+@st.composite
+def cell_set_pairs(draw):
+    """Two overlapping random cell sets on one grid, and a delta in (0, dim]."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, {1: 8, 2: 5, 3: 3}[dim]))
+    grid = make_grid(dim, depth, draw(st.sampled_from([0.5, 1.0, 2.75])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random(grid.shape) < draw(st.floats(0.0, 1.0))
+    # b keeps part of a and adds cells of its own, so both a & b and b - a vary
+    b = (a & (rng.random(grid.shape) < draw(st.floats(0.0, 1.0)))) | (
+        rng.random(grid.shape) < draw(st.floats(0.0, 1.0)))
+    delta = draw(st.floats(0.0, float(dim), exclude_min=True))
+    return CellSet(grid, a), CellSet(grid, b), delta
+
+
+@given(cell_set_pairs())
+@settings(max_examples=80, deadline=None)
+def test_strong_subadditivity(case):
+    a, b, delta = case
+    assert strong_subadditivity_check(a, b, delta).slack >= -1e-12

@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.choquet import MERGE_RTOL, distribution, lebesgue_distribution  # noqa: E402
+from capnorm.choquet import MERGE_RTOL, distribution  # noqa: E402
 from capnorm.content import content_value  # noqa: E402
 from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
@@ -119,7 +119,7 @@ CHAIN = np.cumprod(np.full(9, 1.0 + 0.9 * MERGE_RTOL))  # each within MERGE_RTOL
 @example(_on_grid(2, 3, np.append(CHAIN, 2.0)))  # a chain wider than MERGE_RTOL
 def test_counting_distribution_matches_loop_reference(f):
     thresholds, plateaus = _reference_counting(f.values, f.grid.cell_volume)
-    for dist in (lebesgue_distribution(f), distribution(f, f.grid.dim)):
+    for dist in (distribution(f, f.grid.dim), distribution(f, float(f.grid.dim))):
         assert dist.thresholds.tobytes() == thresholds.tobytes()
         assert dist.plateaus.tobytes() == plateaus.tobytes()
     # below dim the same clusters feed the tree sweep

@@ -27,6 +27,7 @@ CASES = [
     ("riesz_bound_endpoint", "riesz_bound", {"depths": [3, 4], "p": 1.0, "q": None}),
     ("maximal_bound", "maximal_bound", {"depths": [3, 4]}),
     ("hedberg", "hedberg", {"depths": [3, 4]}),
+    ("hedberg_endpoint", "hedberg", {"depths": [3, 4], "p": 1.0}),
     ("sharpness_poincare", "sharpness_poincare", {"depth": 5}),
     ("sharpness_riesz", "sharpness_riesz", {"depth": 7}),
 ]
@@ -141,6 +142,13 @@ PINS = {
         [
             ('sup_ratio@d3', 0.20639388622995514),
             ('sup_ratio@d4', 0.20856726512733836),
+        ],
+    ),
+    'hedberg_endpoint': (
+        'b404d3d6cc623dcee8786ff3776e0a4c8f28f1de55b9dac8445bb11c73e93735',
+        [
+            ('sup_ratio@d3', 3.5052352522324526),
+            ('sup_ratio@d4', 3.2062913464403726),
         ],
     ),
     'sharpness_poincare': (
