@@ -17,7 +17,6 @@ from .grid import (
 from .content import (
     ContentEngine,
     ContentError,
-    ContentParams,
     CoverSolution,
     ball_cover_bracket,
     content_oracle,

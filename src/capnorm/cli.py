@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, io, verify
 from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
-from .content import ContentParams, content_oracle, content_value, dyadic_content
-from .grid import CellSet, GridError, GridFunction, Sampler, grid_integer, make_grid
+from .content import content_oracle, content_value, dyadic_content
+from .grid import CellSet, GridFunction, Sampler, grid_integer, make_grid
 from .interp import InterpPair, interpolation_norm, k_profile
 from .operators import MaximalParams, RieszParams, maximal, riesz
 
@@ -248,7 +248,7 @@ def run(argv=None) -> int:
     try:
         if args.command == "content":
             cells = io.read_cellset(args.set_path)
-            sol = dyadic_content(cells, ContentParams(args.delta))
+            sol = dyadic_content(cells, args.delta)
             doc = io.cover_to_dict(sol)
             if args.cover_out:
                 _emit(doc, args.cover_out)
@@ -325,8 +325,11 @@ def run(argv=None) -> int:
                 if not _:
                     raise ConfigError(f"override must look like key=value, got {item!r}")
                 overrides[key] = json.loads(raw)
-            cfg = resolve_config(args.experiment, file_cfg, overrides)
-            report = run_experiment(args.experiment, cfg)
+            try:
+                cfg = resolve_config(args.experiment, file_cfg, overrides)
+                report = run_experiment(args.experiment, cfg)
+            except TypeError as exc:
+                raise ConfigError(f"a config value has the wrong JSON type: {exc}") from exc
             doc = report.to_dict()
             doc["config"] = cfg
             _emit(doc, args.out)
@@ -339,10 +342,8 @@ def run(argv=None) -> int:
             _emit(doc)
             return 0 if doc["all_pass"] else 1
 
-    except (ConfigError, GridError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # ConfigError, GridError and json.JSONDecodeError are ValueErrors
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

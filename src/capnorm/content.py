@@ -21,6 +21,9 @@ carries its cost as a step function of the family index, a parent's
 breakpoints being the union of its children's.  Child costs are summed
 in the same fixed order as the from-scratch pass and go through the same
 ``min``, so every member's content is bit-identical to a rebuild.
+
+Every entry point takes delta as a plain float; the DP and the oracle
+both refuse a delta outside (0, dim] through one check, _check_delta.
 """
 
 from __future__ import annotations
@@ -45,15 +48,10 @@ class ContentError(ValueError):
     """Invalid content parameters or an oracle instance that is too large."""
 
 
-@dataclass(frozen=True)
-class ContentParams:
-    """Content exponent delta in (0, dim]."""
-
-    delta: float
-
-    def validate(self, dim: int):
-        if not (0.0 < self.delta <= dim):
-            raise ContentError(f"delta must be in (0, {dim}], got {self.delta}")
+def _check_delta(delta: float, dim: int):
+    """The content exponent window (0, dim], where the tree DP is exact."""
+    if not (0.0 < delta <= dim):
+        raise ContentError(f"delta must be in (0, {dim}], got {delta}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class ContentEngine:
     """Per-level cost arrays for one (grid, delta) pair."""
 
     def __init__(self, grid: DyadicGrid, delta: float):
-        ContentParams(delta).validate(grid.dim)
+        _check_delta(delta, grid.dim)
         self.grid = grid
         self.delta = float(delta)
         self.dim = grid.dim
@@ -199,15 +197,12 @@ class ContentEngine:
         return tuple(out)
 
 
-def dyadic_content(cells: CellSet, params: ContentParams | float) -> CoverSolution:
-    """Exact dyadic content of a cell set, with an optimal cover."""
-    delta = params.delta if isinstance(params, ContentParams) else float(params)
+def dyadic_content(cells: CellSet, delta: float) -> CoverSolution:
+    """Exact dyadic content of a cell set, with an optimal cover (none for the empty set)."""
     engine = ContentEngine(cells.grid, delta)
     engine.build(cells.mask)
-    if cells.is_empty():
-        return CoverSolution(value=0.0, cover=(), delta=delta, grid=cells.grid)
     return CoverSolution(
-        value=engine.value, cover=engine.extract_cover(), delta=delta, grid=cells.grid
+        value=engine.value, cover=engine.extract_cover(), delta=engine.delta, grid=cells.grid
     )
 
 
@@ -218,7 +213,7 @@ def content_value(cells: CellSet, delta: float) -> float:
     return engine.value
 
 
-def content_oracle(cells: CellSet, params: ContentParams | float) -> float:
+def content_oracle(cells: CellSet, delta: float) -> float:
     """Exhaustive minimum over all antichain covers of the dyadic tree.
 
     Independent of the production DP: depth-first search over covers,
@@ -229,9 +224,8 @@ def content_oracle(cells: CellSet, params: ContentParams | float) -> float:
     gives up with ContentError once the search has popped more than
     ORACLE_NODE_LIMIT nodes.
     """
-    delta = params.delta if isinstance(params, ContentParams) else float(params)
     grid = cells.grid
-    ContentParams(delta).validate(grid.dim)
+    _check_delta(delta, grid.dim)
     if grid.n_cells > ORACLE_CELL_LIMIT:
         raise ContentError(
             f"oracle instance too large: {grid.n_cells} cells > {ORACLE_CELL_LIMIT}"
@@ -331,13 +325,10 @@ class SubadditivityReport:
         )
 
 
-def strong_subadditivity_check(
-    a: CellSet, b: CellSet, params: ContentParams | float
-) -> SubadditivityReport:
+def strong_subadditivity_check(a: CellSet, b: CellSet, delta: float) -> SubadditivityReport:
     """H(A) + H(B) - H(A u B) - H(A n B), which must be >= -1e-12."""
     if a.grid != b.grid:
         raise GridError("cell sets live on different grids")
-    delta = params.delta if isinstance(params, ContentParams) else float(params)
     return SubadditivityReport(
         content_a=content_value(a, delta),
         content_b=content_value(b, delta),

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .grid import CellSet, DyadicGrid, GridFunction
+from .grid import CellSet, DyadicGrid
 
 DEFAULT_MEAN_BALL_CONSTANT = 0.25
 
@@ -213,23 +213,15 @@ def _ball_mask(grid: DyadicGrid, ball: MeanValueBall) -> np.ndarray:
 
 
 def mean_value(
-    u: Union[GridFunction, np.ndarray],
-    grid_or_ball,
-    ball: Optional[MeanValueBall] = None,
-    within: Optional[CellSet] = None,
+    values: np.ndarray, grid: DyadicGrid, ball: MeanValueBall, within: Optional[CellSet] = None
 ) -> float:
-    """Average of u over the cells whose center lies in the ball.
+    """Average of per-cell values over the cells whose center lies in the ball.
 
-    Accepts a GridFunction (then call as mean_value(u, ball, within=...))
-    or a raw value array plus its grid (mean_value(values, grid, ball,
-    within=...)); raw arrays may be signed, which centered test functions
-    need.  `within` restricts to domain cells (used for punctured shapes).
+    `values` holds one value per cell of `grid` and may be signed, which
+    centered test functions need (pass ``f.values`` for a GridFunction).
+    `within` restricts to domain cells (used for punctured shapes).
     """
-    if isinstance(u, GridFunction):
-        grid, values, ball = u.grid, u.values, grid_or_ball
-    else:
-        grid = grid_or_ball
-        values = np.asarray(u, dtype=float).reshape(grid.shape)
+    values = np.asarray(values, dtype=float).reshape(grid.shape)
     mask = _ball_mask(grid, ball)
     if within is not None:
         mask &= within.mask

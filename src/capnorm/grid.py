@@ -88,18 +88,6 @@ class DyadicGrid:
     def side_at_level(self, level: int) -> float:
         return self.root_side * 2.0 ** (-level)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DyadicGrid)
-            and self.dim == other.dim
-            and self.depth == other.depth
-            and self.root_side == other.root_side
-            and self.origin == other.origin
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.depth, self.root_side, self.origin))
-
 
 def grid_integer(key: str, value) -> int:
     """An integer argument; as in JSON Schema, 3.0 counts as an integer, 3.5, true and "3" do not."""
@@ -109,7 +97,7 @@ def grid_integer(key: str, value) -> int:
     return int(value)
 
 
-def make_grid(dim, depth, root_side, origin=None, cell_cap=DEFAULT_CELL_CAP) -> DyadicGrid:
+def make_grid(dim, depth, root_side, origin=None) -> DyadicGrid:
     """Build a dyadic grid, enforcing the leaf-cell memory cap.
 
     ``dim`` and ``depth`` may be integral floats such as 3.0.  ``origin``
@@ -122,8 +110,10 @@ def make_grid(dim, depth, root_side, origin=None, cell_cap=DEFAULT_CELL_CAP) -> 
     if depth < 1:
         raise GridError(f"depth must be >= 1, got {depth}")
     # compare exponents first: a depth read from a file may be too large to power out
-    if depth * dim >= cell_cap.bit_length() or 2 ** (depth * dim) > cell_cap:
-        raise GridError(f"grid would have 2**{depth * dim} leaf cells, exceeding the cap {cell_cap}")
+    if depth * dim >= DEFAULT_CELL_CAP.bit_length() or 2 ** (depth * dim) > DEFAULT_CELL_CAP:
+        raise GridError(
+            f"grid would have 2**{depth * dim} leaf cells, exceeding the cap {DEFAULT_CELL_CAP}"
+        )
     if origin is None:
         origin = (-root_side / 2.0,) * dim
     origin = tuple(np.atleast_1d(np.asarray(origin, dtype=float)).tolist())
@@ -139,10 +129,6 @@ class DyadicCube:
 
     def side(self, grid: DyadicGrid) -> float:
         return grid.side_at_level(self.level)
-
-    def lower_corner(self, grid: DyadicGrid) -> np.ndarray:
-        s = grid.side_at_level(self.level)
-        return np.asarray(grid.origin) + s * np.asarray(self.index)
 
 
 def _check_same_grid(a, b):

@@ -33,18 +33,19 @@ negative and is clipped to zero.  The point evaluators `maximal_at` and
 `riesz_unnormalized_at` sum the same cells directly at one point; they
 are the exact reference for the fields.
 
-The maximal supremum is taken over a geometric radius sweep from one
-cell side up to twice the grid diameter; the averaged quantity varies
-polynomially in the radius, so the sweep captures the continuum
-supremum within a factor tied to the sweep ratio.  f is transformed once
-per call and its spectrum reused for every radius of the sweep.
+The maximal supremum is taken over one fixed geometric radius sweep,
+ratio RADIUS_SWEEP_FACTOR, from one cell side up to twice the grid
+diameter; the averaged quantity varies polynomially in the radius, so
+the sweep captures the continuum supremum within a factor tied to the
+sweep ratio.  f is transformed once per call and its spectrum reused
+for every radius of the sweep.  The Riesz potential carries the
+classical normalization 1/c_alpha of `riesz_normalization`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import fft
@@ -80,28 +81,20 @@ def riesz_normalization(dim: int, alpha: float) -> float:
     )
 
 
-def default_radius_sweep(grid: DyadicGrid, factor: float = RADIUS_SWEEP_FACTOR) -> np.ndarray:
-    """Geometric radii h * factor^k from h up to twice the grid diameter."""
+def default_radius_sweep(grid: DyadicGrid) -> np.ndarray:
+    """Geometric radii h * RADIUS_SWEEP_FACTOR^k from h up to twice the grid diameter."""
     r_max = 2.0 * grid.diameter
-    n = int(math.ceil(math.log(r_max / grid.h) / math.log(factor))) + 1
-    return grid.h * factor ** np.arange(n)
+    n = int(math.ceil(math.log(r_max / grid.h) / math.log(RADIUS_SWEEP_FACTOR))) + 1
+    return grid.h * RADIUS_SWEEP_FACTOR ** np.arange(n)
 
 
 @dataclass(frozen=True)
 class MaximalParams:
     mu: float
-    radii: Optional[np.ndarray] = None
 
     def resolve_radii(self, grid: DyadicGrid) -> np.ndarray:
-        radii = self.radii if self.radii is not None else default_radius_sweep(grid)
-        radii = np.asarray(radii, dtype=float)
-        if radii.size == 0 or np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
-            raise OperatorError("radii must be a nonempty strictly increasing positive sequence")
-        if radii[-1] < grid.diameter:
-            raise OperatorError(
-                f"max radius {radii[-1]:g} is below the grid diameter {grid.diameter:g}"
-            )
-        return radii
+        """The radius sweep of `maximal` on this grid: `default_radius_sweep`."""
+        return default_radius_sweep(grid)
 
     def validate(self, dim: int):
         if not (0 <= self.mu < dim):
@@ -111,14 +104,10 @@ class MaximalParams:
 @dataclass(frozen=True)
 class RieszParams:
     alpha: float
-    c_alpha: Optional[float] = None
 
     def validate(self, dim: int):
         if not (0 < self.alpha < dim):
             raise OperatorError(f"alpha must be in (0, dim), got {self.alpha}")
-
-    def normalization(self, dim: int) -> float:
-        return self.c_alpha if self.c_alpha is not None else riesz_normalization(dim, self.alpha)
 
 
 def _padded_shape(grid: DyadicGrid) -> tuple[int, ...]:
@@ -246,7 +235,8 @@ def riesz(f: GridFunction, params: RieszParams) -> GridFunction:
     GridError when the (2m)^dim padded lattice exceeds the leaf-cell cap.
     """
     params.validate(f.grid.dim)
-    return GridFunction(f.grid, _riesz_sums(f, params.alpha) / params.normalization(f.grid.dim))
+    c_alpha = riesz_normalization(f.grid.dim, params.alpha)
+    return GridFunction(f.grid, _riesz_sums(f, params.alpha) / c_alpha)
 
 
 def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
@@ -262,11 +252,10 @@ def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
     return float(np.dot(weights, f.values.ravel()))
 
 
-def maximal_at(f: GridFunction, x, mu: float, radii: Optional[np.ndarray] = None) -> float:
-    """Fractional maximal function at one point (center-snapped)."""
+def maximal_at(f: GridFunction, x, mu: float) -> float:
+    """Fractional maximal function at one point (center-snapped), over the radii of `maximal`."""
     grid = f.grid
     MaximalParams(mu).validate(grid.dim)
-    radii = MaximalParams(mu, radii).resolve_radii(grid)
     centers = grid.centers()
     x = np.asarray(x, dtype=float)
     cell = int(np.argmin(np.sum((centers - x) ** 2, axis=1)))
@@ -274,7 +263,7 @@ def maximal_at(f: GridFunction, x, mu: float, radii: Optional[np.ndarray] = None
     vals = f.values.ravel()
     vol_unit = unit_ball_volume(grid.dim)
     best = 0.0
-    for r in radii:
+    for r in default_radius_sweep(grid):
         s = float(vals[d < r].sum()) * grid.cell_volume
         best = max(best, r**mu * s / (vol_unit * r**grid.dim))
     return best
@@ -325,14 +314,7 @@ def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExpo
     return maximal_power, norm**norm_power
 
 
-def hedberg_ratio(
-    f: GridFunction,
-    x,
-    alpha: float,
-    mu: float,
-    exps: LorentzExponents,
-    radii: Optional[np.ndarray] = None,
-) -> float:
+def hedberg_ratio(f: GridFunction, x, alpha: float, mu: float, exps: LorentzExponents) -> float:
     """Empirical constant at x for the pointwise Riesz-by-maximal bound.
 
     Returns 0 for f identically zero (both sides vanish).
@@ -342,7 +324,7 @@ def hedberg_ratio(
         return 0.0
     maximal_power, norm_factor = factors
     lhs = riesz_unnormalized_at(f, x, alpha)
-    mf = maximal_at(f, x, mu, radii)
+    mf = maximal_at(f, x, mu)
     # nonzero f has mf > 0 everywhere: some sweep ball reaches the support
     return lhs / (mf**maximal_power * norm_factor)
 

@@ -12,13 +12,16 @@ poincare, poincare_weak, poincare_sobolev, riesz_bound and maximal_bound:
 each runner validates its exponents, records its params and passes a
 per-depth sides function.  _eps_sweep runs the truncation sweep of the
 two sharpness runners and fits the log-log slope.  compact_support and
-hedberg keep their own loops.  EXPERIMENTS declares each experiment once
-for the CLI: its runner's name and the defaults the signature lacks.
+hedberg keep their own loops.  All seven depth runners record their
+depths through _depth_list, which refuses an empty or non-increasing
+list.  EXPERIMENTS declares each experiment once for the CLI: its
+runner's name and the defaults the signature lacks.
 
 Every side is one Lorentz norm, ``lorentz_norm`` at some (p, q, delta);
 a plain p-norm is the (p, p) case.  One rule, _improved_exponents, gives
 the two sides of the Sobolev-Poincare (order alpha = 1) and Riesz
-(order alpha) inequalities, with its delta/dim endpoint.
+(order alpha) inequalities, with its delta/dim endpoint; the gradient
+sides call the riesz_* window formulas at alpha = 1.0.
 
 Stability verdicts operationalize existential constants: the measured
 left/right ratio may grow by at most GROWTH_FACTOR_LIMIT per grid
@@ -80,22 +83,6 @@ def riesz_right_q(q: float, p: float, delta: float, mu: float, alpha: float) -> 
 def riesz_q_lower(p: float, delta: float, mu: float, alpha: float, dim: int) -> float:
     """Lower admissibility bound delta(delta - mu p)/(dim (delta - alpha p)) for q."""
     return delta * (delta - mu * p) / (dim * (delta - p * alpha))
-
-
-# the gradient is the order-one case: p * 1.0 == p, so these equal the
-# alpha-free formulas bit for bit
-
-
-def sobolev_left_exponent(p: float, delta: float, mu: float) -> float:
-    return riesz_left_exponent(p, delta, mu, 1.0)
-
-
-def sobolev_right_q(q: float, p: float, delta: float, mu: float) -> float:
-    return riesz_right_q(q, p, delta, mu, 1.0)
-
-
-def sobolev_q_lower(p: float, delta: float, mu: float, dim: int) -> float:
-    return riesz_q_lower(p, delta, mu, 1.0, dim)
 
 
 def _improved_exponents(
@@ -208,8 +195,8 @@ def _report(experiment: str, params: dict, series, verdict: bool) -> ExperimentR
     )
 
 
-def growth_factors_ok(ratios: Sequence[float], limit: float = GROWTH_FACTOR_LIMIT) -> bool:
-    """All ratios finite; consecutive growth below the limit; zeros pass."""
+def growth_factors_ok(ratios: Sequence[float]) -> bool:
+    """All ratios finite; consecutive growth below GROWTH_FACTOR_LIMIT; zeros pass."""
     if any(not math.isfinite(r) for r in ratios):
         return False
     for prev, cur in zip(ratios, ratios[1:]):
@@ -217,9 +204,17 @@ def growth_factors_ok(ratios: Sequence[float], limit: float = GROWTH_FACTOR_LIMI
             if cur != 0.0:
                 return False
             continue
-        if cur / prev >= limit:
+        if cur / prev >= GROWTH_FACTOR_LIMIT:
             return False
     return True
+
+
+def _depth_list(depths: Sequence[int]) -> list:
+    """The depths of a sweep as a list: at least one, strictly increasing."""
+    depths = list(depths)
+    if not depths or any(a >= b for a, b in zip(depths, depths[1:])):
+        raise VerifyError(f"depths must be a nonempty strictly increasing list, got {depths}")
+    return depths
 
 
 def _safe_ratio(lhs: float, rhs: float, what: str) -> float:
@@ -230,14 +225,14 @@ def _safe_ratio(lhs: float, rhs: float, what: str) -> float:
     return lhs / rhs
 
 
-def _golden_min(fun: Callable[[float], float], lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section scan; returns the minimal observed value."""
+def _golden_min(fun: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section scan of 60 steps; returns the minimal observed value."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -391,8 +386,8 @@ def poincare_check(
         # diagnostic only: recorded after the ratio, never gates the verdict
         return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, sampler, exps, lhs))
 
-    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, depths=list(depths),
-                            c_ball=c_ball, root_side=root_side)
+    params = _domain_params(shape, sampler, delta=delta, p=p, q=q,
+                            depths=_depth_list(depths), c_ball=c_ball, root_side=root_side)
     return _ratio_sweep("poincare", params, sides)
 
 
@@ -414,7 +409,7 @@ def poincare_weak_check(
         domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         return lorentz_norm(diff, weak), _john_factor(domain) * lorentz_norm(grad, strong)
 
-    params = _domain_params(shape, sampler, delta=delta, p=p, depths=list(depths),
+    params = _domain_params(shape, sampler, delta=delta, p=p, depths=_depth_list(depths),
                             c_ball=c_ball, root_side=root_side)
     return _ratio_sweep("poincare_weak", params, sides)
 
@@ -442,7 +437,7 @@ def poincare_sobolev_check(
         return lorentz_norm(diff, left), lorentz_norm(grad, right)
 
     params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left.p,
-                            left_delta=left.delta, depths=list(depths), c_ball=c_ball,
+                            left_delta=left.delta, depths=_depth_list(depths), c_ball=c_ball,
                             root_side=root_side, endpoint=p == delta / shape.dim)
     return _ratio_sweep("poincare_sobolev", params, sides)
 
@@ -475,21 +470,21 @@ def compact_support_check(
         raise VerifyError(f"mu must be in [0, 1), got {mu}")
     p_end = delta / dim
     diam = shape.diameter
-    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu, depths=list(depths),
-                            root_side=root_side, diam=diam)
+    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu,
+                            depths=_depth_list(depths), root_side=root_side, diam=diam)
     strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
     # variant -> (exponents of f's norm, gradient factor, exponents of the gradient's norm)
     variants = {
         "strong": (strong, diam, strong),
         "weak": (LorentzExponents(p_end, math.inf, delta), diam, p_norm),
-        "sobolev": (LorentzExponents(sobolev_left_exponent(p, delta, mu), q, delta - mu * p), 1.0,
-                    LorentzExponents(p, sobolev_right_q(q, p, delta, mu), delta)),
-        "sobolev_weak": (LorentzExponents(sobolev_left_exponent(p_end, delta, mu), math.inf,
+        "sobolev": (LorentzExponents(riesz_left_exponent(p, delta, mu, 1.0), q, delta - mu * p),
+                    1.0, LorentzExponents(p, riesz_right_q(q, p, delta, mu, 1.0), delta)),
+        "sobolev_weak": (LorentzExponents(riesz_left_exponent(p_end, delta, mu, 1.0), math.inf,
                                           delta - mu * p_end), 1.0, p_norm),
     }
     per_variant = {v: [] for v in variants}
     series = []
-    for depth in depths:
+    for depth in params["depths"]:
         domain = _domain_at_depth(shape, depth, root_side)
         grid = domain.grid
         f = sample(sampler, grid)
@@ -530,7 +525,7 @@ def riesz_boundedness_check(
 
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "left_p": left.p, "left_delta": left.delta, "depths": list(depths),
+        "left_p": left.p, "left_delta": left.delta, "depths": _depth_list(depths),
         "dim": dim, "root_side": root_side, "endpoint": p == delta / dim,
         "growth_limit": GROWTH_FACTOR_LIMIT,
     }
@@ -566,7 +561,7 @@ def maximal_inequality_check(
 
     params = {
         "sampler": repr(sampler), "delta": delta, "mu": mu, "p": p, "s": s, "r": r,
-        "left_delta": left_delta, "depths": list(depths), "dim": dim,
+        "left_delta": left_delta, "depths": _depth_list(depths), "dim": dim,
         "root_side": root_side, "growth_limit": GROWTH_FACTOR_LIMIT,
     }
     return _ratio_sweep("maximal_bound", params, sides)
@@ -586,13 +581,13 @@ def hedberg_constant_check(
     """Sup over the grid of the pointwise Riesz-by-maximal ratio, per depth."""
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "depths": list(depths), "dim": dim, "root_side": root_side,
+        "depths": _depth_list(depths), "dim": dim, "root_side": root_side,
         "stability": HEDBERG_STABILITY,
     }
     exps = LorentzExponents(p, q, delta)
     sups = []
     series = []
-    for depth in depths:
+    for depth in params["depths"]:
         ff = sample(sampler, make_grid(dim, depth, root_side))
         sup = hedberg_ratio_field(ff, alpha, mu, exps).max()
         sups.append(sup)
@@ -624,7 +619,7 @@ def sharpness_poincare(
     Verdict: fitted slope within SLOPE_TOLERANCE of the prediction and
     right-norm variation below RHS_VARIATION_LIMIT.
     """
-    s_lo = sobolev_left_exponent(p, delta, mu)
+    s_lo = riesz_left_exponent(p, delta, mu, 1.0)
     if not (s > s_lo):
         raise VerifyError(f"s must exceed p(delta-mu p)/(delta-p) = {s_lo:g}, got {s}")
     lo, hi = gradient_eta_window(p, s, delta, mu)

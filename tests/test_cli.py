@@ -95,6 +95,26 @@ def test_verify_unknown_key_exits_2(capsys):
     assert run(["verify", "poincare", "--set", "bogus=1"]) == 2
 
 
+_DEPTH_EXPERIMENTS = ["poincare", "poincare_weak", "poincare_sobolev", "compact_support",
+                      "riesz_bound", "maximal_bound", "hedberg"]
+
+
+# an empty sweep used to pass with an empty series, and a descending one ran
+# the growth check backwards
+@pytest.mark.parametrize("depths", ["[]", "[5, 4]"])
+@pytest.mark.parametrize("experiment", _DEPTH_EXPERIMENTS)
+def test_verify_depths_must_be_nonempty_and_increasing(experiment, depths, capsys):
+    assert run(["verify", experiment, "--set", f"depths={depths}"]) == 2
+    assert "depths must be a nonempty strictly increasing list" in capsys.readouterr().err
+
+
+# values of the wrong JSON type are configuration errors, not a failing verdict
+@pytest.mark.parametrize("override", ["depths=5", 'p="abc"', "shape=5"])
+def test_verify_config_value_of_wrong_type_exits_2(override, capsys):
+    assert run(["verify", "poincare", "--set", override]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_runs_and_is_deterministic(capsys):
     assert run(["verify", "poincare", "--set", "depths=[3,4]"]) == 0
     out1 = capsys.readouterr().out

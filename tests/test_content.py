@@ -7,7 +7,6 @@ from capnorm.choquet import distribution
 from capnorm.content import (
     ORACLE_CELL_LIMIT,
     ContentError,
-    ContentParams,
     ball_bracket_ratio_bound,
     ball_cover_bracket,
     content_oracle,
@@ -25,7 +24,7 @@ def random_cellset(grid, rng, density=None):
 
 def test_full_root_covered_at_root():
     g = make_grid(2, 3, 1.0, origin=(0.0, 0.0))
-    sol = dyadic_content(CellSet.full(g), ContentParams(1.5))
+    sol = dyadic_content(CellSet.full(g), 1.5)
     assert sol.value == 1.0
     assert len(sol.cover) == 1 and sol.cover[0].level == 0
 
@@ -33,7 +32,7 @@ def test_full_root_covered_at_root():
 def test_single_leaf_cell():
     g = make_grid(1, 3, 1.0, origin=(0.0,))
     cells = CellSet.from_indices(g, [5])
-    sol = dyadic_content(cells, ContentParams(1.0))
+    sol = dyadic_content(cells, 1.0)
     assert sol.value == pytest.approx(2.0**-3, abs=0)
     assert len(sol.cover) == 1 and sol.cover[0].level == 3
 
@@ -41,7 +40,7 @@ def test_single_leaf_cell():
 def test_two_cell_example():
     g = make_grid(1, 2, 1.0, origin=(0.0,))
     cells = CellSet(g, np.array([True, False, False, True]))
-    sol = dyadic_content(cells, ContentParams(0.7))
+    sol = dyadic_content(cells, 0.7)
     expected = 2 * 4.0**-0.7
     assert sol.value == pytest.approx(expected, rel=1e-12)
     assert content_oracle(cells, 0.7) == pytest.approx(expected, rel=1e-12)
@@ -49,7 +48,8 @@ def test_two_cell_example():
 
 def test_empty_set():
     g = make_grid(2, 3, 1.0)
-    assert dyadic_content(CellSet.empty(g), ContentParams(1.0)).value == 0.0
+    sol = dyadic_content(CellSet.empty(g), 1.0)
+    assert sol.value == 0.0 and sol.cover == ()
     assert content_oracle(CellSet.empty(g), 1.0) == 0.0
 
 
@@ -62,9 +62,9 @@ def test_root_at_delta_dim():
 def test_delta_range_validated():
     g = make_grid(2, 2, 1.0)
     with pytest.raises(ContentError):
-        dyadic_content(CellSet.full(g), ContentParams(2.5))
+        dyadic_content(CellSet.full(g), 2.5)
     with pytest.raises(ContentError):
-        dyadic_content(CellSet.full(g), ContentParams(0.0))
+        dyadic_content(CellSet.full(g), 0.0)
 
 
 def test_oracle_instance_limit():
@@ -104,7 +104,7 @@ def test_cover_invariants():
         if cells.is_empty():
             continue
         for delta in (0.6, 1.3, 2.0):
-            sol = dyadic_content(cells, ContentParams(delta))
+            sol = dyadic_content(cells, delta)
             # cover cost matches the reported value
             assert sol.cover_cost() == pytest.approx(sol.value, rel=1e-12)
             # cubes are pairwise disjoint and their union contains the set
@@ -185,14 +185,14 @@ def test_superlevel_sweep_bit_identical():
 
 def test_ball_bracket_examples():
     g1 = make_grid(1, 1, 1.0, origin=(0.0,))
-    sol = dyadic_content(CellSet.full(g1), ContentParams(1.0))
+    sol = dyadic_content(CellSet.full(g1), 1.0)
     lower, upper = ball_cover_bracket(sol)
     assert upper == pytest.approx(0.5, rel=1e-14)  # circumscribed radius 1/2
     assert lower <= upper
 
     g2 = make_grid(2, 3, 1.0, origin=(0.0, 0.0))
     single = CellSet.from_indices(g2, [0])
-    sol2 = dyadic_content(single, ContentParams(2.0))
+    sol2 = dyadic_content(single, 2.0)
     lower2, upper2 = ball_cover_bracket(sol2)
     h = g2.h
     assert upper2 == pytest.approx(h**2 / 2, rel=1e-13)  # (h sqrt2 / 2)^2
@@ -207,7 +207,7 @@ def test_ball_bracket_ratio_bound():
         if cells.is_empty():
             continue
         for delta in (0.5, 1.0, 2.0):
-            sol = dyadic_content(cells, ContentParams(delta))
+            sol = dyadic_content(cells, delta)
             lower, upper = ball_cover_bracket(sol)
             assert lower <= upper
             assert lower / upper == pytest.approx(ball_bracket_ratio_bound(2, delta), rel=1e-12)
@@ -217,7 +217,7 @@ def test_strong_subadditivity_identical_sets():
     g = make_grid(2, 4, 1.0)
     rng = np.random.default_rng(47)
     a = random_cellset(g, rng)
-    rep = strong_subadditivity_check(a, a, ContentParams(1.1))
+    rep = strong_subadditivity_check(a, a, 1.1)
     assert rep.slack == 0.0
 
 
@@ -225,7 +225,7 @@ def test_strong_subadditivity_disjoint_far_cells():
     g = make_grid(1, 3, 1.0, origin=(0.0,))
     a = CellSet.from_indices(g, [0])
     b = CellSet.from_indices(g, [7])
-    rep = strong_subadditivity_check(a, b, ContentParams(0.3))
+    rep = strong_subadditivity_check(a, b, 0.3)
     assert rep.slack >= -1e-12
 
 
@@ -235,7 +235,7 @@ def test_strong_subadditivity_random_pairs():
     for _ in range(120):
         a = random_cellset(g, rng)
         b = random_cellset(g, rng)
-        rep = strong_subadditivity_check(a, b, ContentParams(rng.uniform(0.3, 2.0)))
+        rep = strong_subadditivity_check(a, b, rng.uniform(0.3, 2.0))
         assert rep.slack >= -1e-12
 
 
@@ -243,4 +243,4 @@ def test_strong_subadditivity_grid_mismatch():
     a = CellSet.full(make_grid(2, 3, 1.0))
     b = CellSet.full(make_grid(2, 4, 1.0))
     with pytest.raises(GridError):
-        strong_subadditivity_check(a, b, ContentParams(1.0))
+        strong_subadditivity_check(a, b, 1.0)

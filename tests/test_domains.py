@@ -99,7 +99,7 @@ def test_mean_value_constant_exact():
     dom = make_john_domain(Shape.ball((0.0, 0.0), 1.0), g)
     ball = mean_value_ball(dom)
     f = sample(Sampler.constant(2.75), g)
-    assert mean_value(f, ball) == 2.75
+    assert mean_value(f.values, g, ball) == 2.75
 
 
 def test_mean_value_odd_function_near_zero():
@@ -138,7 +138,7 @@ def test_mean_value_empty_ball_error():
     tiny = mean_value_ball(dom, c_ball=0.1)
     f = sample(Sampler.constant(1.0), g)
     with pytest.raises(DomainError, match="no cell centers"):
-        mean_value(f, tiny)
+        mean_value(f.values, g, tiny)
 
 
 def test_mean_value_ball_must_fit():

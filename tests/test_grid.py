@@ -27,7 +27,7 @@ def test_make_grid_2d():
 
 def test_make_grid_cell_cap():
     with pytest.raises(GridError, match="cap"):
-        make_grid(3, 9, 1.0, cell_cap=2**24)  # 2^27 cells
+        make_grid(3, 9, 1.0)  # 2^27 cells, past the 2^24 cap
     with pytest.raises(GridError, match="cap"):
         make_grid(2, 10**12, 1.0)  # refused without powering out 2^(2*10^12)
 

@@ -53,3 +53,31 @@ def test_cellset_roundtrip_bit_identical(grid, data):
     back = io.cellset_from_dict(_through_json(io.cellset_to_dict(cells)))
     assert _bits(back.grid) == _bits(grid)
     assert np.array_equal(back.mask, mask)
+
+
+# recorded from json.dumps(..., sort_keys=True, indent=2) with ".17g" value
+# strings; a faster writer must reproduce these bytes
+GRIDFUNCTION_TEXT = """\
+{
+  "grid": {
+    "depth": 1,
+    "dim": 2,
+    "origin": [
+      -1.0,
+      -1.0
+    ],
+    "root_side": 2.0
+  },
+  "values": [
+    "0",
+    "0.10000000000000001",
+    "0.33333333333333331",
+    "2.5e+20"
+  ]
+}
+"""
+
+
+def test_gridfunction_text_layout():
+    f = GridFunction(make_grid(2, 1, 2.0), np.array([[0.0, 0.1], [1 / 3, 2.5e20]]))
+    assert io.dumps(io.gridfunction_to_dict(f)) == GRIDFUNCTION_TEXT

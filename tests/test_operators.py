@@ -62,8 +62,6 @@ def test_radius_sweep_spans_grid():
 def test_radius_validation():
     g = make_grid(2, 4, 2.0)
     f = sample(Sampler.constant(1.0), g)
-    with pytest.raises(OperatorError, match="diameter"):
-        maximal(f, MaximalParams(0.0, radii=np.array([g.h, 2 * g.h])))
     with pytest.raises(OperatorError, match="mu"):
         maximal(f, MaximalParams(2.0))
 
@@ -215,8 +213,9 @@ def test_riesz_normalization_formula():
     assert riesz_normalization(2, 1.0) == pytest.approx(
         math.pi * 2 * math.gamma(0.5) / math.gamma(0.5)
     )
-    assert RieszParams(1.0).normalization(2) == riesz_normalization(2, 1.0)
-    assert RieszParams(1.0, c_alpha=7.0).normalization(2) == 7.0
+    f = GridFunction(make_grid(2, 3, 2.0), np.random.default_rng(4).random((8, 8)))
+    expected = operators._riesz_sums(f, 1.0) / riesz_normalization(2, 1.0)
+    assert np.array_equal(riesz(f, RieszParams(1.0)).values, expected)
 
 
 def test_riesz_linearity():

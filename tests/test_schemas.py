@@ -9,7 +9,7 @@ import pytest
 
 from capnorm import io
 from capnorm.cli import run
-from capnorm.content import ContentParams, dyadic_content
+from capnorm.content import dyadic_content
 from capnorm.grid import CellSet, Sampler, make_grid, sample
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -42,7 +42,7 @@ def test_cover_schema():
     g = make_grid(2, 3, 1.0, origin=(0.0, 0.0))
     rng = np.random.default_rng(9)
     cells = CellSet(g, rng.random(g.shape) < 0.5)
-    sol = dyadic_content(cells, ContentParams(1.2))
+    sol = dyadic_content(cells, 1.2)
     _validator("cover").validate(io.cover_to_dict(sol))
 
 

@@ -18,9 +18,6 @@ from capnorm.verify import (
     riesz_left_exponent,
     riesz_q_lower,
     riesz_right_q,
-    sobolev_left_exponent,
-    sobolev_q_lower,
-    sobolev_right_q,
 )
 
 BALL = Shape.ball((0.0, 0.0), 1.0)
@@ -70,11 +67,11 @@ def test_window_formulas_against_independent_derivations():
         p = rng.uniform(delta / 2 + 1e-3, delta - 1e-3)
         q = rng.uniform(0.5, 8.0)
         s = rng.uniform(1.0, 9.0)
-        assert sobolev_left_exponent(p, delta, mu) == pytest.approx(
+        assert riesz_left_exponent(p, delta, mu, 1.0) == pytest.approx(
             _sobolev_left_indep(p, delta, mu), rel=1e-12)
-        assert sobolev_right_q(q, p, delta, mu) == pytest.approx(
+        assert riesz_right_q(q, p, delta, mu, 1.0) == pytest.approx(
             _sobolev_right_q_indep(q, p, delta, mu), rel=1e-12)
-        assert sobolev_q_lower(p, delta, mu, 2) == pytest.approx(
+        assert riesz_q_lower(p, delta, mu, 1.0, 2) == pytest.approx(
             _sobolev_q_lower_indep(p, delta, mu, 2), rel=1e-12)
         assert riesz_left_exponent(p, delta, mu, alpha) == pytest.approx(
             _riesz_left_indep(p, delta, mu, alpha), rel=1e-12)
@@ -92,9 +89,9 @@ def test_window_formulas_against_independent_derivations():
 
 def test_window_reference_values():
     # dim 2: p=1.5, delta=2, mu=0 gives left exponent 6
-    assert sobolev_left_exponent(1.5, 2.0, 0.0) == pytest.approx(6.0)
+    assert riesz_left_exponent(1.5, 2.0, 0.0, 1.0) == pytest.approx(6.0)
     # mu=0.5, p=1.2: 1.2*1.4/0.8 = 2.1
-    assert sobolev_left_exponent(1.2, 2.0, 0.5) == pytest.approx(2.1)
+    assert riesz_left_exponent(1.2, 2.0, 0.5, 1.0) == pytest.approx(2.1)
     # riesz: p=1.5, alpha=1, delta=2 -> 6
     assert riesz_left_exponent(1.5, 2.0, 0.0, 1.0) == pytest.approx(6.0)
     # gradient window for p=1.05, s=4: (1 - 2/1.05, -0.5]
