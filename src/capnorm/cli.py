@@ -106,6 +106,8 @@ def _experiment(name: str) -> verify.Experiment:
 
 def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
     cfg = copy.deepcopy(_experiment(experiment).defaults)
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"a config file must hold a JSON object, got {type(file_cfg).__name__}")
     for source in (file_cfg, overrides):
         for key, value in source.items():
             if key not in cfg:
@@ -132,8 +134,7 @@ def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
         kwargs["sampler"] = sampler_from_config(kwargs["sampler"], dim)
     if "qt" in kwargs:
         kwargs["qt"] = _parse_q(kwargs["qt"])
-    result = getattr(verify, _experiment(experiment).runner)(**kwargs)
-    return result[1] if isinstance(result, tuple) else result  # sharpness runners return (fit, report)
+    return getattr(verify, _experiment(experiment).runner)(**kwargs)
 
 
 def _selftest(seed: int = 20240501) -> dict:
@@ -316,9 +317,7 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            file_cfg = {}
-            if args.config:
-                file_cfg = io.load_path(args.config)
+            file_cfg = io.load_path(args.config) if args.config else {}
             overrides = {}
             for item in args.overrides:
                 key, _, raw = item.partition("=")
@@ -342,8 +341,9 @@ def run(argv=None) -> int:
             _emit(doc)
             return 0 if doc["all_pass"] else 1
 
-    # ConfigError, GridError and json.JSONDecodeError are ValueErrors
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    # ConfigError, GridError, io.DocumentError and json.JSONDecodeError are ValueErrors;
+    # OSError covers a missing file and a directory given as a file
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,10 @@ from .content import CoverSolution
 from .grid import CellSet, DyadicGrid, GridFunction, make_grid
 
 
+class DocumentError(ValueError):
+    """A JSON document that does not have its schema's layout."""
+
+
 def grid_to_dict(grid: DyadicGrid) -> dict:
     return {
         "dim": grid.dim,
@@ -49,8 +53,10 @@ def cellset_to_dict(cells: CellSet) -> dict:
 
 def cellset_from_dict(doc: dict) -> CellSet:
     grid = grid_from_dict(doc["grid"])
-    mask = np.asarray(doc["cells"], dtype=bool).reshape(grid.shape)
-    return CellSet(grid, mask)
+    cells = np.asarray(doc["cells"])
+    if cells.dtype.kind not in "iuf" or not np.all((cells == 0) | (cells == 1)):
+        raise DocumentError("cell-set cells must each be 0 or 1")
+    return CellSet(grid, cells.astype(bool).reshape(grid.shape))
 
 
 def gridfunction_to_dict(f: GridFunction) -> dict:
@@ -84,9 +90,16 @@ def load_path(path: str) -> dict:
         return json.load(fh)
 
 
+def _read(path: str, from_dict):
+    try:
+        return from_dict(load_path(path))
+    except TypeError as exc:  # a list document, a null value, a number where a list belongs
+        raise DocumentError(f"{path} does not have the document layout: {exc}") from None
+
+
 def read_cellset(path: str) -> CellSet:
-    return cellset_from_dict(load_path(path))
+    return _read(path, cellset_from_dict)
 
 
 def read_gridfunction(path: str) -> GridFunction:
-    return gridfunction_from_dict(load_path(path))
+    return _read(path, gridfunction_from_dict)

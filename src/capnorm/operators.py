@@ -272,42 +272,31 @@ def maximal_at(f: GridFunction, x, mu: float) -> float:
 # Hedberg diagnostics -------------------------------------------------------
 
 
-def hedberg_exponents(dim: int, delta: float, alpha: float, mu: float, p: float, q: float):
-    """Exponent bookkeeping for the pointwise Riesz-by-maximal bound.
+def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExponents):
+    """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
 
-    Returns (maximal_power, norm_power, norm_q) where the bound reads
-    LHS <= C * M_mu(f)^maximal_power * ||f||^norm_power with the norm in
-    L^{p, norm_q}(H^delta) on the main branch and L^p(H^delta) at the
-    endpoint p = delta/dim.
+    The bound reads LHS <= C * M_mu(f)^maximal_power * ||f||^norm_power.
+    Main branch p in (delta/dim, delta/alpha): the norm is L^{p, norm_q}
+    over the content of exponent delta.  Endpoint p = delta/dim: the plain
+    p-norm, Lorentz (p, p).
     """
+    dim = f.grid.dim
+    p, q, delta = exps.p, exps.q, exps.delta
     if not (0 < alpha < dim):
         raise OperatorError(f"alpha must be in (0, dim), got {alpha}")
     if not (0 <= mu < alpha):
         raise OperatorError(f"mu must be in [0, alpha), got {mu}")
     if not (0 < delta <= dim):
         raise OperatorError(f"delta must be in (0, dim], got {delta}")
-    maximal_power = (delta - p * alpha) / (delta - mu * p)
-    norm_power = p * (alpha - mu) / (delta - mu * p)
-    norm_q = q * (delta - p * alpha) / (delta - mu * p) if q != math.inf else math.inf
-    return maximal_power, norm_power, norm_q
-
-
-def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExponents):
-    """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
-
-    Main branch requires p in (delta/dim, delta/alpha); the endpoint
-    branch p = delta/dim uses the plain p-norm, Lorentz (p, p), in the
-    denominator.
-    """
-    dim = f.grid.dim
-    p, q, delta = exps.p, exps.q, exps.delta
     endpoint = p == delta / dim
     if not endpoint and not (delta / dim < p < delta / alpha):
         raise OperatorError(
             f"p must equal delta/dim or lie in (delta/dim, delta/alpha) = "
             f"({delta / dim:g}, {delta / alpha:g}), got {p}"
         )
-    maximal_power, norm_power, norm_q = hedberg_exponents(dim, delta, alpha, mu, p, q)
+    maximal_power = (delta - p * alpha) / (delta - mu * p)
+    norm_power = p * (alpha - mu) / (delta - mu * p)
+    norm_q = q * (delta - p * alpha) / (delta - mu * p) if q != math.inf else math.inf
     if not f.values.any():
         return None
     norm = lorentz_norm(f, LorentzExponents(p, p if endpoint else norm_q, delta))

@@ -7,15 +7,15 @@ and emit a self-contained ExperimentReport: full parameter record,
 Re-running with the embedded parameters reproduces the series
 bit-identically.
 
-Two skeletons carry the pattern.  _ratio_sweep runs the depth sweep of
-poincare, poincare_weak, poincare_sobolev, riesz_bound and maximal_bound:
-each runner validates its exponents, records its params and passes a
-per-depth sides function.  _eps_sweep runs the truncation sweep of the
-two sharpness runners and fits the log-log slope.  compact_support and
-hedberg keep their own loops.  All seven depth runners record their
-depths through _depth_list, which refuses an empty or non-increasing
-list.  EXPERIMENTS declares each experiment once for the CLI: its
-runner's name and the defaults the signature lacks.
+One point loop, _sweep, runs every experiment; compact_support and
+hedberg call it directly, the rest through two adapters.  _ratio_sweep
+labels lhs/rhs/ratio@d<depth> and judges ratio growth; _eps_sweep labels
+lhs/rhs@eps=<eps> and fits the log-log slope.  Every runner returns one
+ExperimentReport and checks its points before building a grid: depths
+through _depth_list (nonempty, strictly increasing), eps_list in
+_eps_sweep (at least 4, all positive).  EXPERIMENTS declares each
+experiment once for the CLI: its runner's name and the defaults the
+signature lacks.
 
 Every side is one Lorentz norm, ``lorentz_norm`` at some (p, q, delta);
 a plain p-norm is the (p, p) case.  One rule, _improved_exponents, gives
@@ -137,30 +137,19 @@ def riesz_blowup_prediction(eta: float, p: float, s: float, delta: float, mu: fl
 # report infrastructure ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares slope of log(ys) against log(xs)."""
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
-    xs = tuple(float(x) for x in xs)
-    ys = tuple(float(y) for y in ys)
-    if len(xs) < 4:
-        raise VerifyError(f"slope fit needs at least 4 points, got {len(xs)}")
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
+def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(slope, r_squared) of the least-squares line of log(ys) against log(xs)."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.size < 4:
+        raise VerifyError(f"slope fit needs at least 4 points, got {xs.size}")
+    if (xs <= 0).any() or (ys <= 0).any():
         raise VerifyError("slope fit needs positive data")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residual**2)) / ss_tot
-    return SlopeFit(xs=xs, ys=ys, slope=float(slope), intercept=float(intercept), r_squared=r2)
+    return float(slope), r2
 
 
 @dataclass(frozen=True)
@@ -181,32 +170,22 @@ class ExperimentReport:
         }
 
 
-def config_hash(params: dict) -> str:
-    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
-
-
 def _report(experiment: str, params: dict, series, verdict: bool) -> ExperimentReport:
+    config_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
     return ExperimentReport(
         experiment=experiment,
         params=params,
         series=tuple((str(k), float(v)) for k, v in series),
         verdict=bool(verdict),
-        provenance={"version": __version__, "config_hash": config_hash(params)},
+        provenance={"version": __version__, "config_hash": config_hash},
     )
 
 
 def growth_factors_ok(ratios: Sequence[float]) -> bool:
     """All ratios finite; consecutive growth below GROWTH_FACTOR_LIMIT; zeros pass."""
-    if any(not math.isfinite(r) for r in ratios):
-        return False
-    for prev, cur in zip(ratios, ratios[1:]):
-        if prev == 0.0:
-            if cur != 0.0:
-                return False
-            continue
-        if cur / prev >= GROWTH_FACTOR_LIMIT:
-            return False
-    return True
+    return all(map(math.isfinite, ratios)) and all(
+        cur == 0.0 if prev == 0.0 else cur / prev < GROWTH_FACTOR_LIMIT
+        for prev, cur in zip(ratios, ratios[1:]))
 
 
 def _depth_list(depths: Sequence[int]) -> list:
@@ -247,14 +226,26 @@ def _golden_min(fun: Callable[[float], float], lo: float, hi: float) -> float:
 # sweep skeletons ------------------------------------------------------------
 
 
+def _sweep(points: Sequence, at: Callable[[object], tuple[tuple, list]]) -> tuple[list, list]:
+    """The one point loop: at(point) = (judged values, entries) -> (series, one column per value)."""
+    series, judged = [], []
+    for point in points:
+        values, entries = at(point)
+        judged.append(values)
+        series += entries
+    return series, list(zip(*judged))
+
+
 def _ratio_sweep(experiment: str, params: dict, sides: Callable[[int], tuple]) -> ExperimentReport:
     """Over params["depths"]: sides(depth) = (lhs, rhs, *extra entries); ratios judged by growth."""
-    series, ratios = [], []
-    for depth in params["depths"]:
+
+    def at(depth):
         lhs, rhs, *extra = sides(depth)
         ratio = _safe_ratio(lhs, rhs, experiment)
-        ratios.append(ratio)
-        series += [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio), *extra]
+        entries = [(f"lhs@d{depth}", lhs), (f"rhs@d{depth}", rhs), (f"ratio@d{depth}", ratio)]
+        return (ratio,), entries + extra
+
+    series, (ratios,) = _sweep(params["depths"], at)
     return _report(experiment, params, series, growth_factors_ok(ratios))
 
 
@@ -264,31 +255,35 @@ def _eps_sweep(
     predicted_key: str,
     fields: Callable[[DyadicGrid, float], tuple[GridFunction, GridFunction]],
     slope_ok: Callable[[float, float], bool],
-) -> tuple[SlopeFit, ExperimentReport]:
+) -> ExperimentReport:
     """Over params["eps_list"] on one grid: fields(grid, eps) = (left, right) grid functions.
 
     Their norms are the sides, in L^{s,q} over the content of exponent
-    delta - mu p and in L^{p,qt}.  The verdict needs slope_ok(fitted slope,
-    predicted) and a right-side variation below RHS_VARIATION_LIMIT.
+    delta - mu p and in L^{p,qt}.  The verdict, whose two limits this
+    records in params, needs slope_ok(fitted slope, predicted) and a
+    right-side variation below RHS_VARIATION_LIMIT.
     """
+    if len(params["eps_list"]) < 4 or params["eps_list"][0] <= 0:  # before any grid is built
+        raise VerifyError(f"eps_list must hold at least 4 positive values, got {params['eps_list']}")
+    params = {**params, "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT}
     grid = make_grid(params["dim"], params["depth"], params["root_side"])
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
     right = LorentzExponents(p, params["qt"], delta)
-    lhs_vals, rhs_vals, series = [], [], []
-    for eps in params["eps_list"]:
+
+    def at(eps):
         left_fn, right_fn = fields(grid, eps)
         lhs, rhs = lorentz_norm(left_fn, left), lorentz_norm(right_fn, right)
-        lhs_vals.append(lhs)
-        rhs_vals.append(rhs)
-        series += [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
-    fit = fit_loglog(params["eps_list"], lhs_vals)
+        return (lhs, rhs), [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
+
+    series, (lhs_vals, rhs_vals) = _sweep(params["eps_list"], at)
+    slope, r_squared = fit_loglog(params["eps_list"], lhs_vals)
     predicted = params[predicted_key]
     rhs_variation = max(rhs_vals) / min(rhs_vals) - 1.0
-    series += [("fitted_slope", fit.slope), (predicted_key, predicted),
-               ("r_squared", fit.r_squared), ("rhs_variation", rhs_variation)]
-    verdict = slope_ok(fit.slope, predicted) and rhs_variation < RHS_VARIATION_LIMIT
-    return fit, _report(experiment, params, series, verdict)
+    series += [("fitted_slope", slope), (predicted_key, predicted),
+               ("r_squared", r_squared), ("rhs_variation", rhs_variation)]
+    verdict = slope_ok(slope, predicted) and rhs_variation < RHS_VARIATION_LIMIT
+    return _report(experiment, params, series, verdict)
 
 
 # shared geometry ------------------------------------------------------------
@@ -466,12 +461,8 @@ def compact_support_check(
         raise VerifyError(f"p must be in (delta/dim, delta) = ({delta / dim:g}, {delta:g}), got {p}")
     if not (delta / dim < q < math.inf):
         raise VerifyError(f"q must be in (delta/dim, inf), got {q}")
-    if not (0 <= mu < 1):
-        raise VerifyError(f"mu must be in [0, 1), got {mu}")
     p_end = delta / dim
     diam = shape.diameter
-    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu,
-                            depths=_depth_list(depths), root_side=root_side, diam=diam)
     strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
     # variant -> (exponents of f's norm, gradient factor, exponents of the gradient's norm)
     variants = {
@@ -479,12 +470,12 @@ def compact_support_check(
         "weak": (LorentzExponents(p_end, math.inf, delta), diam, p_norm),
         "sobolev": (LorentzExponents(riesz_left_exponent(p, delta, mu, 1.0), q, delta - mu * p),
                     1.0, LorentzExponents(p, riesz_right_q(q, p, delta, mu, 1.0), delta)),
-        "sobolev_weak": (LorentzExponents(riesz_left_exponent(p_end, delta, mu, 1.0), math.inf,
-                                          delta - mu * p_end), 1.0, p_norm),
+        "sobolev_weak": (_improved_exponents(p_end, None, delta, mu, 1.0, dim)[0], 1.0, p_norm),
     }
-    per_variant = {v: [] for v in variants}
-    series = []
-    for depth in params["depths"]:
+    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu,
+                            depths=_depth_list(depths), root_side=root_side, diam=diam)
+
+    def at(depth):
         domain = _domain_at_depth(shape, depth, root_side)
         grid = domain.grid
         f = sample(sampler, grid)
@@ -494,13 +485,13 @@ def compact_support_check(
             raise VerifyError("support touches the domain boundary (needs a 2-cell margin)")
         grad = gradient_magnitude(sampler, grid).restrict(domain.cells)
         fr = f.restrict(domain.cells)
-        for v, (left, factor, right) in variants.items():
-            lhs, rhs = lorentz_norm(fr, left), factor * lorentz_norm(grad, right)
-            ratio = _safe_ratio(lhs, rhs, f"compact_support {v}")
-            per_variant[v].append(ratio)
-            series.append((f"{v}@d{depth}", ratio))
-    verdict = all(growth_factors_ok(ratios) for ratios in per_variant.values())
-    return _report("compact_support", params, series, verdict)
+        ratios = tuple(_safe_ratio(lorentz_norm(fr, left), factor * lorentz_norm(grad, right),
+                                   f"compact_support {v}")
+                       for v, (left, factor, right) in variants.items())
+        return ratios, [(f"{v}@d{depth}", ratio) for v, ratio in zip(variants, ratios)]
+
+    series, per_variant = _sweep(params["depths"], at)
+    return _report("compact_support", params, series, all(map(growth_factors_ok, per_variant)))
 
 
 def riesz_boundedness_check(
@@ -585,16 +576,15 @@ def hedberg_constant_check(
         "stability": HEDBERG_STABILITY,
     }
     exps = LorentzExponents(p, q, delta)
-    sups = []
-    series = []
-    for depth in params["depths"]:
+
+    def at(depth):
         ff = sample(sampler, make_grid(dim, depth, root_side))
         sup = hedberg_ratio_field(ff, alpha, mu, exps).max()
-        sups.append(sup)
-        series.append((f"sup_ratio@d{depth}", sup))
-    finite = all(math.isfinite(s) for s in sups)
-    spread_ok = finite and (max(sups) <= (1.0 + HEDBERG_STABILITY) * min(sups))
-    return _report("hedberg", params, series, finite and spread_ok)
+        return (sup,), [(f"sup_ratio@d{depth}", sup)]
+
+    series, (sups,) = _sweep(params["depths"], at)
+    ok = all(map(math.isfinite, sups)) and max(sups) <= (1.0 + HEDBERG_STABILITY) * min(sups)
+    return _report("hedberg", params, series, ok)
 
 
 def sharpness_poincare(
@@ -609,7 +599,7 @@ def sharpness_poincare(
     dim: int = 2,
     root_side: float = 2.0,
     qt: float = DEFAULT_QT,
-) -> tuple[SlopeFit, ExperimentReport]:
+) -> ExperimentReport:
     """Scaling of the truncated radial-power family against its gradient.
 
     u_eps = |x|^eta on the annulus eps <= |x| < 1.  The truncated
@@ -635,7 +625,6 @@ def sharpness_poincare(
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
         "root_side": root_side, "qt": qt,
         "predicted_slope": gradient_slope_prediction(eta, p, s, delta, mu),
-        "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT,
     }
     return _eps_sweep("sharpness_poincare", params, "predicted_slope", fields,
                       lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
@@ -655,7 +644,7 @@ def sharpness_riesz(
     root_side: float = 20.48,
     qt: float = DEFAULT_QT,
     outer_radius: float = 10.0,
-) -> tuple[SlopeFit, ExperimentReport]:
+) -> ExperimentReport:
     """Blow-up of the Riesz potential of the truncated radial family.
 
     f_eps = |x|^eta on eps <= |x| < outer_radius.  The potential norm
@@ -680,7 +669,6 @@ def sharpness_riesz(
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
         "root_side": root_side, "qt": qt, "outer_radius": outer_radius,
         "predicted_blowup": riesz_blowup_prediction(eta, p, s, delta, mu, alpha),
-        "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT,
     }
     return _eps_sweep("sharpness_riesz", params, "predicted_blowup", fields,
                       lambda slope, predicted: slope <= predicted + SLOPE_TOLERANCE)

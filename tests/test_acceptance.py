@@ -179,25 +179,25 @@ def test_criterion_08_poincare_family():
 
 
 def test_criterion_09_sharpness_gradient():
-    fit, rep = verify.sharpness_poincare(
+    rep = verify.sharpness_poincare(
         delta=2.0, mu=0.0, p=1.05, s=4.0, q=4.0, eta=-0.8,
         eps_list=[2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5], depth=8,
     )
     d = dict(rep.series)
-    ok = abs(fit.slope - (-0.3)) <= 0.05 and d["rhs_variation"] < 0.10
-    print(f"  slope {fit.slope:.4f} (target -0.30 +- 0.05), "
+    ok = abs(d["fitted_slope"] - (-0.3)) <= 0.05 and d["rhs_variation"] < 0.10
+    print(f"  slope {d['fitted_slope']:.4f} (target -0.30 +- 0.05), "
           f"gradient-norm variation {d['rhs_variation']:.4f}")
     _line(9, "gradient sharpness scaling at depth 8", ok and rep.verdict)
 
 
 def test_criterion_10_sharpness_riesz():
-    fit, rep = verify.sharpness_riesz(
+    rep = verify.sharpness_riesz(
         delta=2.0, mu=0.0, alpha=1.0, p=1.5, s=8.0, q=8.0, eta=-1.3,
         eps_list=[0.5, 0.25, 0.125, 0.0625], depth=10,
     )
     d = dict(rep.series)
-    ok = fit.slope <= d["predicted_blowup"] + 0.05 and d["rhs_variation"] < 0.10
-    print(f"  slope {fit.slope:.4f} (must be <= {d['predicted_blowup'] + 0.05:.4f}), "
+    ok = d["fitted_slope"] <= d["predicted_blowup"] + 0.05 and d["rhs_variation"] < 0.10
+    print(f"  slope {d['fitted_slope']:.4f} (must be <= {d['predicted_blowup'] + 0.05:.4f}), "
           f"source-norm variation {d['rhs_variation']:.4f}")
     _line(10, "Riesz sharpness blow-up at depth 10", ok and rep.verdict)
 

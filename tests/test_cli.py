@@ -115,6 +115,21 @@ def test_verify_config_value_of_wrong_type_exits_2(override, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_config_file_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["verify", "poincare", "--config", str(cfg)]) == 2
+    assert "a config file must hold a JSON object, got list" in capsys.readouterr().err
+
+
+# fewer than 4 radii, or a non-positive one, is refused before any field is computed
+@pytest.mark.parametrize("eps_list", ["[0.5,0.25,0.125]", "[0.5,0.25,0.125,0.0]"])
+@pytest.mark.parametrize("experiment", ["sharpness_poincare", "sharpness_riesz"])
+def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, capsys):
+    assert run(["verify", experiment, "--set", f"eps_list={eps_list}"]) == 2
+    assert "eps_list must hold at least 4 positive values" in capsys.readouterr().err
+
+
 def test_verify_runs_and_is_deterministic(capsys):
     assert run(["verify", "poincare", "--set", "depths=[3,4]"]) == 0
     out1 = capsys.readouterr().out
@@ -274,3 +289,45 @@ def test_grid_document_accepts_integral_floats():
     g = io.grid_from_dict({"dim": 2.0, "depth": 3.0, "root_side": 1.0, "origin": [0.0, 0.0]})
     assert g == make_grid(2, 3, 1.0, origin=(0.0, 0.0))
     assert type(g.dim) is int and type(g.depth) is int
+
+
+# a directory is an OSError other than FileNotFoundError
+@pytest.mark.parametrize("argv", [
+    ["verify", "poincare", "--config"],
+    ["norm", "--delta", "1.5", "--p", "2", "--fn"],
+], ids=["config", "fn"])
+def test_directory_as_input_file_exits_2(argv, tmp_path, capsys):
+    assert run([*argv, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_SMALL_GRID = {"dim": 1, "depth": 2, "root_side": 1.0, "origin": [0.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"grid": _SMALL_GRID, "values": ["1", None, "2", "3"]},
+    {"grid": {**_SMALL_GRID, "origin": 0.0}, "values": ["1", "0", "2", "3"]},
+], ids=["list_document", "null_value", "scalar_origin"])
+def test_malformed_gridfunction_document_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.DocumentError, match="does not have the document layout"):
+        io.read_gridfunction(str(path))
+    assert run(["norm", "--fn", str(path), "--delta", "0.5", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# the cell-set schema allows only 0 and 1; these were read as occupied cells
+@pytest.mark.parametrize("cell", ["x", 2, -1])
+def test_cellset_cells_other_than_0_and_1_exit_2(cell, tmp_path, capsys):
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps({"grid": _SMALL_GRID, "cells": [1, cell, 0, 1]}))
+    assert run(["content", "--set", str(path), "--delta", "0.5"]) == 2
+    assert "cell-set cells must each be 0 or 1" in capsys.readouterr().err
+
+
+def test_cellset_cells_accept_integral_floats():
+    # JSON Schema counts 1.0 as an integer
+    doc = {"grid": _SMALL_GRID, "cells": [1.0, 0, 0.0, 1]}
+    assert io.cellset_from_dict(doc).mask.tolist() == [True, False, False, True]

@@ -7,7 +7,6 @@ from capnorm.domains import Shape
 from capnorm.grid import Sampler
 from capnorm import verify
 from capnorm.verify import (
-    SlopeFit,
     VerifyError,
     fit_loglog,
     gradient_eta_window,
@@ -108,9 +107,9 @@ def test_window_reference_values():
 
 def test_fit_loglog_exact_power_law():
     xs = np.array([0.25, 0.125, 0.0625, 0.03125])
-    fit = fit_loglog(xs, xs**-0.3)
-    assert fit.slope == pytest.approx(-0.3, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    slope, r_squared = fit_loglog(xs, xs**-0.3)
+    assert slope == pytest.approx(-0.3, abs=1e-12)
+    assert r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_loglog_needs_four_positive_points():
@@ -220,6 +219,28 @@ def test_sharpness_riesz_window_errors():
                                [0.5, 0.25, 0.125, 0.0625], depth=4)
 
 
+@pytest.mark.parametrize("eps_list", [[0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0]])
+def test_sharpness_eps_list_refused_before_any_grid(eps_list, monkeypatch):
+    # three radii used to compute three depth-10 fields before the fit refused them
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before eps_list was checked")
+
+    monkeypatch.setattr(verify, "make_grid", no_grid)
+    monkeypatch.setattr(verify, "sample", no_grid)
+    with pytest.raises(VerifyError, match="^eps_list must hold at least 4 positive values"):
+        verify.sharpness_riesz(2.0, 0.0, 1.0, 1.5, 8.0, 8.0, -1.3, eps_list)
+
+
+def test_sharpness_runners_return_one_report_with_the_slope_in_the_series():
+    rep = verify.sharpness_poincare(2.0, 0.0, 1.05, 4.0, 4.0, -0.8,
+                                    [0.25, 0.125, 0.0625, 0.03125], depth=4)
+    assert isinstance(rep, verify.ExperimentReport)
+    series = dict(rep.series)
+    lhs = [series[f"lhs@eps={eps:g}"] for eps in rep.params["eps_list"]]
+    slope, r_squared = fit_loglog(rep.params["eps_list"], lhs)
+    assert (series["fitted_slope"], series["r_squared"]) == (slope, r_squared)
+
+
 def test_report_reproducible():
     rep1 = verify.poincare_check(BALL, LINEAR, 2.0, 1.5, 1.5, [3, 4])
     rep2 = verify.poincare_check(BALL, LINEAR, 2.0, 1.5, 1.5, [3, 4])
@@ -240,11 +261,10 @@ def test_compact_support_zero_function():
     assert all(v == 0.0 for _, v in rep.series)
 
 
-def test_slope_fit_dataclass_fields():
-    fit = fit_loglog([1.0, 2.0, 4.0, 8.0], [2.0, 4.0, 8.0, 16.0])
-    assert isinstance(fit, SlopeFit)
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert len(fit.xs) == 4
+def test_fit_loglog_returns_slope_and_r_squared():
+    slope, r_squared = fit_loglog([1.0, 2.0, 4.0, 8.0], [2.0, 4.0, 8.0, 16.0])
+    assert slope == pytest.approx(1.0, abs=1e-12)
+    assert r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_riesz_bound_zero_function():
