@@ -53,8 +53,9 @@ def cellset_to_dict(cells: CellSet) -> dict:
 
 def cellset_from_dict(doc: dict) -> CellSet:
     grid = grid_from_dict(doc["grid"])
+    types = set(map(type, doc["cells"]))  # numpy would read a JSON true among integers as 1
     cells = np.asarray(doc["cells"])
-    if cells.dtype.kind not in "iuf" or not np.all((cells == 0) | (cells == 1)):
+    if not types <= {int, float} or not np.all((cells == 0) | (cells == 1)):
         raise DocumentError("cell-set cells must each be 0 or 1")
     return CellSet(grid, cells.astype(bool).reshape(grid.shape))
 
@@ -68,6 +69,8 @@ def gridfunction_to_dict(f: GridFunction) -> dict:
 
 def gridfunction_from_dict(doc: dict) -> GridFunction:
     grid = grid_from_dict(doc["grid"])
+    if not isinstance(doc["values"], list) or not set(map(type, doc["values"])) <= {str}:
+        raise DocumentError("grid-function values must be a list of decimal strings")
     values = np.asarray([float(v) for v in doc["values"]]).reshape(grid.shape)
     return GridFunction(grid, values)
 
@@ -93,7 +96,7 @@ def load_path(path: str) -> dict:
 def _read(path: str, from_dict):
     try:
         return from_dict(load_path(path))
-    except TypeError as exc:  # a list document, a null value, a number where a list belongs
+    except (TypeError, DocumentError) as exc:  # a list document, a null or a wrongly typed value
         raise DocumentError(f"{path} does not have the document layout: {exc}") from None
 
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
@@ -437,6 +438,14 @@ def poincare_sobolev_check(
     return _ratio_sweep("poincare_sobolev", params, sides)
 
 
+def _box_grow(mask: np.ndarray, cells: int) -> np.ndarray:
+    """The cells within `cells` cells of `mask` in the sup norm; cells outside the grid are empty."""
+    grown = np.pad(mask, cells)
+    for axis in range(mask.ndim):  # separable: any over a window of 2 cells + 1, one axis at a time
+        grown = sliding_window_view(grown, 2 * cells + 1, axis=axis).any(axis=-1)
+    return grown
+
+
 def compact_support_check(
     shape: Shape,
     sampler: Sampler,
@@ -454,8 +463,6 @@ def compact_support_check(
     The sampled support must keep a margin of at least 2 cells inside
     the domain boundary.
     """
-    from scipy import ndimage
-
     dim = shape.dim
     if not (delta / dim < p < delta):
         raise VerifyError(f"p must be in (delta/dim, delta) = ({delta / dim:g}, {delta:g}), got {p}")
@@ -479,9 +486,7 @@ def compact_support_check(
         domain = _domain_at_depth(shape, depth, root_side)
         grid = domain.grid
         f = sample(sampler, grid)
-        box = np.ones((3,) * grid.dim, dtype=bool)  # sup-norm margin
-        grown = ndimage.binary_dilation(f.support.mask, structure=box, iterations=2)
-        if not np.all(~grown | domain.cells.mask):
+        if not np.all(~_box_grow(f.support.mask, 2) | domain.cells.mask):
             raise VerifyError("support touches the domain boundary (needs a 2-cell margin)")
         grad = gradient_magnitude(sampler, grid).restrict(domain.cells)
         fr = f.restrict(domain.cells)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -318,8 +321,22 @@ def test_malformed_gridfunction_document_exits_2(doc, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# the grid-function schema asks for a list of decimal strings; numbers, true and a
+# string of digits were each read as values
+@pytest.mark.parametrize("values", [[1.5, 2, "3", True], ["1", "2", "3", True], "1234"],
+                         ids=["numbers", "true", "string"])
+def test_gridfunction_values_other_than_strings_exit_2(values, tmp_path, capsys):
+    with pytest.raises(io.DocumentError, match="values must be a list of decimal strings"):
+        io.gridfunction_from_dict({"grid": _SMALL_GRID, "values": values})
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"grid": _SMALL_GRID, "values": values}))
+    assert run(["norm", "--fn", str(path), "--delta", "0.5", "--p", "2"]) == 2
+    assert "values must be a list of decimal strings" in capsys.readouterr().err
+
+
 # the cell-set schema allows only 0 and 1; these were read as occupied cells
-@pytest.mark.parametrize("cell", ["x", 2, -1])
+# (numpy reads a true among integers as 1)
+@pytest.mark.parametrize("cell", ["x", 2, -1, True])
 def test_cellset_cells_other_than_0_and_1_exit_2(cell, tmp_path, capsys):
     path = tmp_path / "cells.json"
     path.write_text(json.dumps({"grid": _SMALL_GRID, "cells": [1, cell, 0, 1]}))
@@ -331,3 +348,17 @@ def test_cellset_cells_accept_integral_floats():
     # JSON Schema counts 1.0 as an integer
     doc = {"grid": _SMALL_GRID, "cells": [1.0, 0, 0.0, 1]}
     assert io.cellset_from_dict(doc).mask.tolist() == [True, False, False, True]
+
+
+# scipy serves scipy.fft only; scipy.integrate would also load scipy.optimize.
+# The CI step after the selftest runs this line against the installed package.
+IMPORT_GUARD = ("import sys, capnorm.cli; "
+                "bad = sorted({'scipy.integrate', 'scipy.optimize', 'scipy.ndimage'} & set(sys.modules)); "
+                "sys.exit('loaded: ' + ', '.join(bad) if bad else 0)")
+
+
+def test_cli_import_loads_no_scipy_beyond_fft():
+    src = os.path.dirname(os.path.dirname(operators.__file__))  # the capnorm under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

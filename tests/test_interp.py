@@ -6,9 +6,12 @@ import pytest
 from capnorm.choquet import LorentzExponents, choquet_p_norm, lorentz_norm
 from capnorm.content import content_value
 from capnorm.grid import CellSet, GridFunction, Sampler, make_grid, sample
+from capnorm import interp
 from capnorm.interp import (
+    QUAD_RTOL,
     InterpError,
     InterpPair,
+    _interior_integrals,
     interpolation_norm,
     k_functional_upper,
     k_profile,
@@ -132,3 +135,34 @@ def test_sampled_function_interpolation():
     direct = lorentz_norm(f, LorentzExponents(pair.p, pair.q_interp, pair.delta))
     assert 0 < n < math.inf
     assert 0.01 <= n / direct <= 100.0
+
+
+# (eta, q, segments (a, b, t0, t1)); the last two groups span ln(t1/t0) >= 30 at q >= 8
+SEGMENT_GROUPS = [
+    (0.5, 2.0, [(1.0, 1.0, 0.1, 10.0), (3.0, 0.2, 0.5, 40.0), (0.01, 5.0, 1e-4, 2e-3)]),
+    (0.3, 2.5, [(1.0, 1.0, 1e-3, 1e3), (2.0, 0.5, 4.0, 4.000001)]),
+    (0.9, 1.2, [(1.0, 1.0, 1e-8, 1e8), (5.0, 1e-3, 1e2, 1e4)]),
+    (0.5, 8.0, [(0.7, 2.0, 1e-7, 1e7), (1.0, 1.0, 1e-20, 1e-6)]),
+    (0.1, 12.0, [(2.0, 1e-3, 1e-5, 1e9), (1e-3, 3.0, 1e-10, 1e5)]),
+]
+
+
+@pytest.mark.parametrize("eta, q, segments", SEGMENT_GROUPS)
+def test_interior_integrals_match_quad(eta, q, segments):
+    integrate = pytest.importorskip("scipy.integrate")
+    a, b, t0, t1 = (list(col) for col in zip(*segments))
+    values, estimate = _interior_integrals(a, b, eta, q, t0, t1)
+    for value, (ai, bi, lo, hi) in zip(values, segments):
+        ref, _ = integrate.quad(lambda s: (math.exp(-eta * s) * (ai + bi * math.exp(s))) ** q,
+                                math.log(lo), math.log(hi), epsabs=0.0, epsrel=1e-12, limit=500)
+        assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert estimate <= QUAD_RTOL * float(np.sum(values))
+
+
+def test_interpolation_norm_refuses_a_large_error_estimate(monkeypatch):
+    # a 1-point estimate rule differs from the 20-point value far beyond QUAD_RTOL
+    monkeypatch.setattr(interp, "GL_LOW", 1)
+    g = make_grid(2, 5, 2.0)
+    f = sample(Sampler.radial_power(-0.4, center=(0.0, 0.0)), g)
+    with pytest.raises(InterpError, match="quadrature error estimate"):
+        interpolation_norm(f, PAIR)

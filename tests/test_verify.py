@@ -254,6 +254,18 @@ def test_compact_support_margin_guard():
                                      2.0, 1.5, 1.5, 0.0, [4])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_grow_matches_binary_dilation(dim):
+    # the margin test's growth: two dilations by the 3^dim box, zero outside the grid
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(dim)
+    box = np.ones((3,) * dim, dtype=bool)
+    for _ in range(40):
+        mask = rng.random(tuple(rng.integers(1, 13, size=dim))) < rng.uniform(0.0, 0.2)
+        ref = ndimage.binary_dilation(mask, structure=box, iterations=2)
+        np.testing.assert_array_equal(verify._box_grow(mask, 2), ref)
+
+
 def test_compact_support_zero_function():
     rep = verify.compact_support_check(BALL, Sampler.constant(0.0),
                                        2.0, 1.5, 1.5, 0.0, [3, 4])
