@@ -36,7 +36,6 @@ from .choquet import (
 )
 from .operators import (
     MaximalParams,
-    RieszParams,
     hedberg_ratio,
     l1_content_bound_check,
     maximal,

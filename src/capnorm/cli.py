@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import sys
@@ -23,9 +24,10 @@ import numpy as np
 from . import __version__, io, verify
 from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import content_oracle, content_value, dyadic_content
+from .domains import Shape
 from .grid import CellSet, GridFunction, Sampler, grid_integer, make_grid
 from .interp import InterpPair, interpolation_norm, k_profile
-from .operators import MaximalParams, RieszParams, maximal, riesz
+from .operators import MaximalParams, maximal, riesz
 
 
 class ConfigError(ValueError):
@@ -47,55 +49,42 @@ def _emit_csv(series, path):
         fh.write("\n".join(lines) + "\n")
 
 
+SAMPLER_KINDS = ("constant", "radial_power", "ball_indicator", "linear", "bump")
+SHAPE_KINDS = ("ball", "rectangle", "l_shape", "punctured_ball")
+
+
+def _construct(cls, kinds: tuple, kind, keys: dict, **defaults):
+    """cls.<kind>(**keys), defaults filling the keywords it takes that keys lack.
+
+    An unknown kind, a missing or unknown key, or a value the constructor
+    refuses is a ConfigError naming the kind.
+    """
+    what = f"{cls.__name__.lower()} kind {kind!r}"
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what}; choose from {list(kinds)}")
+    build = getattr(cls, kind)
+    taken = inspect.signature(build).parameters
+    try:
+        return build(**{**{k: v for k, v in defaults.items() if k in taken}, **keys})
+    except (TypeError, ValueError) as exc:  # TypeError: a key or a JSON type; ValueError: a value
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def sampler_from_config(cfg: dict, dim: int = 2) -> Sampler:
-    """Build a sampler for a dim-dimensional run; a missing center is the origin."""
-    cfg = dict(cfg)
-    kind = cfg.pop("kind")
-
-    def center():
-        c = np.atleast_1d(cfg.pop("center", (0.0,) * dim))
-        if c.size != dim:
-            raise ConfigError(f"sampler center has {c.size} coordinates but the run has dim {dim}")
-        return c
-
-    if kind == "constant":
-        s = Sampler.constant(cfg.pop("value"))
-    elif kind == "radial_power":
-        s = Sampler.radial_power(cfg.pop("exponent"), center(), cfg.pop("annulus", None))
-    elif kind == "ball_indicator":
-        s = Sampler.ball_indicator(center(), cfg.pop("radius"))
-    elif kind == "linear":
-        coeffs = np.atleast_1d(cfg.pop("coeffs"))
-        if coeffs.size != dim:
-            raise ConfigError(f"sampler coeffs has {coeffs.size} entries but the run has dim {dim}")
-        s = Sampler.linear(coeffs, cfg.pop("offset", 0.0))
-    elif kind == "bump":
-        s = Sampler.bump(center(), cfg.pop("radius"), cfg.pop("amplitude", 1.0))
-    else:
-        raise ConfigError(f"unknown sampler kind {kind!r}")
-    if cfg:
-        raise ConfigError(f"unknown sampler keys: {sorted(cfg)}")
-    return s
+    """Sampler.<kind> of a dim-dimensional run; a missing center is the origin."""
+    keys = dict(cfg)
+    sampler = _construct(Sampler, SAMPLER_KINDS, keys.pop("kind", None), keys,
+                         center=(0.0,) * dim)
+    for key, noun in (("center", "coordinates"), ("coeffs", "entries")):
+        size = len(getattr(sampler, key))
+        if key in keys and size != dim:
+            raise ConfigError(f"sampler {key} has {size} {noun} but the run has dim {dim}")
+    return sampler
 
 
-def shape_from_config(cfg: dict) -> verify.Shape:
-    cfg = dict(cfg)
-    kind = cfg.pop("shape")
-    from .domains import Shape
-
-    if kind == "ball":
-        s = Shape.ball(cfg.pop("center"), cfg.pop("radius"))
-    elif kind == "rectangle":
-        s = Shape.rectangle(cfg.pop("center"), *cfg.pop("sides"))
-    elif kind == "l_shape":
-        s = Shape.l_shape(cfg.pop("anchor"), cfg.pop("size"))
-    elif kind == "punctured_ball":
-        s = Shape.punctured_ball(cfg.pop("center"), cfg.pop("radius"))
-    else:
-        raise ConfigError(f"unknown shape kind {kind!r}")
-    if cfg:
-        raise ConfigError(f"unknown shape keys: {sorted(cfg)}")
-    return s
+def shape_from_config(cfg: dict) -> Shape:
+    keys = dict(cfg)
+    return _construct(Shape, SHAPE_KINDS, keys.pop("shape", None), keys)
 
 
 def _experiment(name: str) -> verify.Experiment:
@@ -293,7 +282,7 @@ def run(argv=None) -> int:
 
         if args.command == "riesz":
             f = io.read_gridfunction(args.fn)
-            _emit(io.gridfunction_to_dict(riesz(f, RieszParams(args.alpha))), args.out)
+            _emit(io.gridfunction_to_dict(riesz(f, args.alpha)), args.out)
             return 0
 
         if args.command == "interp":

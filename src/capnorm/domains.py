@@ -4,11 +4,12 @@ Supported shapes and their John constants (curve: straight segment to
 the center, or two segments through a quadrant center for the L-shape):
 
   ball(c, k)            alpha = beta = k, center c.
-  rectangle(c, a, b)    alpha = min(a, b)/2 (inradius), beta =
-                        sqrt(a^2+b^2)/2 (circumradius).  For any convex
-                        domain the straight segment to the incenter
-                        works: dist to the boundary along the segment is
-                        at least (t/len) * inradius >= (inradius/beta) t.
+  rectangle(c, sides)   sides (a, b): alpha = min(a, b)/2 (inradius),
+                        beta = sqrt(a^2+b^2)/2 (circumradius).  For any
+                        convex domain the straight segment to the
+                        incenter works: dist to the boundary along the
+                        segment is at least (t/len) * inradius >=
+                        (inradius/beta) t.
   l_shape(anchor, s)    three quadrants of a side-s square; center at
                         the lower-left quadrant center.  alpha = s/4,
                         beta = s: within a quadrant the square constants
@@ -59,7 +60,10 @@ class Shape:
                    radius=float(radius))
 
     @classmethod
-    def rectangle(cls, center, a, b) -> "Shape":
+    def rectangle(cls, center, sides) -> "Shape":
+        if len(sides) != 2:
+            raise DomainError(f"rectangle needs 2 sides, got {len(sides)}")
+        a, b = sides
         if a <= 0 or b <= 0:
             raise DomainError(f"rectangle sides must be positive, got {a}, {b}")
         return cls(kind="rectangle", center=tuple(float(c) for c in np.atleast_1d(center)),
@@ -154,7 +158,6 @@ class JohnDomain:
 class MeanValueBall:
     center: tuple[float, ...]
     radius: float
-    c_ball: float
 
 
 def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
@@ -194,7 +197,7 @@ def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
 def mean_value_ball(domain: JohnDomain, c_ball: float = DEFAULT_MEAN_BALL_CONSTANT) -> MeanValueBall:
     """B(x0, c_ball * alpha^2 / beta); must lie inside the domain cells."""
     radius = c_ball * domain.alpha_john**2 / domain.beta_john
-    ball = MeanValueBall(center=domain.center_x0, radius=radius, c_ball=c_ball)
+    ball = MeanValueBall(center=domain.center_x0, radius=radius)
     grid = domain.grid
     inside = _ball_mask(grid, ball)
     # containment is checked against the continuum shape: for punctured

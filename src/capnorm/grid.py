@@ -277,6 +277,13 @@ class GridFunction:
         return f"GridFunction(depth={self.grid.depth}, dim={self.grid.dim}, max={self.values.max():g})"
 
 
+def _radius(radius) -> float:
+    radius = float(radius)
+    if not (radius > 0 and math.isfinite(radius)):
+        raise GridError(f"sampler radius must be positive and finite, got {radius}")
+    return radius
+
+
 @dataclass(frozen=True)
 class Sampler:
     """Closed-form function descriptor sampled at cell centers.
@@ -288,7 +295,8 @@ class Sampler:
       ball_indicator  1 on B(center, radius)
       linear          coeffs . x + offset  (signed; use evaluate, not sample)
       bump            amplitude * (1 - |x - center|^2 / radius^2)_+^2
-      tabulated       explicit per-cell values (finite differences for gradients)
+
+    Radii must be positive and finite.
     """
 
     kind: str
@@ -300,6 +308,7 @@ class Sampler:
     offset: float = 0.0
     amplitude: float = 1.0
     annulus: Optional[tuple[float, float]] = None
+    # always None; kept because repr(sampler) is recorded in every report's params and hashed
     table: Optional[np.ndarray] = field(default=None, compare=False)
 
     @classmethod
@@ -325,7 +334,7 @@ class Sampler:
         return cls(
             kind="ball_indicator",
             center=tuple(float(c) for c in np.atleast_1d(center)),
-            radius=float(radius),
+            radius=_radius(radius),
         )
 
     @classmethod
@@ -341,13 +350,9 @@ class Sampler:
         return cls(
             kind="bump",
             center=tuple(float(c) for c in np.atleast_1d(center)),
-            radius=float(radius),
+            radius=_radius(radius),
             amplitude=float(amplitude),
         )
-
-    @classmethod
-    def tabulated(cls, values: np.ndarray) -> "Sampler":
-        return cls(kind="tabulated", table=np.asarray(values, dtype=np.float64))
 
     def _radii(self, points: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center)
@@ -405,8 +410,6 @@ class Sampler:
 
 def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
     """Midpoint-rule sampling onto a grid; values must be finite and >= 0."""
-    if sampler.kind == "tabulated":
-        return GridFunction(grid, sampler.table.reshape(grid.shape))
     vals = sampler.evaluate(grid.centers()).reshape(grid.shape)
     if not np.all(np.isfinite(vals)):
         raise GridError("sampler produced non-finite values at cell centers")
@@ -414,20 +417,7 @@ def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
 
 
 def gradient_magnitude(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
-    """|grad u| sampled at cell centers.
-
-    Closed-form kinds use the analytic gradient.  Tabulated samplers use
-    central finite differences with one-sided fallback at the grid
-    boundary (exact for linear data).
-    """
-    if sampler.kind == "tabulated":
-        table = sampler.table.reshape(grid.shape)
-        if grid.dim == 1:
-            comps = [np.gradient(table, grid.h)]
-        else:
-            comps = np.gradient(table, grid.h)
-        mag = np.sqrt(np.sum([c**2 for c in comps], axis=0))
-        return GridFunction(grid, mag)
+    """|grad u| sampled at cell centers, from the closed-form gradient."""
     if sampler.kind == "ball_indicator":
         raise GridError("ball indicator has no classical gradient")
     vals = sampler.gradient_magnitude_values(grid.centers()).reshape(grid.shape)

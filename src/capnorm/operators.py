@@ -101,13 +101,9 @@ class MaximalParams:
             raise OperatorError(f"mu must be in [0, dim), got {self.mu}")
 
 
-@dataclass(frozen=True)
-class RieszParams:
-    alpha: float
-
-    def validate(self, dim: int):
-        if not (0 < self.alpha < dim):
-            raise OperatorError(f"alpha must be in (0, dim), got {self.alpha}")
+def _check_alpha(alpha: float, dim: int):
+    if not (0 < alpha < dim):
+        raise OperatorError(f"alpha must be in (0, dim), got {alpha}")
 
 
 def _padded_shape(grid: DyadicGrid) -> tuple[int, ...]:
@@ -222,7 +218,7 @@ def _riesz_sums(f: GridFunction, alpha: float) -> np.ndarray:
     return np.maximum(_convolve(_forward(f.values, n), _kernel_spectrum(kernel)), 0.0)
 
 
-def riesz(f: GridFunction, params: RieszParams) -> GridFunction:
+def riesz(f: GridFunction, alpha: float) -> GridFunction:
     """Riesz potential by periodic FFT convolution with the cell-center kernel.
 
     Distinct cells contribute |x - y|^(alpha - dim) * cell_volume at the
@@ -234,9 +230,8 @@ def riesz(f: GridFunction, params: RieszParams) -> GridFunction:
     that DCT plus the pruned forward and inverse transforms of f.  Raises
     GridError when the (2m)^dim padded lattice exceeds the leaf-cell cap.
     """
-    params.validate(f.grid.dim)
-    c_alpha = riesz_normalization(f.grid.dim, params.alpha)
-    return GridFunction(f.grid, _riesz_sums(f, params.alpha) / c_alpha)
+    _check_alpha(alpha, f.grid.dim)
+    return GridFunction(f.grid, _riesz_sums(f, alpha) / riesz_normalization(f.grid.dim, alpha))
 
 
 def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
@@ -282,8 +277,7 @@ def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExpo
     """
     dim = f.grid.dim
     p, q, delta = exps.p, exps.q, exps.delta
-    if not (0 < alpha < dim):
-        raise OperatorError(f"alpha must be in (0, dim), got {alpha}")
+    _check_alpha(alpha, dim)
     if not (0 <= mu < alpha):
         raise OperatorError(f"mu must be in [0, alpha), got {mu}")
     if not (0 < delta <= dim):

@@ -50,7 +50,7 @@ from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
 from .grid import DyadicGrid, GridFunction, Sampler, gradient_magnitude, make_grid, sample
-from .operators import MaximalParams, RieszParams, hedberg_ratio_field, maximal, riesz
+from .operators import MaximalParams, hedberg_ratio_field, maximal, riesz
 
 GROWTH_FACTOR_LIMIT = 1.2
 SLOPE_TOLERANCE = 0.05
@@ -311,8 +311,8 @@ def _domain_params(shape: Shape, sampler: Sampler, **record) -> dict:
 
 def _poincare_sides(
     shape: Shape, u: Sampler, depth: int, c_ball: float, root_side
-) -> tuple[JohnDomain, GridFunction, GridFunction]:
-    """(domain, |u - u_B| on the domain, |grad u| on the domain) at one depth."""
+) -> tuple[JohnDomain, np.ndarray, GridFunction, GridFunction]:
+    """(domain, u at the cell centers, |u - u_B| and |grad u| on the domain) at one depth."""
     domain = _domain_at_depth(shape, depth, root_side)
     ball = mean_value_ball(domain, c_ball)
     grid = domain.grid
@@ -324,7 +324,7 @@ def _poincare_sides(
     w = np.where(domain.cells.mask, np.abs(raw - u_ball), 0.0)
     diff = GridFunction(grid, w)
     grad = gradient_magnitude(u, grid).restrict(domain.cells)
-    return domain, diff, grad
+    return domain, raw, diff, grad
 
 
 def _john_factor(domain: JohnDomain) -> float:
@@ -332,10 +332,12 @@ def _john_factor(domain: JohnDomain) -> float:
     return domain.beta_john * (domain.beta_john / domain.alpha_john) ** (2 * domain.grid.dim)
 
 
-def _b_scan_ok(domain: JohnDomain, u: Sampler, exps: LorentzExponents, lhs: float) -> float:
-    """1.0 unless some shift b beats the ball mean by more than B_SCAN_FACTOR."""
+def _b_scan_ok(domain: JohnDomain, raw: np.ndarray, exps: LorentzExponents, lhs: float) -> float:
+    """1.0 unless some shift b beats the ball mean by more than B_SCAN_FACTOR.
+
+    raw holds u at the cell centers, as _poincare_sides computed it.
+    """
     grid = domain.grid
-    raw = u.evaluate(grid.centers()).reshape(grid.shape)
     vals = raw[domain.cells.mask]
 
     def norm_at(b):
@@ -374,13 +376,13 @@ def poincare_check(
     exps = LorentzExponents(p, q, delta)
 
     def sides(depth):
-        domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        domain, raw, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         lhs = lorentz_norm(diff, exps)
         rhs = _john_factor(domain) * lorentz_norm(grad, exps)
         if not (b_scan and lhs > 0):
             return lhs, rhs
         # diagnostic only: recorded after the ratio, never gates the verdict
-        return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, sampler, exps, lhs))
+        return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, raw, exps, lhs))
 
     params = _domain_params(shape, sampler, delta=delta, p=p, q=q,
                             depths=_depth_list(depths), c_ball=c_ball, root_side=root_side)
@@ -402,7 +404,7 @@ def poincare_weak_check(
     weak, strong = LorentzExponents(p, math.inf, delta), LorentzExponents(p, p, delta)
 
     def sides(depth):
-        domain, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        domain, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         return lorentz_norm(diff, weak), _john_factor(domain) * lorentz_norm(grad, strong)
 
     params = _domain_params(shape, sampler, delta=delta, p=p, depths=_depth_list(depths),
@@ -429,7 +431,7 @@ def poincare_sobolev_check(
     left, right = _improved_exponents(p, q, delta, mu, 1.0, shape.dim)
 
     def sides(depth):
-        _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        _, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
         return lorentz_norm(diff, left), lorentz_norm(grad, right)
 
     params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left.p,
@@ -517,7 +519,7 @@ def riesz_boundedness_check(
 
     def sides(depth):
         ff = sample(sampler, make_grid(dim, depth, root_side))
-        return lorentz_norm(riesz(ff, RieszParams(alpha)), left), lorentz_norm(ff, right)
+        return lorentz_norm(riesz(ff, alpha), left), lorentz_norm(ff, right)
 
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
@@ -667,7 +669,7 @@ def sharpness_riesz(
     def fields(grid, eps):
         fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, outer_radius))
         ff = sample(fs, grid)
-        return riesz(ff, RieszParams(alpha)), ff
+        return riesz(ff, alpha), ff
 
     params = {
         "delta": delta, "mu": mu, "alpha": alpha, "p": p, "s": s, "q": q, "eta": eta,

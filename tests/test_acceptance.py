@@ -171,7 +171,7 @@ def test_criterion_08_poincare_family():
     ok &= verify.riesz_boundedness_check(f_ind, 1.0, 0.0, 2.0, 1.5, 6.0, [4, 5, 6]).verdict
     ok &= verify.riesz_boundedness_check(f_ind, 1.0, 0.0, 2.0, 1.0, None, [4, 5, 6]).verdict
     # other John shapes
-    ok &= verify.poincare_check(Shape.rectangle((0.0, 0.0), 1.6, 1.0), x1,
+    ok &= verify.poincare_check(Shape.rectangle((0.0, 0.0), (1.6, 1.0)), x1,
                                 2.0, 1.5, 1.5, [4, 5, 6], c_ball=1.0).verdict
     ok &= verify.poincare_check(Shape.l_shape((-0.5, -0.5), 1.0), x1,
                                 2.0, 1.5, 1.5, [4, 5, 6], c_ball=1.0).verdict

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from capnorm import io, operators
-from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config
+from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config, shape_from_config
 from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
-from capnorm.operators import MaximalParams, RieszParams, maximal, riesz
+from capnorm.operators import MaximalParams, maximal, riesz
 
 
 @pytest.fixture
@@ -179,6 +180,34 @@ def test_sampler_from_config_rejects_unknown_keys():
     assert s.kind == "radial_power"
 
 
+# every refusal is a ConfigError naming the kind; a bump with no radius used to
+# print a bare KeyError, "error: 'radius'", and a negative radius used to run
+@pytest.mark.parametrize("key, value, message", [
+    ("sampler", {"kind": "tabulated"}, "unknown sampler kind 'tabulated'"),
+    ("sampler", {"value": 1.0}, "unknown sampler kind None"),
+    ("sampler", {"kind": "bump"},
+     "sampler kind 'bump': Sampler.bump() missing 1 required positional argument: 'radius'"),
+    ("sampler", {"kind": "bump", "radius": 0}, "sampler kind 'bump': sampler radius must be positive"),
+    ("sampler", {"kind": "bump", "radius": -0.5}, "sampler kind 'bump': sampler radius must be"),
+    ("sampler", {"kind": "ball_indicator", "radius": -1},
+     "sampler kind 'ball_indicator': sampler radius must be positive"),
+    ("shape", {"shape": "ball", "center": [0, 0], "radius": 1.0, "side": 2},
+     "shape kind 'ball': Shape.ball() got an unexpected keyword argument 'side'"),
+    ("shape", {"shape": "ball", "radius": 1.0},
+     "shape kind 'ball': Shape.ball() missing 1 required positional argument: 'center'"),
+    ("shape", {"shape": "rectangle", "center": [0, 0], "sides": [1.0]},
+     "shape kind 'rectangle': rectangle needs 2 sides, got 1"),
+])
+def test_verify_refused_sampler_or_shape_exits_2(key, value, message, capsys):
+    from_config = {"sampler": sampler_from_config, "shape": shape_from_config}[key]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        from_config(value)
+    # compact_support takes both a shape and a sampler
+    assert run(["verify", "compact_support", "--set", f"{key}={json.dumps(value)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1  # no numpy warning
+
+
 _RIESZ_3D = ["riesz_bound", "--set", "dim=3", "--set", "delta=3.0", "--set", "p=2.0",
              "--set", "depths=[2,3]"]
 
@@ -229,7 +258,7 @@ def test_operator_memory_budget_exits_2(dim, depth, monkeypatch, capsys):
     with pytest.raises(GridError, match="exceeding the cap"):
         maximal(f, MaximalParams(0.5))
     with pytest.raises(GridError, match="exceeding the cap"):
-        riesz(f, RieszParams(1.0))
+        riesz(f, 1.0)
     assert operators._padded_shape(make_grid(dim, depth - 1, 1.0)) == (2**depth,) * dim
     monkeypatch.setattr(io, "read_gridfunction", lambda path: f)
     for command, flag in (("maximal", "--mu"), ("riesz", "--alpha")):

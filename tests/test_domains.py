@@ -22,13 +22,22 @@ def test_ball_constants():
 
 def test_rectangle_constants():
     g = make_grid(2, 4, 4.0)
-    dom = make_john_domain(Shape.rectangle((0.0, 0.0), 1.0, 1.0), g)
+    dom = make_john_domain(Shape.rectangle((0.0, 0.0), (1.0, 1.0)), g)
     assert dom.alpha_john == 0.5
     assert dom.beta_john == pytest.approx(math.sqrt(2.0) / 2)
-    dom2 = make_john_domain(Shape.rectangle((0.0, 0.0), 3.0, 1.5), g)
+    dom2 = make_john_domain(Shape.rectangle((0.0, 0.0), (3.0, 1.5)), g)
     assert dom2.alpha_john == 0.75
     assert dom2.beta_john == pytest.approx(math.hypot(3.0, 1.5) / 2)
     assert dom2.alpha_john <= dom2.beta_john
+
+
+@pytest.mark.parametrize("sides, message", [
+    ((1.0,), "needs 2 sides, got 1"), ((1.0, 2.0, 3.0), "needs 2 sides, got 3"),
+    ((1.0, 0.0), "sides must be positive"),
+])
+def test_rectangle_needs_two_positive_sides(sides, message):
+    with pytest.raises(DomainError, match=message):
+        Shape.rectangle((0.0, 0.0), sides)
 
 
 def test_l_shape_constants_and_cells():
@@ -58,7 +67,7 @@ def test_shape_outside_root_rejected():
 @pytest.mark.parametrize("shape, expected", [
     (Shape.ball((0.0, 0.0), 1.5), 3.0),
     (Shape.punctured_ball((0.0, 0.0), 0.75), 1.5),
-    (Shape.rectangle((0.0, 0.0), 3.0, 1.5), math.sqrt(3.0**2 + 1.5**2)),
+    (Shape.rectangle((0.0, 0.0), (3.0, 1.5)), math.sqrt(3.0**2 + 1.5**2)),
     (Shape.l_shape((-1.0, -1.0), 1.5), math.sqrt(1.5**2 + 1.5**2)),
 ], ids=["ball", "punctured_ball", "rectangle", "l_shape"])
 def test_shape_diameter(shape, expected):
@@ -74,7 +83,7 @@ def test_diameter_within_john_bound():
     g = make_grid(2, 5, 4.0)
     for shape in (
         Shape.ball((0.0, 0.0), 1.5),
-        Shape.rectangle((0.0, 0.0), 2.0, 1.0),
+        Shape.rectangle((0.0, 0.0), (2.0, 1.0)),
         Shape.l_shape((0.0, 0.0), 1.5),
     ):
         dom = make_john_domain(shape, g)

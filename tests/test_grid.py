@@ -113,11 +113,13 @@ def test_gradient_radial_power_closed_form():
     assert np.allclose(gm.values, 0.8 * r**-1.8, rtol=1e-13)
 
 
-def test_gradient_tabulated_linear_exact():
-    g = make_grid(2, 4, 2.0, origin=(-1.0, -1.0))
-    table = g.centers()[:, 0].reshape(g.shape)
-    gm = gradient_magnitude(Sampler.tabulated(table), g)
-    assert np.allclose(gm.values, 1.0, atol=1e-12)
+# a negative radius used to sample as an empty indicator, and squared away in the bump
+@pytest.mark.parametrize("radius", [0.0, -0.5, -1.0, float("inf"), float("nan")])
+def test_sampler_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(GridError, match="radius must be positive and finite"):
+        Sampler.ball_indicator((0.0, 0.0), radius)
+    with pytest.raises(GridError, match="radius must be positive and finite"):
+        Sampler.bump((0.0, 0.0), radius)
 
 
 def test_gradient_bump_closed_form():

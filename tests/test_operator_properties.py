@@ -10,7 +10,6 @@ from hypothesis import strategies as st  # noqa: E402
 from capnorm.grid import GridFunction, make_grid  # noqa: E402
 from capnorm.operators import (  # noqa: E402
     MaximalParams,
-    RieszParams,
     maximal,
     maximal_at,
     riesz,
@@ -54,6 +53,6 @@ def test_maximal_field_equals_point_evaluator(f, mu_frac):
 def test_riesz_field_equals_point_evaluator(f, alpha_frac):
     dim = f.grid.dim
     alpha = alpha_frac * dim
-    field = riesz(f, RieszParams(alpha)).values
+    field = riesz(f, alpha).values
     point = _point_field(f, lambda h, x: riesz_unnormalized_at(h, x, alpha))
     _assert_close(field, point / riesz_normalization(dim, alpha))

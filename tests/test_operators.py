@@ -11,7 +11,6 @@ from capnorm.operators import (
     L1_CONTENT_BOUND,
     MaximalParams,
     OperatorError,
-    RieszParams,
     default_radius_sweep,
     hedberg_ratio,
     hedberg_ratio_field,
@@ -215,14 +214,14 @@ def test_riesz_normalization_formula():
     )
     f = GridFunction(make_grid(2, 3, 2.0), np.random.default_rng(4).random((8, 8)))
     expected = operators._riesz_sums(f, 1.0) / riesz_normalization(2, 1.0)
-    assert np.array_equal(riesz(f, RieszParams(1.0)).values, expected)
+    assert np.array_equal(riesz(f, 1.0).values, expected)
 
 
 def test_riesz_linearity():
     g = make_grid(2, 4, 2.0)
     f = GridFunction(g, RNG.random(g.shape))
-    a = riesz(f, RieszParams(0.8))
-    b = riesz(f.scale(3.0), RieszParams(0.8))
+    a = riesz(f, 0.8)
+    b = riesz(f.scale(3.0), 0.8)
     assert np.allclose(b.values, 3.0 * a.values, rtol=1e-12)
 
 
@@ -234,7 +233,7 @@ def test_riesz_far_cell_against_quadrature_oracle():
     src = (12, 12)
     vals[src] = 1.0
     f = GridFunction(g, vals)
-    pot = riesz(f, RieszParams(alpha))
+    pot = riesz(f, alpha)
     ca = riesz_normalization(2, alpha)
     centers = g.centers().reshape(*g.shape, 2)
     y0 = centers[src]
@@ -253,7 +252,7 @@ def test_riesz_far_cell_against_quadrature_oracle():
 def test_riesz_ball_closed_form_at_center():
     g = make_grid(2, 6, 2.0)
     f = sample(Sampler.ball_indicator((0.0, 0.0), 0.5), g)
-    pot = riesz(f, RieszParams(1.0))
+    pot = riesz(f, 1.0)
     expected = unit_sphere_area(2) * 0.5 / 1.0 / riesz_normalization(2, 1.0)
     m = g.cells_per_axis // 2
     assert pot.values[m, m] == pytest.approx(expected, rel=0.05)
@@ -264,7 +263,7 @@ def test_riesz_nonnegative_and_monotone():
     a = RNG.random(g.shape)
     f = GridFunction(g, a)
     gfun = GridFunction(g, a + RNG.random(g.shape))
-    assert np.all(riesz(f, RieszParams(1.2)).values >= 0)
+    assert np.all(riesz(f, 1.2).values >= 0)
     pf = _point_field(f, lambda h, x: riesz_unnormalized_at(h, x, 1.2))
     pg = _point_field(gfun, lambda h, x: riesz_unnormalized_at(h, x, 1.2))
     assert np.all(pf <= pg)
@@ -275,7 +274,7 @@ def test_riesz_field_matches_point_evaluator():
     for dim, depth, c in FIELD_CASES:
         g = make_grid(dim, depth, 2.0)
         f = sample(Sampler.bump((c,) * dim, 0.8), g)
-        field = riesz(f, RieszParams(alpha)).values
+        field = riesz(f, alpha).values
         point = _point_field(f, lambda h, x: riesz_unnormalized_at(h, x, alpha))
         point /= riesz_normalization(dim, alpha)
         assert np.all(np.abs(field - point) <= FIELD_RTOL * field.max()), (dim, depth, c)
@@ -293,7 +292,7 @@ def test_merging_absorbs_fft_noise(dim, depth):
 
     mf = maximal(f, MaximalParams(0.0)).values
     assert m(mf) == m(_point_field(f, lambda h, x: maximal_at(h, x, 0.0)))
-    pot = riesz(f, RieszParams(1.0)).values
+    pot = riesz(f, 1.0).values
     assert m(pot) == m(_point_field(f, lambda h, x: riesz_unnormalized_at(h, x, 1.0)))
 
 
@@ -310,6 +309,8 @@ def test_hedberg_exponent_errors_by_name():
         hedberg_ratio(f, (0, 0), 1.0, 1.5, LorentzExponents(1.5, 1.5, 2.0))
     with pytest.raises(OperatorError, match="^alpha must be in"):
         hedberg_ratio(f, (0, 0), 2.5, 0.0, LorentzExponents(1.5, 1.5, 2.0))
+    with pytest.raises(OperatorError, match="^alpha must be in"):
+        riesz(f, 2.0)  # riesz shares hedberg's check
     with pytest.raises(OperatorError, match="^p must equal"):
         hedberg_ratio(f, (0, 0), 1.0, 0.0, LorentzExponents(2.5, 1.5, 2.0))
 
@@ -377,7 +378,7 @@ def test_riesz_1d_interval_closed_form():
     g = make_grid(1, 8, 2.0)
     alpha = 0.6
     f = sample(Sampler.ball_indicator((0.0,), 0.5), g)
-    pot = riesz(f, RieszParams(alpha))
+    pot = riesz(f, alpha)
     expected = 2 * 0.5**alpha / alpha / riesz_normalization(1, alpha)
     assert pot.values[g.cells_per_axis // 2] == pytest.approx(expected, rel=0.02)
 
@@ -395,7 +396,7 @@ def test_riesz_3d_ball_closed_form():
     g = make_grid(3, 4, 2.0)
     alpha = 1.5
     f = sample(Sampler.ball_indicator((0.0, 0.0, 0.0), 0.5), g)
-    pot = riesz(f, RieszParams(alpha))
+    pot = riesz(f, alpha)
     expected = unit_sphere_area(3) * 0.5**alpha / alpha / riesz_normalization(3, alpha)
     m = g.cells_per_axis // 2
     assert pot.values[m, m, m] == pytest.approx(expected, rel=0.1)

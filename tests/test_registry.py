@@ -1,7 +1,9 @@
 """The experiment registry: config keys, defaults, and pinned small-sweep reports.
 
 The pinned series and config hashes were recorded before the nine runners
-were moved onto the shared sweep skeletons; they must not move.
+were moved onto the shared sweep skeletons, and the l_shape, punctured_ball,
+rectangle-with-bump and constant-sampler pins before sampler and shape
+configs were handed to their constructors as keywords; they must not move.
 """
 
 import functools
@@ -30,6 +32,23 @@ CASES = [
     ("hedberg_endpoint", "hedberg", {"depths": [3, 4], "p": 1.0}),
     ("sharpness_poincare", "sharpness_poincare", {"depth": 5}),
     ("sharpness_riesz", "sharpness_riesz", {"depth": 7}),
+    ("poincare_l_shape", "poincare", {
+        "depths": [5, 6], "c_ball": 0.5,
+        "shape": {"shape": "l_shape", "anchor": [-1.0, -1.0], "size": 2.0}}),
+    ("poincare_punctured_ball", "poincare", {
+        "depths": [4, 5],
+        "shape": {"shape": "punctured_ball", "center": [0.0, 0.0], "radius": 1.0},
+        "sampler": {"kind": "radial_power", "exponent": 0.5}}),
+    ("poincare_punctured_ball_annulus", "poincare", {
+        "depths": [4, 5],
+        "shape": {"shape": "punctured_ball", "center": [0.0, 0.0], "radius": 1.0},
+        "sampler": {"kind": "radial_power", "exponent": 0.5, "annulus": [0.25, 0.75]}}),
+    ("poincare_weak_rectangle_bump", "poincare_weak", {
+        "depths": [5, 6],
+        "shape": {"shape": "rectangle", "center": [0.0, 0.0], "sides": [1.6, 1.0]},
+        "sampler": {"kind": "bump", "radius": 0.4}}),
+    ("riesz_bound_constant", "riesz_bound", {
+        "depths": [3, 4], "sampler": {"kind": "constant", "value": 1.5}}),
 ]
 
 # test id -> (provenance.config_hash, series)
@@ -183,6 +202,66 @@ PINS = {
             ('predicted_blowup', -0.050000000000000044),
             ('r_squared', 0.8998798968758179),
             ('rhs_variation', 0.6064387378050162),
+        ],
+    ),    'poincare_l_shape': (
+        'e3534cf540b5710ce41bf83c5d941e51917dd0bfa3a747c117e08524c2db15b0',
+        [
+            ('lhs@d5', 1.1994617488033776),
+            ('rhs@d5', 1065.002917402575),
+            ('ratio@d5', 0.0011262520780025026),
+            ('b_scan_ok@d5', 1.0),
+            ('lhs@d6', 1.1998024621104755),
+            ('rhs@d6', 1065.002917402575),
+            ('ratio@d6', 0.0011265719957243515),
+            ('b_scan_ok@d6', 1.0),
+        ],
+    ),
+    'poincare_punctured_ball': (
+        '4cb6d4ed8064f7823776dd09beb6b254abcc8f7338215682d51e70269c88e01a',
+        [
+            ('lhs@d4', 0.8414973561806942),
+            ('rhs@d4', 1.4010020686919882),
+            ('ratio@d4', 0.6006396242985836),
+            ('b_scan_ok@d4', 0.0),
+            ('lhs@d5', 0.8703520775421036),
+            ('rhs@d5', 1.43652171422562),
+            ('ratio@d5', 0.6058746407542338),
+            ('b_scan_ok@d5', 0.0),
+        ],
+    ),
+    'poincare_punctured_ball_annulus': (
+        '92c660c9c7e4a05ca5a1f6e289a8dc45c272a09f1b1938dd7c000ef2da395935',
+        [
+            ('lhs@d4', 0.9829235175807687),
+            ('rhs@d4', 0.950489227110936),
+            ('ratio@d4', 1.0341237854619547),
+            ('b_scan_ok@d4', 1.0),
+            ('lhs@d5', 0.9793361659451454),
+            ('rhs@d5', 0.9401613532749288),
+            ('ratio@d5', 1.0416681801839187),
+            ('b_scan_ok@d5', 1.0),
+        ],
+    ),
+    'poincare_weak_rectangle_bump': (
+        '2c02265ba4dd88b60825683416db298190a9178fdfb270245b4337dfd80c3f73',
+        [
+            ('lhs@d5', 1.1452587890625003),
+            ('rhs@d5', 16.058740890030357),
+            ('ratio@d5', 0.07131684836969403),
+            ('lhs@d6', 1.1218198649088544),
+            ('rhs@d6', 16.034416075453294),
+            ('ratio@d6', 0.0699632502755259),
+        ],
+    ),
+    'riesz_bound_constant': (
+        'c242145a4306f659b231cabbfbb7695e55c5d295ac502b2afdb4dd3650e1505f',
+        [
+            ('lhs@d3', 1.8336474781898684),
+            ('rhs@d3', 3.7797631496846193),
+            ('ratio@d3', 0.4851223226362389),
+            ('lhs@d4', 1.8392489090672253),
+            ('rhs@d4', 3.7797631496846193),
+            ('ratio@d4', 0.4866042755141128),
         ],
     ),
 }
