@@ -109,7 +109,7 @@ def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
     """Call the experiment's runner with the config as keywords.
 
     The runner is looked up on the verify module at call time; dim,
-    shape, sampler and qt are the only config values that are converted.
+    shape and sampler are the only config values that are converted.
     dim follows make_grid's integer rule, so 3.0 runs as 3.  The sampler
     takes the run's dimension: the config's dim, else the shape's.
     """
@@ -121,8 +121,6 @@ def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
     if "sampler" in kwargs:
         dim = kwargs["dim"] if "dim" in kwargs else kwargs["shape"].dim
         kwargs["sampler"] = sampler_from_config(kwargs["sampler"], dim)
-    if "qt" in kwargs:
-        kwargs["qt"] = _parse_q(kwargs["qt"])
     return getattr(verify, _experiment(experiment).runner)(**kwargs)
 
 

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import CellSet, DyadicGrid
+from .grid import CellSet, DyadicGrid, as_point, positive_finite
 
 DEFAULT_MEAN_BALL_CONSTANT = 0.25
 
@@ -54,37 +54,31 @@ class Shape:
 
     @classmethod
     def ball(cls, center, radius) -> "Shape":
-        if radius <= 0:
-            raise DomainError(f"ball radius must be positive, got {radius}")
-        return cls(kind="ball", center=tuple(float(c) for c in np.atleast_1d(center)),
-                   radius=float(radius))
+        return cls(kind="ball", center=as_point(center),
+                   radius=positive_finite("ball radius", radius, DomainError))
 
     @classmethod
     def rectangle(cls, center, sides) -> "Shape":
         if len(sides) != 2:
             raise DomainError(f"rectangle needs 2 sides, got {len(sides)}")
-        a, b = sides
-        if a <= 0 or b <= 0:
-            raise DomainError(f"rectangle sides must be positive, got {a}, {b}")
-        return cls(kind="rectangle", center=tuple(float(c) for c in np.atleast_1d(center)),
-                   sides=(float(a), float(b)))
+        center = as_point(center)
+        if len(center) != 2:
+            raise DomainError(f"rectangle center needs 2 coordinates, got {len(center)}")
+        return cls(kind="rectangle", center=center,
+                   sides=tuple(positive_finite("rectangle sides", x, DomainError) for x in sides))
 
     @classmethod
     def l_shape(cls, anchor, size) -> "Shape":
-        if size <= 0:
-            raise DomainError(f"l_shape size must be positive, got {size}")
-        anchor = tuple(float(c) for c in np.atleast_1d(anchor))
+        size = positive_finite("l_shape size", size, DomainError)
+        anchor = as_point(anchor)
         if len(anchor) != 2:
             raise DomainError("l_shape is two-dimensional")
-        return cls(kind="l_shape", anchor=anchor, size=float(size))
+        return cls(kind="l_shape", anchor=anchor, size=size)
 
     @classmethod
     def punctured_ball(cls, center, radius) -> "Shape":
-        if radius <= 0:
-            raise DomainError(f"ball radius must be positive, got {radius}")
-        return cls(kind="punctured_ball",
-                   center=tuple(float(c) for c in np.atleast_1d(center)),
-                   radius=float(radius))
+        return cls(kind="punctured_ball", center=as_point(center),
+                   radius=positive_finite("punctured_ball radius", radius, DomainError))
 
     @property
     def dim(self) -> int:

@@ -30,6 +30,19 @@ class GridError(ValueError):
     """Invalid grid construction or mismatched grid arguments."""
 
 
+def positive_finite(what: str, value, error: type = GridError) -> float:
+    """value as a float; error naming `what` unless it is positive and finite."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise error(f"{what} must be positive and finite, got {value}")
+    return value
+
+
+def as_point(coords) -> tuple[float, ...]:
+    """Coordinates as a tuple of floats; a scalar is one coordinate."""
+    return tuple(float(c) for c in np.atleast_1d(coords))
+
+
 @dataclass(frozen=True)
 class DyadicGrid:
     """Uniform dyadic grid over the root cube ``[origin, origin + root_side)^dim``."""
@@ -40,13 +53,9 @@ class DyadicGrid:
     origin: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(x) for x in np.atleast_1d(self.origin)))
-        if self.dim not in (1, 2, 3):
-            raise GridError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.depth < 1:
-            raise GridError(f"depth must be >= 1, got {self.depth}")
-        if not (self.root_side > 0 and math.isfinite(self.root_side)):
-            raise GridError(f"root_side must be positive, got {self.root_side}")
+        # make_grid checks dim, depth and the cell cap before a grid is built
+        object.__setattr__(self, "origin", as_point(self.origin))
+        positive_finite("root_side", self.root_side)
         if len(self.origin) != self.dim:
             raise GridError(f"origin has {len(self.origin)} coordinates, expected {self.dim}")
 
@@ -116,7 +125,6 @@ def make_grid(dim, depth, root_side, origin=None) -> DyadicGrid:
         )
     if origin is None:
         origin = (-root_side / 2.0,) * dim
-    origin = tuple(np.atleast_1d(np.asarray(origin, dtype=float)).tolist())
     return DyadicGrid(dim=dim, depth=depth, root_side=float(root_side), origin=origin)
 
 
@@ -277,13 +285,6 @@ class GridFunction:
         return f"GridFunction(depth={self.grid.depth}, dim={self.grid.dim}, max={self.values.max():g})"
 
 
-def _radius(radius) -> float:
-    radius = float(radius)
-    if not (radius > 0 and math.isfinite(radius)):
-        raise GridError(f"sampler radius must be positive and finite, got {radius}")
-    return radius
-
-
 @dataclass(frozen=True)
 class Sampler:
     """Closed-form function descriptor sampled at cell centers.
@@ -296,7 +297,8 @@ class Sampler:
       linear          coeffs . x + offset  (signed; use evaluate, not sample)
       bump            amplitude * (1 - |x - center|^2 / radius^2)_+^2
 
-    Radii must be positive and finite.
+    Radii must be positive and finite, and a center must have one
+    coordinate per axis of the points it is evaluated at.
     """
 
     kind: str
@@ -316,7 +318,7 @@ class Sampler:
         return cls(kind="constant", value=float(value))
 
     @classmethod
-    def radial_power(cls, exponent, center=(0.0,), annulus=None) -> "Sampler":
+    def radial_power(cls, exponent, center, annulus=None) -> "Sampler":
         if annulus is not None:
             eps_inner, r_outer = annulus
             if not (0 <= eps_inner < r_outer):
@@ -325,7 +327,7 @@ class Sampler:
         return cls(
             kind="radial_power",
             exponent=float(exponent),
-            center=tuple(float(c) for c in np.atleast_1d(center)),
+            center=as_point(center),
             annulus=annulus,
         )
 
@@ -333,8 +335,8 @@ class Sampler:
     def ball_indicator(cls, center, radius) -> "Sampler":
         return cls(
             kind="ball_indicator",
-            center=tuple(float(c) for c in np.atleast_1d(center)),
-            radius=_radius(radius),
+            center=as_point(center),
+            radius=positive_finite("sampler radius", radius),
         )
 
     @classmethod
@@ -349,14 +351,16 @@ class Sampler:
     def bump(cls, center, radius, amplitude=1.0) -> "Sampler":
         return cls(
             kind="bump",
-            center=tuple(float(c) for c in np.atleast_1d(center)),
-            radius=_radius(radius),
+            center=as_point(center),
+            radius=positive_finite("sampler radius", radius),
             amplitude=float(amplitude),
         )
 
     def _radii(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.sqrt(np.sum((points - c) ** 2, axis=-1))
+        if len(self.center) != points.shape[-1]:
+            raise GridError(f"sampler center has {len(self.center)} coordinates, "
+                            f"the points have {points.shape[-1]}")
+        return np.sqrt(np.sum((points - np.asarray(self.center)) ** 2, axis=-1))
 
     def _annulus_mask(self, r: np.ndarray) -> np.ndarray:
         eps_inner, r_outer = self.annulus
@@ -418,8 +422,6 @@ def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
 
 def gradient_magnitude(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
     """|grad u| sampled at cell centers, from the closed-form gradient."""
-    if sampler.kind == "ball_indicator":
-        raise GridError("ball indicator has no classical gradient")
     vals = sampler.gradient_magnitude_values(grid.centers()).reshape(grid.shape)
     if not np.all(np.isfinite(vals)):
         raise GridError("gradient sampler produced non-finite values")

@@ -17,6 +17,10 @@ _eps_sweep (at least 4, all positive).  EXPERIMENTS declares each
 experiment once for the CLI: its runner's name and the defaults the
 signature lacks.
 
+Grid roots are fixed: a John-domain run sizes its root from the shape
+(params record root_side None), sharpness_riesz uses RIESZ_ROOT_SIDE
+and every other run ROOT_SIDE.
+
 Every side is one Lorentz norm, ``lorentz_norm`` at some (p, q, delta);
 a plain p-norm is the (p, p) case.  One rule, _improved_exponents, gives
 the two sides of the Sobolev-Poincare (order alpha = 1) and Riesz
@@ -60,8 +64,14 @@ B_SCAN_FACTOR = 2.0
 # Second index of the uniform-boundedness norm in sharpness runs: the weak
 # norm (q = inf) is the member of the Lorentz family whose truncation tails
 # converge fastest, so the uniformity claim is visible at moderate
-# truncation radii; finite values can be configured.
-DEFAULT_QT = math.inf
+# truncation radii.
+SHARPNESS_QT = math.inf
+# Root side of the grids not sized from a shape: [-1, 1)^dim, the origin on a cell corner.
+ROOT_SIDE = 2.0
+# sharpness_riesz samples |x|^eta out to RIESZ_OUTER_RADIUS; its root
+# [-10.24, 10.24)^dim holds that ball, with cells of side 0.02 at depth 10.
+RIESZ_ROOT_SIDE = 20.48
+RIESZ_OUTER_RADIUS = 10.0
 
 
 class VerifyError(ValueError):
@@ -260,17 +270,18 @@ def _eps_sweep(
     """Over params["eps_list"] on one grid: fields(grid, eps) = (left, right) grid functions.
 
     Their norms are the sides, in L^{s,q} over the content of exponent
-    delta - mu p and in L^{p,qt}.  The verdict, whose two limits this
-    records in params, needs slope_ok(fitted slope, predicted) and a
-    right-side variation below RHS_VARIATION_LIMIT.
+    delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict, whose two limits
+    this records in params with qt, needs slope_ok(fitted slope,
+    predicted) and a right-side variation below RHS_VARIATION_LIMIT.
     """
     if len(params["eps_list"]) < 4 or params["eps_list"][0] <= 0:  # before any grid is built
         raise VerifyError(f"eps_list must hold at least 4 positive values, got {params['eps_list']}")
-    params = {**params, "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT}
+    params = {**params, "qt": SHARPNESS_QT, "slope_tolerance": SLOPE_TOLERANCE,
+              "rhs_variation_limit": RHS_VARIATION_LIMIT}
     grid = make_grid(params["dim"], params["depth"], params["root_side"])
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
-    right = LorentzExponents(p, params["qt"], delta)
+    right = LorentzExponents(p, SHARPNESS_QT, delta)
 
     def at(eps):
         left_fn, right_fn = fields(grid, eps)
@@ -290,30 +301,28 @@ def _eps_sweep(
 # shared geometry ------------------------------------------------------------
 
 
-def _domain_at_depth(shape: Shape, depth: int, root_side=None) -> JohnDomain:
-    origin = None
-    if root_side is None:  # the smallest origin-centred root holding the shape
-        lo, hi = shape.bounding_box()
-        root_side = 2.0 * float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
-        origin = (-root_side / 2.0,) * shape.dim
-    return make_john_domain(shape, make_grid(shape.dim, depth, root_side, origin))
+def _domain_at_depth(shape: Shape, depth: int) -> JohnDomain:
+    """The shape on the smallest origin-centred root that holds it."""
+    lo, hi = shape.bounding_box()
+    root_side = 2.0 * float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+    return make_john_domain(shape, make_grid(shape.dim, depth, root_side))
 
 
 def _domain_params(shape: Shape, sampler: Sampler, **record) -> dict:
-    """Params of a run on a John domain: its arguments, John constants and growth limit."""
+    """Params of a John-domain run: arguments, root_side None, John constants, growth limit."""
     alpha_john, beta_john, x0 = shape.john_constants()
     return {
-        "shape": repr(shape), "sampler": repr(sampler), **record,
+        "shape": repr(shape), "sampler": repr(sampler), **record, "root_side": None,
         "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
         "growth_limit": GROWTH_FACTOR_LIMIT,
     }
 
 
 def _poincare_sides(
-    shape: Shape, u: Sampler, depth: int, c_ball: float, root_side
+    shape: Shape, u: Sampler, depth: int, c_ball: float
 ) -> tuple[JohnDomain, np.ndarray, GridFunction, GridFunction]:
     """(domain, u at the cell centers, |u - u_B| and |grad u| on the domain) at one depth."""
-    domain = _domain_at_depth(shape, depth, root_side)
+    domain = _domain_at_depth(shape, depth)
     ball = mean_value_ball(domain, c_ball)
     grid = domain.grid
     raw = u.evaluate(grid.centers()).reshape(grid.shape)
@@ -359,7 +368,6 @@ def poincare_check(
     q: float,
     depths: Sequence[int],
     c_ball: float = 0.25,
-    root_side: Optional[float] = None,
     b_scan: bool = True,
 ) -> ExperimentReport:
     """Mean-oscillation norm against the John-weighted gradient norm.
@@ -376,7 +384,7 @@ def poincare_check(
     exps = LorentzExponents(p, q, delta)
 
     def sides(depth):
-        domain, raw, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        domain, raw, diff, grad = _poincare_sides(shape, sampler, depth, c_ball)
         lhs = lorentz_norm(diff, exps)
         rhs = _john_factor(domain) * lorentz_norm(grad, exps)
         if not (b_scan and lhs > 0):
@@ -385,7 +393,7 @@ def poincare_check(
         return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, raw, exps, lhs))
 
     params = _domain_params(shape, sampler, delta=delta, p=p, q=q,
-                            depths=_depth_list(depths), c_ball=c_ball, root_side=root_side)
+                            depths=_depth_list(depths), c_ball=c_ball)
     return _ratio_sweep("poincare", params, sides)
 
 
@@ -396,7 +404,6 @@ def poincare_weak_check(
     p: float,
     depths: Sequence[int],
     c_ball: float = 0.25,
-    root_side: Optional[float] = None,
 ) -> ExperimentReport:
     """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
     if p != delta / shape.dim:
@@ -404,11 +411,11 @@ def poincare_weak_check(
     weak, strong = LorentzExponents(p, math.inf, delta), LorentzExponents(p, p, delta)
 
     def sides(depth):
-        domain, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        domain, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball)
         return lorentz_norm(diff, weak), _john_factor(domain) * lorentz_norm(grad, strong)
 
     params = _domain_params(shape, sampler, delta=delta, p=p, depths=_depth_list(depths),
-                            c_ball=c_ball, root_side=root_side)
+                            c_ball=c_ball)
     return _ratio_sweep("poincare_weak", params, sides)
 
 
@@ -421,7 +428,6 @@ def poincare_sobolev_check(
     q: Optional[float],
     depths: Sequence[int],
     c_ball: float = 0.25,
-    root_side: Optional[float] = None,
 ) -> ExperimentReport:
     """Sobolev-improved oscillation norm over the lowered content dimension.
 
@@ -431,12 +437,12 @@ def poincare_sobolev_check(
     left, right = _improved_exponents(p, q, delta, mu, 1.0, shape.dim)
 
     def sides(depth):
-        _, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball, root_side)
+        _, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball)
         return lorentz_norm(diff, left), lorentz_norm(grad, right)
 
     params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left.p,
                             left_delta=left.delta, depths=_depth_list(depths), c_ball=c_ball,
-                            root_side=root_side, endpoint=p == delta / shape.dim)
+                            endpoint=p == delta / shape.dim)
     return _ratio_sweep("poincare_sobolev", params, sides)
 
 
@@ -456,7 +462,6 @@ def compact_support_check(
     q: float,
     mu: float,
     depths: Sequence[int],
-    root_side: Optional[float] = None,
 ) -> ExperimentReport:
     """Shift-free bounds for functions supported strictly inside the domain.
 
@@ -482,10 +487,10 @@ def compact_support_check(
         "sobolev_weak": (_improved_exponents(p_end, None, delta, mu, 1.0, dim)[0], 1.0, p_norm),
     }
     params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu,
-                            depths=_depth_list(depths), root_side=root_side, diam=diam)
+                            depths=_depth_list(depths), diam=diam)
 
     def at(depth):
-        domain = _domain_at_depth(shape, depth, root_side)
+        domain = _domain_at_depth(shape, depth)
         grid = domain.grid
         f = sample(sampler, grid)
         if not np.all(~_box_grow(f.support.mask, 2) | domain.cells.mask):
@@ -510,7 +515,6 @@ def riesz_boundedness_check(
     q: Optional[float],
     depths: Sequence[int],
     dim: int = 2,
-    root_side: float = 2.0,
 ) -> ExperimentReport:
     """Riesz potential norm over the lowered content against the source norm."""
     if not (0 < alpha < dim):
@@ -518,13 +522,13 @@ def riesz_boundedness_check(
     left, right = _improved_exponents(p, q, delta, mu, alpha, dim)
 
     def sides(depth):
-        ff = sample(sampler, make_grid(dim, depth, root_side))
+        ff = sample(sampler, make_grid(dim, depth, ROOT_SIDE))
         return lorentz_norm(riesz(ff, alpha), left), lorentz_norm(ff, right)
 
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
         "left_p": left.p, "left_delta": left.delta, "depths": _depth_list(depths),
-        "dim": dim, "root_side": root_side, "endpoint": p == delta / dim,
+        "dim": dim, "root_side": ROOT_SIDE, "endpoint": p == delta / dim,
         "growth_limit": GROWTH_FACTOR_LIMIT,
     }
     return _ratio_sweep("riesz_bound", params, sides)
@@ -539,7 +543,6 @@ def maximal_inequality_check(
     r: float,
     depths: Sequence[int],
     dim: int = 2,
-    root_side: float = 2.0,
 ) -> ExperimentReport:
     """Fractional maximal operator between Lorentz-content norms."""
     p_hi = math.inf if mu == 0 else delta / mu
@@ -552,7 +555,7 @@ def maximal_inequality_check(
     left_delta = delta - mu * p
 
     def sides(depth):
-        ff = sample(sampler, make_grid(dim, depth, root_side))
+        ff = sample(sampler, make_grid(dim, depth, ROOT_SIDE))
         mf = maximal(ff, MaximalParams(mu))
         lhs = lorentz_norm(mf, LorentzExponents(p, r, left_delta))
         return lhs, lorentz_norm(ff, LorentzExponents(p, s, delta))
@@ -560,7 +563,7 @@ def maximal_inequality_check(
     params = {
         "sampler": repr(sampler), "delta": delta, "mu": mu, "p": p, "s": s, "r": r,
         "left_delta": left_delta, "depths": _depth_list(depths), "dim": dim,
-        "root_side": root_side, "growth_limit": GROWTH_FACTOR_LIMIT,
+        "root_side": ROOT_SIDE, "growth_limit": GROWTH_FACTOR_LIMIT,
     }
     return _ratio_sweep("maximal_bound", params, sides)
 
@@ -574,18 +577,17 @@ def hedberg_constant_check(
     q: float,
     depths: Sequence[int],
     dim: int = 2,
-    root_side: float = 2.0,
 ) -> ExperimentReport:
     """Sup over the grid of the pointwise Riesz-by-maximal ratio, per depth."""
     params = {
         "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "depths": _depth_list(depths), "dim": dim, "root_side": root_side,
+        "depths": _depth_list(depths), "dim": dim, "root_side": ROOT_SIDE,
         "stability": HEDBERG_STABILITY,
     }
     exps = LorentzExponents(p, q, delta)
 
     def at(depth):
-        ff = sample(sampler, make_grid(dim, depth, root_side))
+        ff = sample(sampler, make_grid(dim, depth, ROOT_SIDE))
         sup = hedberg_ratio_field(ff, alpha, mu, exps).max()
         return (sup,), [(f"sup_ratio@d{depth}", sup)]
 
@@ -604,8 +606,6 @@ def sharpness_poincare(
     eps_list: Sequence[float],
     depth: int = 8,
     dim: int = 2,
-    root_side: float = 2.0,
-    qt: float = DEFAULT_QT,
 ) -> ExperimentReport:
     """Scaling of the truncated radial-power family against its gradient.
 
@@ -630,8 +630,7 @@ def sharpness_poincare(
     params = {
         "delta": delta, "mu": mu, "p": p, "s": s, "q": q, "eta": eta,
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
-        "root_side": root_side, "qt": qt,
-        "predicted_slope": gradient_slope_prediction(eta, p, s, delta, mu),
+        "root_side": ROOT_SIDE, "predicted_slope": gradient_slope_prediction(eta, p, s, delta, mu),
     }
     return _eps_sweep("sharpness_poincare", params, "predicted_slope", fields,
                       lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
@@ -648,13 +647,11 @@ def sharpness_riesz(
     eps_list: Sequence[float],
     depth: int = 10,
     dim: int = 2,
-    root_side: float = 20.48,
-    qt: float = DEFAULT_QT,
-    outer_radius: float = 10.0,
 ) -> ExperimentReport:
     """Blow-up of the Riesz potential of the truncated radial family.
 
-    f_eps = |x|^eta on eps <= |x| < outer_radius.  The potential norm
+    f_eps = |x|^eta on eps <= |x| < RIESZ_OUTER_RADIUS, on the root
+    [-RIESZ_ROOT_SIDE/2, RIESZ_ROOT_SIDE/2)^dim.  The potential norm
     must blow up at least like eps^(eta + alpha + (delta - mu p)/s)
     (slope at most the prediction, up to tolerance) while the source
     norm stays uniformly bounded.
@@ -667,14 +664,14 @@ def sharpness_riesz(
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}), got {eta}")
 
     def fields(grid, eps):
-        fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, outer_radius))
+        fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, RIESZ_OUTER_RADIUS))
         ff = sample(fs, grid)
         return riesz(ff, alpha), ff
 
     params = {
         "delta": delta, "mu": mu, "alpha": alpha, "p": p, "s": s, "q": q, "eta": eta,
         "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
-        "root_side": root_side, "qt": qt, "outer_radius": outer_radius,
+        "root_side": RIESZ_ROOT_SIDE, "outer_radius": RIESZ_OUTER_RADIUS,
         "predicted_blowup": riesz_blowup_prediction(eta, p, s, delta, mu, alpha),
     }
     return _eps_sweep("sharpness_riesz", params, "predicted_blowup", fields,
@@ -704,7 +701,6 @@ def _declare(runner: str, **required) -> Experiment:
 _UNIT_BALL = {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0}
 _LINEAR = {"kind": "linear", "coeffs": [1.0, 0.0]}
 _INDICATOR = {"kind": "ball_indicator", "center": [0.0, 0.0], "radius": 0.5}
-# qt is given as text so that the echoed config stays plain JSON
 EXPERIMENTS = {
     "poincare": _declare("poincare_check", shape=_UNIT_BALL, sampler=_LINEAR, delta=2.0, p=1.5,
                          q=1.5, depths=[4, 5, 6]),
@@ -722,7 +718,7 @@ EXPERIMENTS = {
     "hedberg": _declare("hedberg_constant_check", sampler=_INDICATOR, alpha=1.0, mu=0.0,
                         delta=2.0, p=1.5, q=1.5, depths=[5, 6, 7]),
     "sharpness_poincare": _declare("sharpness_poincare", delta=2.0, mu=0.0, p=1.05, s=4.0, q=4.0,
-                                   eta=-0.8, eps_list=[0.25, 0.125, 0.0625, 0.03125], qt="inf"),
+                                   eta=-0.8, eps_list=[0.25, 0.125, 0.0625, 0.03125]),
     "sharpness_riesz": _declare("sharpness_riesz", delta=2.0, mu=0.0, alpha=1.0, p=1.5, s=8.0,
-                                q=8.0, eta=-1.3, eps_list=[0.5, 0.25, 0.125, 0.0625], qt="inf"),
+                                q=8.0, eta=-1.3, eps_list=[0.5, 0.25, 0.125, 0.0625]),
 }

@@ -197,6 +197,20 @@ def test_sampler_from_config_rejects_unknown_keys():
      "shape kind 'ball': Shape.ball() missing 1 required positional argument: 'center'"),
     ("shape", {"shape": "rectangle", "center": [0, 0], "sides": [1.0]},
      "shape kind 'rectangle': rectangle needs 2 sides, got 1"),
+    # NaN and inf used to get past the shapes' `<= 0` tests; a 1D rectangle center
+    # used to run with the 2D John constants, a 3D one failed in numpy broadcasting
+    ("shape", {"shape": "ball", "center": [0, 0], "radius": math.nan},
+     "shape kind 'ball': ball radius must be positive and finite, got nan"),
+    ("shape", {"shape": "punctured_ball", "center": [0, 0], "radius": math.inf},
+     "shape kind 'punctured_ball': punctured_ball radius must be positive and finite, got inf"),
+    ("shape", {"shape": "l_shape", "anchor": [0, 0], "size": math.nan},
+     "shape kind 'l_shape': l_shape size must be positive and finite, got nan"),
+    ("shape", {"shape": "rectangle", "center": [0, 0], "sides": [1.0, math.inf]},
+     "shape kind 'rectangle': rectangle sides must be positive and finite, got inf"),
+    ("shape", {"shape": "rectangle", "center": [0], "sides": [1.0, 2.0]},
+     "shape kind 'rectangle': rectangle center needs 2 coordinates, got 1"),
+    ("shape", {"shape": "rectangle", "center": [0, 0, 0], "sides": [1.0, 2.0]},
+     "shape kind 'rectangle': rectangle center needs 2 coordinates, got 3"),
 ])
 def test_verify_refused_sampler_or_shape_exits_2(key, value, message, capsys):
     from_config = {"sampler": sampler_from_config, "shape": shape_from_config}[key]
@@ -301,6 +315,18 @@ def test_oversized_grid_document_refused_before_values(tmp_path, capsys):
 def test_grid_document_roundtrip_under_cap():
     g = make_grid(3, 4, 1.7, origin=(0.25, -3.0, 1e-17))
     assert io.grid_from_dict(json.loads(io.dumps(io.grid_to_dict(g)))) == g
+
+
+@pytest.mark.parametrize("origin", [[0.0], [0.0, 0.0, 0.0]])
+def test_grid_document_origin_of_wrong_length_exits_2(origin, tmp_path, capsys):
+    grid = {"dim": 2, "depth": 3, "root_side": 1.0, "origin": origin}
+    message = f"origin has {len(origin)} coordinates, expected 2"
+    with pytest.raises(GridError, match=message):
+        io.grid_from_dict(grid)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"grid": grid, "values": ["1"] * 64}))
+    assert run(["norm", "--fn", str(path), "--delta", "1.5", "--p", "2"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

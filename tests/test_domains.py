@@ -40,6 +40,19 @@ def test_rectangle_needs_two_positive_sides(sides, message):
         Shape.rectangle((0.0, 0.0), sides)
 
 
+# NaN and inf used to pass the `<= 0` tests and fail later, when the grid was built
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("build, what", [
+    (lambda v: Shape.ball((0.0, 0.0), v), "ball radius"),
+    (lambda v: Shape.punctured_ball((0.0, 0.0), v), "punctured_ball radius"),
+    (lambda v: Shape.l_shape((0.0, 0.0), v), "l_shape size"),
+    (lambda v: Shape.rectangle((0.0, 0.0), (1.0, v)), "rectangle sides"),
+], ids=["ball", "punctured_ball", "l_shape", "rectangle"])
+def test_shape_sizes_must_be_positive_and_finite(build, what, value):
+    with pytest.raises(DomainError, match=f"{what} must be positive and finite"):
+        build(value)
+
+
 def test_l_shape_constants_and_cells():
     g = make_grid(2, 4, 1.0, origin=(0.0, 0.0))
     dom = make_john_domain(Shape.l_shape((0.0, 0.0), 1.0), g)

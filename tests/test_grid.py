@@ -48,6 +48,9 @@ def test_make_grid_validation():
         make_grid(2, 0, 1.0)
     with pytest.raises(GridError):
         make_grid(2, 2, -1.0)
+    for root_side in (float("inf"), float("nan")):
+        with pytest.raises(GridError, match="root_side must be positive and finite"):
+            make_grid(2, 2, root_side, origin=(0.0, 0.0))
 
 
 def test_centers_tile_root_exactly():
@@ -120,6 +123,26 @@ def test_sampler_radius_must_be_positive_and_finite(radius):
         Sampler.ball_indicator((0.0, 0.0), radius)
     with pytest.raises(GridError, match="radius must be positive and finite"):
         Sampler.bump((0.0, 0.0), radius)
+
+
+# a one-coordinate center used to be broadcast: bump((0.25,)) ran as bump((0.25, 0.25))
+@pytest.mark.parametrize("sampler", [
+    Sampler.bump((0.25,), 0.5), Sampler.radial_power(-0.5, (0.0,)),
+    Sampler.ball_indicator((0.0, 0.0, 0.0), 0.5),
+])
+def test_sampler_center_must_match_point_dimension(sampler):
+    g = make_grid(2, 3, 2.0)
+    with pytest.raises(GridError, match=f"center has {len(sampler.center)} coordinates, "
+                                        "the points have 2"):
+        sample(sampler, g)
+    if sampler.kind != "ball_indicator":
+        with pytest.raises(GridError, match="the points have 2"):
+            gradient_magnitude(sampler, g)
+
+
+def test_radial_power_needs_a_center():
+    with pytest.raises(TypeError, match="center"):
+        Sampler.radial_power(-0.5)
 
 
 def test_gradient_bump_closed_form():

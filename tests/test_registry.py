@@ -288,6 +288,12 @@ def test_seed_key_rejected(name, tmp_path):
 def test_removed_runner_keywords_rejected():
     assert run(["verify", "riesz_bound", "--set", "origin=[0.0, 0.0]"]) == 2
     assert run(["verify", "hedberg", "--set", "stability=0.5"]) == 2
+    # the grid roots, the weak norm of the sharpness runs and the outer radius are constants
+    assert run(["verify", "poincare", "--set", "root_side=2.0"]) == 2
+    assert run(["verify", "riesz_bound", "--set", "root_side=2.0"]) == 2
+    assert run(["verify", "sharpness_poincare", "--set", 'qt="inf"']) == 2
+    assert run(["verify", "sharpness_riesz", "--set", "qt=4.0"]) == 2
+    assert run(["verify", "sharpness_riesz", "--set", "outer_radius=10.0"]) == 2
 
 
 def test_defaults_are_fresh_copies():
