@@ -131,6 +131,8 @@ class ContentEngine:
         # still in the set at j, each costing the leaf weight, and a sum of
         # equal terms and exact zeros does not depend on where the zeros sit
         key = np.flatnonzero(rows.max(axis=1) >= 0)
+        if key.size == 0:  # every set is empty
+            return np.zeros(m)
         groups = rows[key]
         zero = np.zeros((key.size, 1), dtype=np.int32)
         start = np.sort(np.concatenate([zero, groups + 1], axis=1), axis=1)
@@ -174,26 +176,24 @@ class ContentEngine:
         return float(self.cost[0].flat[0])
 
     def extract_cover(self) -> tuple[DyadicCube, ...]:
-        """Top-down descent: take a cube wherever its cost equals its own weight.
+        """Level-by-level descent: take a cube wherever its cost equals its own weight.
 
         cost = min(weight, children sum), so cost == weight exactly when
-        covering here is optimal (ties prefer the coarser cube).
+        covering here is optimal (ties prefer the coarser cube; an occupied
+        leaf costs its weight).  `under` marks the cubes in a taken one, and
+        argwhere lists each level's cubes in index order.
         """
         out = []
-        L = self.depth
-        stack = [(0, (0,) * self.dim)]
-        while stack:
-            k, idx = stack.pop()
-            c = self.cost[k][idx]
-            if c == 0.0:
-                continue
-            if k == L or c == self.weights[k]:
-                out.append(DyadicCube(level=k, index=idx))
-                continue
-            for off in self._offsets:
-                child_idx = tuple(2 * a + o for a, o in zip(idx, off))
-                stack.append((k + 1, child_idx))
-        out.sort(key=lambda c: (c.level, c.index))
+        under = np.zeros((1,) * self.dim, dtype=bool)
+        for k, (cost, weight) in enumerate(zip(self.cost, self.weights)):
+            open_ = (cost > 0) & ~under
+            take = open_ & (cost == weight)
+            out += [DyadicCube(level=k, index=tuple(idx)) for idx in np.argwhere(take).tolist()]
+            if not (open_ & ~take).any():
+                break
+            under |= take
+            for axis in range(self.dim):
+                under = under.repeat(2, axis=axis)
         return tuple(out)
 
 

@@ -189,7 +189,9 @@ def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
 
 
 def mean_value_ball(domain: JohnDomain, c_ball: float = DEFAULT_MEAN_BALL_CONSTANT) -> MeanValueBall:
-    """B(x0, c_ball * alpha^2 / beta); must lie inside the domain cells."""
+    """B(x0, c_ball * alpha^2 / beta), c_ball positive and finite; must lie inside the domain."""
+    positive_finite("c_ball", c_ball, DomainError)
+    # from c_ball as given, so a numeric string is still refused (a TypeError)
     radius = c_ball * domain.alpha_john**2 / domain.beta_john
     ball = MeanValueBall(center=domain.center_x0, radius=radius)
     grid = domain.grid

@@ -5,15 +5,16 @@ compute the two sides of one inequality with the exact norm machinery,
 and emit a self-contained ExperimentReport: full parameter record,
 (label, value) series, a pass/fail verdict, and a config hash.
 Re-running with the embedded parameters reproduces the series
-bit-identically.
+bit-identically, since one rule, _params, records them: every runner
+calls it on its locals() as its first statement, which records each
+argument (shape and sampler as repr; depths and eps_list as the lists
+_depth_list and _eps_list check before any grid is built) and what the
+runner derives.  The sweep skeletons add the limits of their verdicts.
 
 One point loop, _sweep, runs every experiment; compact_support and
 hedberg call it directly, the rest through two adapters.  _ratio_sweep
 labels lhs/rhs/ratio@d<depth> and judges ratio growth; _eps_sweep labels
-lhs/rhs@eps=<eps> and fits the log-log slope.  Every runner returns one
-ExperimentReport and checks its points before building a grid: depths
-through _depth_list (nonempty, strictly increasing), eps_list in
-_eps_sweep (at least 4, all positive).  EXPERIMENTS declares each
+lhs/rhs@eps=<eps> and fits the log-log slope.  EXPERIMENTS declares each
 experiment once for the CLI: its runner's name and the defaults the
 signature lacks.
 
@@ -207,6 +208,33 @@ def _depth_list(depths: Sequence[int]) -> list:
     return depths
 
 
+def _eps_list(eps_list: Sequence[float]) -> list:
+    """The truncation radii of a sweep, sorted, as floats: at least 4, all positive."""
+    eps = [float(e) for e in sorted(eps_list)]
+    if len(eps) < 4 or eps[0] <= 0:
+        raise VerifyError(f"eps_list must hold at least 4 positive values, got {eps}")
+    return eps
+
+
+# runner argument -> its recorded form; every other argument is recorded as given
+_RECORDED = {"shape": repr, "sampler": repr, "depths": _depth_list, "eps_list": _eps_list}
+
+
+def _params(arguments: dict, **derived) -> dict:
+    """Every runner argument in its recorded form, then `derived`.
+
+    A run on a shape also records root_side None (its root is sized from
+    the shape) and the John constants.  A value derived through an
+    exponent check (left_p, a predicted slope) is added after that check.
+    """
+    params = {key: _RECORDED.get(key, lambda v: v)(value) for key, value in arguments.items()}
+    if "shape" in arguments:
+        alpha_john, beta_john, x0 = arguments["shape"].john_constants()
+        params.update(root_side=None, alpha_john=alpha_john, beta_john=beta_john,
+                      john_center=list(x0))
+    return {**params, **derived}
+
+
 def _safe_ratio(lhs: float, rhs: float, what: str) -> float:
     if lhs == 0.0:
         return 0.0
@@ -257,6 +285,7 @@ def _ratio_sweep(experiment: str, params: dict, sides: Callable[[int], tuple]) -
         return (ratio,), entries + extra
 
     series, (ratios,) = _sweep(params["depths"], at)
+    params = {**params, "growth_limit": GROWTH_FACTOR_LIMIT}
     return _report(experiment, params, series, growth_factors_ok(ratios))
 
 
@@ -264,20 +293,19 @@ def _eps_sweep(
     experiment: str,
     params: dict,
     predicted_key: str,
+    predicted: float,
     fields: Callable[[DyadicGrid, float], tuple[GridFunction, GridFunction]],
     slope_ok: Callable[[float, float], bool],
 ) -> ExperimentReport:
     """Over params["eps_list"] on one grid: fields(grid, eps) = (left, right) grid functions.
 
     Their norms are the sides, in L^{s,q} over the content of exponent
-    delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict, whose two limits
-    this records in params with qt, needs slope_ok(fitted slope,
-    predicted) and a right-side variation below RHS_VARIATION_LIMIT.
+    delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict needs slope_ok(fitted
+    slope, predicted) and a right-side variation below RHS_VARIATION_LIMIT;
+    params record both limits, qt, and predicted under predicted_key.
     """
-    if len(params["eps_list"]) < 4 or params["eps_list"][0] <= 0:  # before any grid is built
-        raise VerifyError(f"eps_list must hold at least 4 positive values, got {params['eps_list']}")
-    params = {**params, "qt": SHARPNESS_QT, "slope_tolerance": SLOPE_TOLERANCE,
-              "rhs_variation_limit": RHS_VARIATION_LIMIT}
+    params = {**params, predicted_key: predicted, "qt": SHARPNESS_QT,
+              "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT}
     grid = make_grid(params["dim"], params["depth"], params["root_side"])
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
@@ -290,7 +318,6 @@ def _eps_sweep(
 
     series, (lhs_vals, rhs_vals) = _sweep(params["eps_list"], at)
     slope, r_squared = fit_loglog(params["eps_list"], lhs_vals)
-    predicted = params[predicted_key]
     rhs_variation = max(rhs_vals) / min(rhs_vals) - 1.0
     series += [("fitted_slope", slope), (predicted_key, predicted),
                ("r_squared", r_squared), ("rhs_variation", rhs_variation)]
@@ -308,16 +335,6 @@ def _domain_at_depth(shape: Shape, depth: int) -> JohnDomain:
     return make_john_domain(shape, make_grid(shape.dim, depth, root_side))
 
 
-def _domain_params(shape: Shape, sampler: Sampler, **record) -> dict:
-    """Params of a John-domain run: arguments, root_side None, John constants, growth limit."""
-    alpha_john, beta_john, x0 = shape.john_constants()
-    return {
-        "shape": repr(shape), "sampler": repr(sampler), **record, "root_side": None,
-        "alpha_john": alpha_john, "beta_john": beta_john, "john_center": list(x0),
-        "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
-
-
 def _poincare_sides(
     shape: Shape, u: Sampler, depth: int, c_ball: float
 ) -> tuple[JohnDomain, np.ndarray, GridFunction, GridFunction]:
@@ -327,7 +344,7 @@ def _poincare_sides(
     grid = domain.grid
     raw = u.evaluate(grid.centers()).reshape(grid.shape)
     if np.ptp(raw[domain.cells.mask]) == 0.0:
-        u_ball = float(raw[domain.cells.mask].flat[0]) if domain.cells.count else 0.0
+        u_ball = float(raw[domain.cells.mask].flat[0])
     else:
         u_ball = mean_value(raw, grid, ball, within=domain.cells)
     w = np.where(domain.cells.mask, np.abs(raw - u_ball), 0.0)
@@ -376,6 +393,9 @@ def poincare_check(
     ||grad u||_{p,q,delta}) per depth; passes when finite and growing by
     less than the stability limit per refinement.
     """
+    params = _params(locals())
+    if not isinstance(b_scan, bool):
+        raise VerifyError(f"b_scan must be true or false, got {b_scan!r}")
     dim = shape.dim
     if not (delta / dim < p < math.inf):
         raise VerifyError(f"p must be in (delta/dim, inf) = ({delta / dim:g}, inf), got {p}")
@@ -392,8 +412,6 @@ def poincare_check(
         # diagnostic only: recorded after the ratio, never gates the verdict
         return lhs, rhs, (f"b_scan_ok@d{depth}", _b_scan_ok(domain, raw, exps, lhs))
 
-    params = _domain_params(shape, sampler, delta=delta, p=p, q=q,
-                            depths=_depth_list(depths), c_ball=c_ball)
     return _ratio_sweep("poincare", params, sides)
 
 
@@ -406,6 +424,7 @@ def poincare_weak_check(
     c_ball: float = 0.25,
 ) -> ExperimentReport:
     """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
+    params = _params(locals())
     if p != delta / shape.dim:
         raise VerifyError(f"endpoint check requires p = delta/dim = {delta / shape.dim:g}, got {p}")
     weak, strong = LorentzExponents(p, math.inf, delta), LorentzExponents(p, p, delta)
@@ -414,8 +433,6 @@ def poincare_weak_check(
         domain, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball)
         return lorentz_norm(diff, weak), _john_factor(domain) * lorentz_norm(grad, strong)
 
-    params = _domain_params(shape, sampler, delta=delta, p=p, depths=_depth_list(depths),
-                            c_ball=c_ball)
     return _ratio_sweep("poincare_weak", params, sides)
 
 
@@ -434,15 +451,14 @@ def poincare_sobolev_check(
     The sides are those of _improved_exponents at alpha = 1: main branch
     p in (delta/dim, delta), endpoint p = delta/dim.
     """
+    params = _params(locals())
     left, right = _improved_exponents(p, q, delta, mu, 1.0, shape.dim)
+    params.update(left_p=left.p, left_delta=left.delta, endpoint=p == delta / shape.dim)
 
     def sides(depth):
         _, _, diff, grad = _poincare_sides(shape, sampler, depth, c_ball)
         return lorentz_norm(diff, left), lorentz_norm(grad, right)
 
-    params = _domain_params(shape, sampler, mu=mu, delta=delta, p=p, q=q, left_p=left.p,
-                            left_delta=left.delta, depths=_depth_list(depths), c_ball=c_ball,
-                            endpoint=p == delta / shape.dim)
     return _ratio_sweep("poincare_sobolev", params, sides)
 
 
@@ -470,13 +486,13 @@ def compact_support_check(
     The sampled support must keep a margin of at least 2 cells inside
     the domain boundary.
     """
+    params = _params(locals(), diam=shape.diameter, growth_limit=GROWTH_FACTOR_LIMIT)
     dim = shape.dim
     if not (delta / dim < p < delta):
         raise VerifyError(f"p must be in (delta/dim, delta) = ({delta / dim:g}, {delta:g}), got {p}")
     if not (delta / dim < q < math.inf):
         raise VerifyError(f"q must be in (delta/dim, inf), got {q}")
-    p_end = delta / dim
-    diam = shape.diameter
+    p_end, diam = delta / dim, params["diam"]
     strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
     # variant -> (exponents of f's norm, gradient factor, exponents of the gradient's norm)
     variants = {
@@ -486,8 +502,6 @@ def compact_support_check(
                     1.0, LorentzExponents(p, riesz_right_q(q, p, delta, mu, 1.0), delta)),
         "sobolev_weak": (_improved_exponents(p_end, None, delta, mu, 1.0, dim)[0], 1.0, p_norm),
     }
-    params = _domain_params(shape, sampler, delta=delta, p=p, q=q, mu=mu,
-                            depths=_depth_list(depths), diam=diam)
 
     def at(depth):
         domain = _domain_at_depth(shape, depth)
@@ -517,20 +531,16 @@ def riesz_boundedness_check(
     dim: int = 2,
 ) -> ExperimentReport:
     """Riesz potential norm over the lowered content against the source norm."""
+    params = _params(locals(), root_side=ROOT_SIDE)
     if not (0 < alpha < dim):
         raise VerifyError(f"alpha must be in (0, dim), got {alpha}")
     left, right = _improved_exponents(p, q, delta, mu, alpha, dim)
+    params.update(left_p=left.p, left_delta=left.delta, endpoint=p == delta / dim)
 
     def sides(depth):
         ff = sample(sampler, make_grid(dim, depth, ROOT_SIDE))
         return lorentz_norm(riesz(ff, alpha), left), lorentz_norm(ff, right)
 
-    params = {
-        "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "left_p": left.p, "left_delta": left.delta, "depths": _depth_list(depths),
-        "dim": dim, "root_side": ROOT_SIDE, "endpoint": p == delta / dim,
-        "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
     return _ratio_sweep("riesz_bound", params, sides)
 
 
@@ -545,6 +555,7 @@ def maximal_inequality_check(
     dim: int = 2,
 ) -> ExperimentReport:
     """Fractional maximal operator between Lorentz-content norms."""
+    params = _params(locals(), left_delta=delta - mu * p, root_side=ROOT_SIDE)
     p_hi = math.inf if mu == 0 else delta / mu
     if not (delta / dim < p < p_hi):
         raise VerifyError(f"p must be in (delta/dim, delta/mu) = ({delta / dim:g}, {p_hi:g}), got {p}")
@@ -552,7 +563,7 @@ def maximal_inequality_check(
         raise VerifyError(f"r must be in (delta/dim, inf) = ({delta / dim:g}, inf), got {r}")
     if not (0 < s <= r):
         raise VerifyError(f"s must be in (0, r] = (0, {r:g}], got {s}")
-    left_delta = delta - mu * p
+    left_delta = params["left_delta"]
 
     def sides(depth):
         ff = sample(sampler, make_grid(dim, depth, ROOT_SIDE))
@@ -560,11 +571,6 @@ def maximal_inequality_check(
         lhs = lorentz_norm(mf, LorentzExponents(p, r, left_delta))
         return lhs, lorentz_norm(ff, LorentzExponents(p, s, delta))
 
-    params = {
-        "sampler": repr(sampler), "delta": delta, "mu": mu, "p": p, "s": s, "r": r,
-        "left_delta": left_delta, "depths": _depth_list(depths), "dim": dim,
-        "root_side": ROOT_SIDE, "growth_limit": GROWTH_FACTOR_LIMIT,
-    }
     return _ratio_sweep("maximal_bound", params, sides)
 
 
@@ -579,11 +585,7 @@ def hedberg_constant_check(
     dim: int = 2,
 ) -> ExperimentReport:
     """Sup over the grid of the pointwise Riesz-by-maximal ratio, per depth."""
-    params = {
-        "sampler": repr(sampler), "alpha": alpha, "mu": mu, "delta": delta, "p": p, "q": q,
-        "depths": _depth_list(depths), "dim": dim, "root_side": ROOT_SIDE,
-        "stability": HEDBERG_STABILITY,
-    }
+    params = _params(locals(), root_side=ROOT_SIDE, stability=HEDBERG_STABILITY)
     exps = LorentzExponents(p, q, delta)
 
     def at(depth):
@@ -616,6 +618,7 @@ def sharpness_poincare(
     Verdict: fitted slope within SLOPE_TOLERANCE of the prediction and
     right-norm variation below RHS_VARIATION_LIMIT.
     """
+    params = _params(locals(), root_side=ROOT_SIDE)
     s_lo = riesz_left_exponent(p, delta, mu, 1.0)
     if not (s > s_lo):
         raise VerifyError(f"s must exceed p(delta-mu p)/(delta-p) = {s_lo:g}, got {s}")
@@ -627,12 +630,8 @@ def sharpness_poincare(
         u = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, 1.0))
         return sample(u, grid), gradient_magnitude(u, grid)
 
-    params = {
-        "delta": delta, "mu": mu, "p": p, "s": s, "q": q, "eta": eta,
-        "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
-        "root_side": ROOT_SIDE, "predicted_slope": gradient_slope_prediction(eta, p, s, delta, mu),
-    }
-    return _eps_sweep("sharpness_poincare", params, "predicted_slope", fields,
+    return _eps_sweep("sharpness_poincare", params, "predicted_slope",
+                      gradient_slope_prediction(eta, p, s, delta, mu), fields,
                       lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
 
 
@@ -656,6 +655,7 @@ def sharpness_riesz(
     (slope at most the prediction, up to tolerance) while the source
     norm stays uniformly bounded.
     """
+    params = _params(locals(), root_side=RIESZ_ROOT_SIDE, outer_radius=RIESZ_OUTER_RADIUS)
     s_lo = riesz_left_exponent(p, delta, mu, alpha)
     if not (s > s_lo):
         raise VerifyError(f"s must exceed p(delta-mu p)/(delta-p alpha) = {s_lo:g}, got {s}")
@@ -668,13 +668,8 @@ def sharpness_riesz(
         ff = sample(fs, grid)
         return riesz(ff, alpha), ff
 
-    params = {
-        "delta": delta, "mu": mu, "alpha": alpha, "p": p, "s": s, "q": q, "eta": eta,
-        "eps_list": [float(e) for e in sorted(eps_list)], "depth": depth, "dim": dim,
-        "root_side": RIESZ_ROOT_SIDE, "outer_radius": RIESZ_OUTER_RADIUS,
-        "predicted_blowup": riesz_blowup_prediction(eta, p, s, delta, mu, alpha),
-    }
-    return _eps_sweep("sharpness_riesz", params, "predicted_blowup", fields,
+    return _eps_sweep("sharpness_riesz", params, "predicted_blowup",
+                      riesz_blowup_prediction(eta, p, s, delta, mu, alpha), fields,
                       lambda slope, predicted: slope <= predicted + SLOPE_TOLERANCE)
 
 

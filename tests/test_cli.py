@@ -222,6 +222,28 @@ def test_verify_refused_sampler_or_shape_exits_2(key, value, message, capsys):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1  # no numpy warning
 
 
+# b_scan used to be read by truthiness, so "false" ran the scan; a zero, negative
+# or NaN c_ball gave an empty mean-value ball, which passed with a constant sampler
+# and failed with the linear one on "contains no cell centers"
+@pytest.mark.parametrize("override, message", [
+    ('b_scan="false"', "b_scan must be true or false, got 'false'"),
+    ("b_scan=0", "b_scan must be true or false, got 0"),
+    ("b_scan=1", "b_scan must be true or false, got 1"),
+    ("b_scan=null", "b_scan must be true or false, got None"),
+    ("c_ball=-1", "c_ball must be positive and finite, got -1.0"),
+    ("c_ball=0", "c_ball must be positive and finite, got 0.0"),
+    ("c_ball=NaN", "c_ball must be positive and finite, got nan"),
+    ('c_ball="0.25"', "a config value has the wrong JSON type"),
+])
+@pytest.mark.parametrize("sampler", ['{"kind": "constant", "value": 1.0}',
+                                     '{"kind": "linear", "coeffs": [1.0, 0.0]}'])
+def test_verify_refused_b_scan_or_c_ball_exits_2(override, message, sampler, capsys):
+    args = ["verify", "poincare", "--set", "depths=[3]", "--set", f"sampler={sampler}"]
+    assert run([*args, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 _RIESZ_3D = ["riesz_bound", "--set", "dim=3", "--set", "delta=3.0", "--set", "p=2.0",
              "--set", "depths=[2,3]"]
 

@@ -7,6 +7,7 @@ from capnorm.choquet import distribution
 from capnorm.content import (
     ORACLE_CELL_LIMIT,
     ContentError,
+    ContentEngine,
     ball_bracket_ratio_bound,
     ball_cover_bracket,
     content_oracle,
@@ -98,25 +99,37 @@ def test_oracle_equivalence_random():
 
 def test_cover_invariants():
     rng = np.random.default_rng(5)
-    g = make_grid(2, 4, 1.0, origin=(0.0, 0.0))
-    for _ in range(25):
-        cells = random_cellset(g, rng)
-        if cells.is_empty():
-            continue
-        for delta in (0.6, 1.3, 2.0):
-            sol = dyadic_content(cells, delta)
-            # cover cost matches the reported value
-            assert sol.cover_cost() == pytest.approx(sol.value, rel=1e-12)
-            # cubes are pairwise disjoint and their union contains the set
-            covered = np.zeros(g.shape, dtype=int)
-            for cube in sol.cover:
-                scale = 2 ** (g.depth - cube.level)
-                block = tuple(
-                    slice(i * scale, (i + 1) * scale) for i in cube.index
-                )
-                covered[block] += 1
-            assert covered.max() <= 1
-            assert np.all(covered[cells.mask] == 1)
+    for dim, depth in ((1, 7), (2, 4), (3, 3)):
+        g = make_grid(dim, depth, 1.0)
+        for _ in range(25):
+            cells = random_cellset(g, rng)
+            if cells.is_empty():
+                continue
+            for delta in (0.3 * dim, 0.65 * dim, float(dim)):
+                sol = dyadic_content(cells, delta)
+                # cover cost matches the reported value
+                assert sol.cover_cost() == pytest.approx(sol.value, rel=1e-12)
+                # cubes are pairwise disjoint and their union contains the set
+                covered = np.zeros(g.shape, dtype=int)
+                for cube in sol.cover:
+                    scale = 2 ** (g.depth - cube.level)
+                    block = tuple(
+                        slice(i * scale, (i + 1) * scale) for i in cube.index
+                    )
+                    covered[block] += 1
+                assert covered.max() <= 1
+                assert np.all(covered[cells.mask] == 1)
+                # coarsest-cube rule: a taken cube costs its own weight (a leaf
+                # that meets the set always does) and no ancestor of it does
+                engine = ContentEngine(g, delta)
+                engine.build(cells.mask)
+                assert engine.extract_cover() == sol.cover
+                for cube in sol.cover:
+                    k, idx = cube.level, cube.index
+                    assert engine.cost[k][idx] == engine.weights[k]
+                    for j in range(k):
+                        ancestor = tuple(i >> (k - j) for i in idx)
+                        assert engine.cost[j][ancestor] != engine.weights[j]
 
 
 def test_monotonicity_on_nested_pairs():
@@ -181,6 +194,18 @@ def test_superlevel_sweep_bit_identical():
             lower = np.concatenate([[0.0], dist.thresholds[:-1]])
             fresh = np.array([content_value(CellSet(g, vals > v), delta) for v in lower])
             assert np.array_equal(dist.plateaus.view(np.uint64), fresh.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_superlevel_contents_of_empty_family(dim, depth):
+    # no cell in any set: this raised IndexError at depth >= 2 and returned
+    # an empty array at depth 1
+    engine = ContentEngine(make_grid(dim, depth, 1.0), 0.5 * dim)
+    levels = np.full(engine.grid.shape, -1)
+    contents = engine.superlevel_contents(levels, 3)
+    engine.build(levels >= 0)
+    assert contents.tolist() == [engine.value] * 3 == [0.0] * 3
 
 
 def test_ball_bracket_examples():

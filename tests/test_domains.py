@@ -170,6 +170,15 @@ def test_mean_value_ball_must_fit():
         mean_value_ball(dom, c_ball=1.5)
 
 
+# a negative, zero or NaN constant used to give an empty ball, which a constant
+# sampler never averages over, so the run passed; inf gave "sticks out"
+@pytest.mark.parametrize("c_ball", [0.0, -1.0, math.nan, math.inf])
+def test_mean_value_ball_constant_must_be_positive_and_finite(c_ball):
+    dom = make_john_domain(Shape.ball((0.0, 0.0), 1.0), make_grid(2, 4, 2.0))
+    with pytest.raises(DomainError, match="^c_ball must be positive and finite"):
+        mean_value_ball(dom, c_ball)
+
+
 def test_punctured_ball_requires_corner_alignment():
     g = make_grid(2, 4, 2.0, origin=(-1.01, -1.0))
     with pytest.raises(DomainError, match="corner"):

@@ -4,6 +4,8 @@ The pinned series and config hashes were recorded before the nine runners
 were moved onto the shared sweep skeletons, and the l_shape, punctured_ball,
 rectangle-with-bump and constant-sampler pins before sampler and shape
 configs were handed to their constructors as keywords; they must not move.
+The poincare config hashes were re-recorded once, when params began to
+record b_scan; their series did not move.
 """
 
 import functools
@@ -54,7 +56,7 @@ CASES = [
 # test id -> (provenance.config_hash, series)
 PINS = {
     'poincare': (
-        '1ada863754a35cecc845e3f4a78722dfecf08898cb783abd1932d2201aaf9df2',
+        '9e0b124131005e76d01695f3792d3ae54443051379caddaa3db28d6321df0118',
         [
             ('lhs@d3', 1.0354588522814572),
             ('rhs@d3', 2.194095738832282),
@@ -67,7 +69,7 @@ PINS = {
         ],
     ),
     'poincare_rectangle': (
-        '071a19275619621d6f73296056db1ddcdb4ed4030cadad8cae9952bfdf29a5ae',
+        '1658a9fa580a0f84ebcc4f11c65f888069199d81495cca3c3c0942372604b5da',
         [
             ('lhs@d5', 0.5938975240514225),
             ('rhs@d5', 16.35592037800813),
@@ -204,7 +206,7 @@ PINS = {
             ('rhs_variation', 0.6064387378050162),
         ],
     ),    'poincare_l_shape': (
-        'e3534cf540b5710ce41bf83c5d941e51917dd0bfa3a747c117e08524c2db15b0',
+        'a1508093c79986dda01b12891105bf5005b433f6ab81a7fc8178814224a9e3a6',
         [
             ('lhs@d5', 1.1994617488033776),
             ('rhs@d5', 1065.002917402575),
@@ -217,7 +219,7 @@ PINS = {
         ],
     ),
     'poincare_punctured_ball': (
-        '4cb6d4ed8064f7823776dd09beb6b254abcc8f7338215682d51e70269c88e01a',
+        '6f6973ccc0aac90ee71125cbaceeadd30353e36dbff5b9d8c55414a875b910c4',
         [
             ('lhs@d4', 0.8414973561806942),
             ('rhs@d4', 1.4010020686919882),
@@ -230,7 +232,7 @@ PINS = {
         ],
     ),
     'poincare_punctured_ball_annulus': (
-        '92c660c9c7e4a05ca5a1f6e289a8dc45c272a09f1b1938dd7c000ef2da395935',
+        '227ec541d7a7d4709c29fdc6285315eb767f7096df635d806f4b597c69da06fa',
         [
             ('lhs@d4', 0.9829235175807687),
             ('rhs@d4', 0.950489227110936),
@@ -324,3 +326,21 @@ def test_pinned_report(case, name, overrides, monkeypatch):
     assert [label for label, _ in report.series] == [label for label, _ in series]
     for (label, value), (_, pinned) in zip(report.series, series):
         assert value == pytest.approx(pinned, rel=1e-12, abs=0.0), label
+
+
+@pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
+def test_params_record_every_runner_keyword(name):
+    # the config hash covers params, so an unrecorded keyword would let two
+    # reports with different series share one hash
+    overrides = next(overrides for case, _, overrides in CASES if case == name)
+    report = cli.run_experiment(name, resolve_config(name, {}, overrides))
+    runner = getattr(verify, verify.EXPERIMENTS[name].runner)
+    assert set(inspect.signature(runner).parameters) <= set(report.params)
+
+
+def test_b_scan_moves_the_config_hash():
+    reports = [cli.run_experiment("poincare", resolve_config("poincare", {}, {
+        "depths": [3, 4], "b_scan": b_scan})) for b_scan in (True, False)]
+    assert [r.params["b_scan"] for r in reports] == [True, False]
+    assert reports[0].provenance["config_hash"] != reports[1].provenance["config_hash"]
+    assert len(reports[0].series) > len(reports[1].series)
