@@ -619,6 +619,8 @@ def sharpness_poincare(
     right-norm variation below RHS_VARIATION_LIMIT.
     """
     params = _params(locals(), root_side=ROOT_SIDE)
+    if not (0 < p < delta):  # riesz_left_exponent divides by delta - p
+        raise VerifyError(f"p must be in (0, delta) = (0, {delta:g}), got {p}")
     s_lo = riesz_left_exponent(p, delta, mu, 1.0)
     if not (s > s_lo):
         raise VerifyError(f"s must exceed p(delta-mu p)/(delta-p) = {s_lo:g}, got {s}")
@@ -656,6 +658,10 @@ def sharpness_riesz(
     norm stays uniformly bounded.
     """
     params = _params(locals(), root_side=RIESZ_ROOT_SIDE, outer_radius=RIESZ_OUTER_RADIUS)
+    # riesz_left_exponent divides by delta - p alpha; no bound here divides by alpha,
+    # so that alpha = 0 reaches riesz and is refused there by name
+    if not (p > 0 and p * alpha < delta):
+        raise VerifyError(f"p must be positive with p*alpha < delta = {delta:g}, got {p}")
     s_lo = riesz_left_exponent(p, delta, mu, alpha)
     if not (s > s_lo):
         raise VerifyError(f"s must exceed p(delta-mu p)/(delta-p alpha) = {s_lo:g}, got {s}")

@@ -12,6 +12,7 @@ from capnorm import io, operators
 from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config, shape_from_config
 from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
 from capnorm.operators import MaximalParams, maximal, riesz
+from capnorm.verify import EXPERIMENTS
 
 
 @pytest.fixture
@@ -132,6 +133,23 @@ def test_verify_config_file_not_an_object_exits_2(tmp_path, capsys):
 def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, capsys):
     assert run(["verify", experiment, "--set", f"eps_list={eps_list}"]) == 2
     assert "eps_list must hold at least 4 positive values" in capsys.readouterr().err
+
+
+# p = delta/alpha used to end in a ZeroDivisionError traceback from riesz_left_exponent;
+# alpha = 0 must still be refused by its own name
+@pytest.mark.parametrize("experiment, override, message", [
+    ("sharpness_poincare", "p=2.0", "p must be in (0, delta) = (0, 2), got 2.0"),
+    ("sharpness_poincare", "p=0", "p must be in (0, delta) = (0, 2), got 0"),
+    ("sharpness_poincare", "p=-1", "p must be in (0, delta) = (0, 2), got -1"),
+    ("sharpness_riesz", "p=2.0", "p must be positive with p*alpha < delta = 2, got 2.0"),
+    ("sharpness_riesz", "p=0", "p must be positive with p*alpha < delta = 2, got 0"),
+    ("sharpness_riesz", "alpha=0", "alpha must be in (0, dim), got 0"),
+])
+def test_verify_sharpness_p_outside_left_exponent_domain_exits_2(experiment, override, message,
+                                                                 capsys):
+    assert run(["verify", experiment, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_verify_runs_and_is_deterministic(capsys):
@@ -318,6 +336,44 @@ def test_emitted_json_reparses_and_revalidates(indicator_fn, tmp_path):
     f = io.gridfunction_from_dict(doc)
     doc2 = io.gridfunction_to_dict(f)
     assert doc == doc2
+
+
+def _stdlib_text(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+# io.dumps writes json.dumps(..., sort_keys=True, indent=2) bytes without json's
+# Python encoder; every document a subcommand writes is checked against the stdlib
+def test_every_cli_document_matches_stdlib_json(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    values = rng.exponential(size=(16, 16)) * (rng.random((16, 16)) < 0.7)
+    fn = tmp_path / "fn.json"
+    fn.write_text(io.dumps(io.gridfunction_to_dict(GridFunction(make_grid(2, 4, 2.0), values))))
+    cells = tmp_path / "cells.json"
+    cells.write_text(io.dumps(io.cellset_to_dict(CellSet(make_grid(2, 4, 2.0),
+                                                         rng.random((16, 16)) < 0.3))))
+    commands = {
+        "content": ["content", "--set", str(cells), "--delta", "1.3", "--cover-out"],
+        "norm": ["norm", "--fn", str(fn), "--delta", "1.5", "--p", "1.5", "--q", "inf"],
+        "norm_lebesgue": ["norm", "--fn", str(fn), "--delta", "1.5", "--p", "1.5", "--lebesgue"],
+        "maximal": ["maximal", "--fn", str(fn), "--mu", "0.5"],
+        "riesz": ["riesz", "--fn", str(fn), "--alpha", "1.0"],
+        "interp": ["interp", "--fn", str(fn), "--p0", "1.0", "--p1", "3.0", "--eta", "0.5",
+                   "--q", "2.0", "--delta", "1.5"],
+        **{exp: ["verify", exp] for exp in EXPERIMENTS},
+    }
+    texts = {}
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        if name == "content":
+            argv = [*argv, str(tmp_path / "cover.json")]
+        assert run([*argv, "--out", str(out)]) == 0, name
+        texts[name] = out.read_text(encoding="utf-8")
+    texts["cover"] = (tmp_path / "cover.json").read_text(encoding="utf-8")
+    assert run(["selftest"]) == 0
+    texts["selftest"] = capsys.readouterr().out
+    for name, text in texts.items():
+        assert text == _stdlib_text(text), name
 
 
 def test_oversized_grid_document_refused_before_values(tmp_path, capsys):

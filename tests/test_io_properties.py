@@ -1,6 +1,8 @@
-"""Property test: grid functions and cell sets survive the JSON round trip bit for bit."""
+"""Property tests: grid functions and cell sets survive the JSON round trip bit for bit,
+and io.dumps writes the bytes of json.dumps(..., sort_keys=True, indent=2)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from capnorm import io  # noqa: E402
-from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
+from capnorm.grid import CellSet, GridError, GridFunction, make_grid  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -36,8 +38,9 @@ def _through_json(doc):
 @given(grids(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_gridfunction_roundtrip_bit_identical(grid, data):
+    # min_value=0.0 never draws -0.0, which GridFunction admits
     values = data.draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(
-        min_value=0.0, allow_infinity=False, allow_subnormal=True)))
+        min_value=0.0, allow_infinity=False, allow_subnormal=True) | st.just(-0.0)))
     f = GridFunction(grid, values)
     back = io.gridfunction_from_dict(_through_json(io.gridfunction_to_dict(f)))
     assert _bits(back.grid) == _bits(grid)
@@ -81,3 +84,56 @@ GRIDFUNCTION_TEXT = """\
 def test_gridfunction_text_layout():
     f = GridFunction(make_grid(2, 1, 2.0), np.array([[0.0, 0.1], [1 / 3, 2.5e20]]))
     assert io.dumps(io.gridfunction_to_dict(f)) == GRIDFUNCTION_TEXT
+
+
+# leaves json writes each in its own way: escapes and non-ASCII text, big ints, signed
+# zeros, subnormals, NaN, infinities and numpy float scalars
+leaves = st.one_of(
+    st.text(), st.booleans(), st.none(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_subnormal=True), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308]),
+)
+documents = st.dictionaries(st.text(), st.recursive(leaves, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(st.text(), children, max_size=5),
+), max_leaves=25))
+
+
+@given(documents)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_stdlib_json(doc):
+    assert io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_value_template_matches_per_value_format(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert io._format_values(values.tolist()) == [format(v, ".17g") for v in values]
+
+
+value_texts = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True).map(lambda v: format(v, ".17g")),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-_ \t\ninfatyINFATY\u0660\u0663\xa0", max_size=12),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(value_texts, min_size=4, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_gridfunction_values_parse_as_float_does(texts):
+    doc = {"grid": io.grid_to_dict(make_grid(1, 2, 1.0)), "values": texts}
+    try:
+        expected = np.array([float(t) for t in texts])
+    except ValueError:
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            io.gridfunction_from_dict(doc)
+        return
+    if not np.all(np.isfinite(expected) & (expected >= 0)):
+        with pytest.raises(GridError):
+            io.gridfunction_from_dict(doc)
+        return
+    back = io.gridfunction_from_dict(doc)
+    assert np.array_equal(back.values.view(np.uint64), expected.view(np.uint64))
