@@ -170,19 +170,30 @@ def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
     """(p/q sum_j (v_j^q - v_{j-1}^q) h_j^{q/p})^{1/q}, or max_j v_j h_j^{1/p} for q = inf.
 
     (1, 1) is the layer-cake integral and (p, p) the p-norm, bit for bit:
-    at q = p the factor p/q and the power q/p are exactly one.
+    at q = p the factor p/q and the power q/p are exactly one.  A power
+    that overflows, or a result that is not finite, is an ExponentError:
+    such exponents lie outside double precision for this distribution.
     """
     if not (0 < p < math.inf) or not (0 < q):
         raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
     if dist.is_zero:
         return 0.0
-    if q == math.inf:
-        # sup of lam * h(lam)^(1/p); on each plateau the sup sits at the
-        # right endpoint approached from below, exact for step data
-        return float(np.max(dist.thresholds * dist.plateaus ** (1.0 / p)))
-    ext = np.concatenate([[0.0], dist.thresholds]) ** q
-    h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
-    return float((p / q) * np.sum(np.diff(ext) * h)) ** (1.0 / q)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        if q == math.inf:
+            # sup of lam * h(lam)^(1/p); on each plateau the sup sits at the
+            # right endpoint approached from below, exact for step data
+            norm = float(np.max(dist.thresholds * dist.plateaus ** (1.0 / p)))
+        else:
+            ext = np.concatenate([[0.0], dist.thresholds]) ** q
+            h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
+            total = float((p / q) * np.sum(np.diff(ext) * h))
+            try:
+                norm = total ** (1.0 / q)
+            except OverflowError:  # a float power raises where numpy's returns inf
+                norm = math.inf
+    if not math.isfinite(norm):
+        raise ExponentError(f"the Lorentz norm at p={p:g}, q={q:g} is not finite in double precision")
+    return norm
 
 
 def _largest_pow2_below(v: float) -> int:

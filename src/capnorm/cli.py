@@ -25,7 +25,7 @@ from . import __version__, io, verify
 from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import content_oracle, content_value, dyadic_content
 from .domains import Shape
-from .grid import CellSet, GridFunction, Sampler, grid_integer, make_grid
+from .grid import CellSet, GridFunction, Sampler, grid_dim, make_grid
 from .interp import InterpPair, interpolation_norm, k_profile
 from .operators import MaximalParams, maximal, riesz
 
@@ -110,12 +110,13 @@ def run_experiment(experiment: str, cfg: dict) -> verify.ExperimentReport:
 
     The runner is looked up on the verify module at call time; dim,
     shape and sampler are the only config values that are converted.
-    dim follows make_grid's integer rule, so 3.0 runs as 3.  The sampler
-    takes the run's dimension: the config's dim, else the shape's.
+    dim follows make_grid's rule, so 3.0 runs as 3, and is checked before
+    the sampler is built.  The sampler takes the run's dimension: the
+    config's dim, else the shape's.
     """
     kwargs = dict(cfg)
     if "dim" in kwargs:
-        kwargs["dim"] = grid_integer("dim", kwargs["dim"])
+        kwargs["dim"] = grid_dim(kwargs["dim"])
     if "shape" in kwargs:
         kwargs["shape"] = shape_from_config(kwargs["shape"])
     if "sampler" in kwargs:

@@ -106,6 +106,14 @@ def grid_integer(key: str, value) -> int:
     return int(value)
 
 
+def grid_dim(value) -> int:
+    """A grid dimension: an integer (by grid_integer's rule) of 1, 2 or 3."""
+    dim = grid_integer("dim", value)
+    if dim not in (1, 2, 3):
+        raise GridError(f"dim must be 1, 2 or 3, got {value!r}")
+    return dim
+
+
 def make_grid(dim, depth, root_side, origin=None) -> DyadicGrid:
     """Build a dyadic grid, enforcing the leaf-cell memory cap.
 
@@ -113,9 +121,7 @@ def make_grid(dim, depth, root_side, origin=None) -> DyadicGrid:
     defaults to ``-root_side/2`` per axis, which puts the coordinate
     origin on a cell corner at every depth.
     """
-    dim, depth = grid_integer("dim", dim), grid_integer("depth", depth)
-    if dim not in (1, 2, 3):
-        raise GridError(f"dim must be 1, 2 or 3, got {dim}")
+    dim, depth = grid_dim(dim), grid_integer("depth", depth)
     if depth < 1:
         raise GridError(f"depth must be >= 1, got {depth}")
     # compare exponents first: a depth read from a file may be too large to power out

@@ -36,7 +36,15 @@ passes with margin.
 
 The infimum over the shift b is evaluated at the mean value over the
 John ball; a golden-section scan over b runs alongside as a diagnostic
-and must not beat the ball mean by more than a factor two.
+and must not beat the ball mean by more than a factor two.  The golden
+section keeps its best point inside the bracket, so the running minimum
+only falls.  The scan stops once that minimum fails the factor-two test,
+which no later point can undo, or after B_SCAN_STEPS steps, when the
+bracket is B_SCAN_RTOL of the range of u: 2 + 15 norm evaluations, each
+a content-tree sweep at delta < dim.  Its points are a prefix of any
+longer scan's, so b_scan_ok is 1.0 wherever a longer scan's is, and
+reads 1.0 where that scan's reads 0.0 only if it found its lower minimum
+after the bracket narrowed to B_SCAN_RTOL.
 """
 
 from __future__ import annotations
@@ -62,6 +70,12 @@ SLOPE_TOLERANCE = 0.05
 RHS_VARIATION_LIMIT = 0.10
 HEDBERG_STABILITY = 0.20
 B_SCAN_FACTOR = 2.0
+# The b-scan's bracket shrinks by INVPHI per golden step; it stops after
+# B_SCAN_STEPS = 15 steps, at B_SCAN_RTOL of its start.  Its verdict
+# compares at a factor of B_SCAN_FACTOR, far coarser than 1e-3.
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+B_SCAN_RTOL = 1e-3
+B_SCAN_STEPS = math.ceil(math.log(B_SCAN_RTOL) / math.log(INVPHI))
 # Second index of the uniform-boundedness norm in sharpness runs: the weak
 # norm (q = inf) is the member of the Lorentz family whose truncation tails
 # converge fastest, so the uniformity claim is visible at moderate
@@ -243,21 +257,31 @@ def _safe_ratio(lhs: float, rhs: float, what: str) -> float:
     return lhs / rhs
 
 
-def _golden_min(fun: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section scan of 60 steps; returns the minimal observed value."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _golden_min(
+    fun: Callable[[float], float], lo: float, hi: float, settled: Callable[[float], bool]
+) -> float:
+    """Golden-section scan of fun on [lo, hi]; returns the minimal observed value.
+
+    The best point so far stays inside the bracket, so min(fc, fd) is the
+    running minimum.  The scan stops once settled(running minimum) holds,
+    or after B_SCAN_STEPS steps, when the bracket is B_SCAN_RTOL (hi - lo):
+    at most 2 + B_SCAN_STEPS evaluations.  A count of steps, not a test on
+    b - a, so a bracket a few ulps wide cannot stall it.
+    """
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(60):
+    for _ in range(B_SCAN_STEPS):
+        if settled(min(fc, fd)):
+            break
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - INVPHI * (b - a)
             fc = fun(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + INVPHI * (b - a)
             fd = fun(d)
     return min(fc, fd)
 
@@ -370,8 +394,12 @@ def _b_scan_ok(domain: JohnDomain, raw: np.ndarray, exps: LorentzExponents, lhs:
         w = np.where(domain.cells.mask, np.abs(raw - b), 0.0)
         return lorentz_norm(GridFunction(grid, w), exps)
 
-    best = _golden_min(norm_at, float(vals.min()), float(vals.max()))
-    return float(lhs <= B_SCAN_FACTOR * best + 1e-12)
+    def ok(best):
+        return lhs <= B_SCAN_FACTOR * best + 1e-12
+
+    # a running minimum only falls, so a failed verdict is final
+    best = _golden_min(norm_at, float(vals.min()), float(vals.max()), lambda best: not ok(best))
+    return float(ok(best))
 
 
 # experiments ----------------------------------------------------------------

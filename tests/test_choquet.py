@@ -7,6 +7,7 @@ from capnorm.choquet import (
     MERGE_RTOL,
     ExponentError,
     LorentzExponents,
+    StepDistribution,
     choquet_integral,
     choquet_p_norm,
     distribution,
@@ -350,6 +351,15 @@ def test_fast_path_matches_dp_at_delta_dim():
         for j, thr in enumerate(fast.thresholds[:-1]):
             dp = content_value(CellSet(GRID, f.values > thr), 2.0)
             assert fast.plateaus[j + 1] == pytest.approx(dp, rel=1e-12)
+
+
+def test_lorentz_norm_out_of_double_precision_is_an_exponent_error():
+    dist = StepDistribution(np.array([1.0, 2.0]), np.array([3.0, 2.0]))
+    finite = math.sqrt(0.75 * (3.0 ** (4 / 3) + 3.0 * 2.0 ** (4 / 3)))
+    assert lorentz_norm_of(dist, 1.5, 2.0) == pytest.approx(finite, rel=1e-15)
+    for p, q in ((1.5, 1e-300), (1.5, 1e300), (1e-300, math.inf)):
+        with pytest.raises(ExponentError, match="is not finite"):
+            lorentz_norm_of(dist, p, q)
 
 
 def test_exponent_validation():

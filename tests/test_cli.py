@@ -262,6 +262,26 @@ def test_verify_refused_b_scan_or_c_ball_exits_2(override, message, sampler, cap
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+# an exponent whose powers leave double precision used to end in an
+# OverflowError traceback (q) or a NaN series (r, the left norm's q); a huge
+# dim overflowed while the sampler's centre was built, before dim was checked
+@pytest.mark.parametrize("args, message", [
+    (["sharpness_poincare", "--set", "depth=3", "--set", "q=1e-300"], "q=1e-300 is not finite"),
+    (["sharpness_riesz", "--set", "depth=3", "--set", "q=1e-300"], "q=1e-300 is not finite"),
+    # hedberg's norm index is q (delta - alpha p) / (delta - mu p)
+    (["hedberg", "--set", "q=1e-300"], "q=2.5e-301 is not finite"),
+    (["maximal_bound", "--set", "depths=[2,3]", "--set", "r=1e300"], "q=1e+300 is not finite"),
+    (["hedberg", "--set", "dim=1e300"], "dim must be 1, 2 or 3, got 1e+300"),
+    (["maximal_bound", "--set", "dim=1e300"], "dim must be 1, 2 or 3, got 1e+300"),
+    (["riesz_bound", "--set", "dim=1e300"], "dim must be 1, 2 or 3, got 1e+300"),
+])
+def test_verify_exponent_or_dim_out_of_range_exits_2(args, message, capsys):
+    assert run(["verify", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # no traceback, no numpy warning
+    assert message in err
+
+
 _RIESZ_3D = ["riesz_bound", "--set", "dim=3", "--set", "delta=3.0", "--set", "p=2.0",
              "--set", "depths=[2,3]"]
 

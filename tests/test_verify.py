@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnorm.domains import Shape
 from capnorm.grid import Sampler
@@ -304,3 +306,110 @@ def test_ball_radius_family_recorded():
         assert rep.verdict
         ratios[k] = dict(rep.series)["ratio@d5"]
     assert all(math.isfinite(r) and r > 0 for r in ratios.values())
+
+
+# the b-scan ---------------------------------------------------------------
+
+
+def _golden_points_60(fun, lo, hi):
+    """The b-scan's golden section before its stop rule: 60 steps, every point in order."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    points = []
+
+    def at(x):
+        points.append(x)
+        return fun(x)
+
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = at(c), at(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = at(d)
+    return min(fc, fd), points
+
+
+# |x - x0|^power + base on [lo, lo + width]; x0 may lie outside, making it monotone
+unimodal = st.tuples(
+    st.floats(-100.0, 100.0), st.floats(1e-6, 1e3), st.floats(-0.5, 1.5),
+    st.floats(0.5, 3.0), st.floats(-10.0, 10.0),
+)
+
+
+def _unimodal(case):
+    lo, width, where, power, base = case
+    x0 = lo + where * width
+    return lo, lo + width, base, lambda x: base + abs(x - x0) ** power
+
+
+def _recording(fun):
+    points, values = [], []
+
+    def at(x):
+        points.append(x)
+        values.append(fun(x))
+        return values[-1]
+
+    return at, points, values
+
+
+def test_b_scan_steps_narrow_the_bracket_to_b_scan_rtol():
+    assert verify.B_SCAN_STEPS == 15
+    assert verify.INVPHI ** (verify.B_SCAN_STEPS - 1) > verify.B_SCAN_RTOL
+    assert verify.INVPHI ** verify.B_SCAN_STEPS <= verify.B_SCAN_RTOL
+
+
+@given(unimodal)
+@settings(max_examples=200, deadline=None)
+def test_golden_min_evaluates_a_prefix_of_the_60_step_scan(case):
+    lo, hi, _, fun = _unimodal(case)
+    at, points, values = _recording(fun)
+    best = verify._golden_min(at, lo, hi, lambda best: False)
+    assert best == min(values)
+    assert len(points) == 2 + verify.B_SCAN_STEPS <= 17
+    ref_best, ref_points = _golden_points_60(fun, lo, hi)
+    assert points == ref_points[: len(points)]
+    assert best >= ref_best
+
+
+@given(unimodal, st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_golden_min_makes_no_evaluation_once_settled(case, share):
+    lo, hi, base, fun = _unimodal(case)
+    cut = base + share * (max(fun(lo), fun(hi)) - base)  # share 0 never settles
+    at, points, values = _recording(fun)
+    best = verify._golden_min(at, lo, hi, lambda best: best < cut)
+    assert best == min(values)
+    running = np.minimum.accumulate(values)
+    decided = [i for i in range(1, len(values)) if running[i] < cut]
+    if decided:  # the evaluation that decided it is the last one made
+        assert len(values) == decided[0] + 1 and best < cut
+    else:
+        assert len(values) == 2 + verify.B_SCAN_STEPS
+
+
+@pytest.mark.parametrize("sampler, verdict", [
+    (LINEAR, 1.0),
+    (Sampler.radial_power(0.5, center=(0.0, 0.0)), 0.0),  # settles at the second point
+])
+def test_poincare_b_scan_norm_evaluations_per_depth(sampler, verdict, monkeypatch):
+    # at delta < dim each evaluation is a content-tree sweep; the 60-step scan made 62
+    full_scan = lambda fun, lo, hi, settled: _golden_points_60(fun, lo, hi)[0]  # noqa: E731
+    monkeypatch.setattr(verify, "_golden_min", full_scan)
+    reference = verify.poincare_check(BALL, sampler, 1.5, 1.5, 1.5, [4])
+    monkeypatch.undo()
+    calls = []
+    norm = verify.lorentz_norm
+    monkeypatch.setattr(verify, "lorentz_norm", lambda f, exps: calls.append(exps) or norm(f, exps))
+    report = verify.poincare_check(BALL, sampler, 1.5, 1.5, 1.5, [4])
+    assert report.series == reference.series
+    assert dict(report.series)["b_scan_ok@d4"] == verdict
+    assert len(calls) <= 2 + 17
+    assert verdict or len(calls) < 2 + 17  # a failed verdict stops the scan early
