@@ -210,7 +210,9 @@ def dyadic_sum_norm_of(dist: StepDistribution, p: float, q: float) -> float:
     geometric tail.  Comparable to the integral form within
     [(q/(p(2^q-1)))^{1/q}, (q 2^q/(p(2^q-1)))^{1/q}] for finite q
     (h is nonincreasing, so each dyadic slab brackets the integrand),
-    and within [1/2, 1] relative for q = inf.
+    and within [1/2, 1] relative for q = inf.  As in `lorentz_norm_of`, a
+    power that overflows, a tail factor 1 - 2^-q that rounds to zero, or a
+    result that is not finite is an ExponentError.
     """
     if not (0 < p < math.inf) or not (0 < q):
         raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
@@ -221,20 +223,26 @@ def dyadic_sum_norm_of(dist: StepDistribution, p: float, q: float) -> float:
     i_tail = _largest_pow2_below(v_min)  # levels <= i_tail see the whole support
     i_top = _largest_pow2_below(v_max)  # last level with a nonzero term
     h0 = float(dist.plateaus[0])
-    if q == math.inf:
-        best = math.ldexp(1.0, i_tail) * h0 ** (1.0 / p)
-        for i in range(i_tail + 1, i_top + 1):
-            h = dist.content_at(math.ldexp(1.0, i))
-            best = max(best, math.ldexp(1.0, i) * h ** (1.0 / p))
-        return best
-    tail = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
-    total = tail
-    for i in range(i_tail + 1, i_top + 1):
-        lam = math.ldexp(1.0, i)
-        h = dist.content_at(lam)
-        if h > 0:
-            total += lam**q * h ** (q / p)
-    return total ** (1.0 / q)
+    try:
+        if q == math.inf:
+            norm = math.ldexp(1.0, i_tail) * h0 ** (1.0 / p)
+            for i in range(i_tail + 1, i_top + 1):
+                h = dist.content_at(math.ldexp(1.0, i))
+                norm = max(norm, math.ldexp(1.0, i) * h ** (1.0 / p))
+        else:
+            total = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
+            for i in range(i_tail + 1, i_top + 1):
+                lam = math.ldexp(1.0, i)
+                h = dist.content_at(lam)
+                if h > 0:
+                    total += lam**q * h ** (q / p)
+            norm = total ** (1.0 / q)
+    except (OverflowError, ZeroDivisionError):  # float powers and division raise
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ExponentError(
+            f"the dyadic sum norm at p={p:g}, q={q:g} is not finite in double precision")
+    return norm
 
 
 def dyadic_sum_comparability(p: float, q: float) -> tuple[float, float]:

@@ -372,6 +372,39 @@ class Sampler:
         eps_inner, r_outer = self.annulus
         return (r >= eps_inner) & (r < r_outer)
 
+    def _cut(self, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """vals at radii r, zero outside the annulus if there is one."""
+        return vals if self.annulus is None else np.where(self._annulus_mask(r), vals, 0.0)
+
+    def _radial_powers(self, r: np.ndarray, gradient: bool) -> np.ndarray:
+        """|x - center|^exponent at radii r, or with gradient its |grad|, before the annulus cut."""
+        with np.errstate(divide="ignore"):
+            if gradient:
+                return abs(self.exponent) * r ** (self.exponent - 1.0)
+            return r**self.exponent
+
+    def annuli(self, grid: DyadicGrid, gradient: bool = False):
+        """`sample` on grid of this radial_power sampler with any annulus in place of its own.
+
+        Returns cut(annulus) -> (values,), or with gradient (values,
+        |grad|) as `gradient_magnitude` gives it, each equal to sampling
+        Sampler.radial_power(exponent, center, annulus) bit for bit.  The
+        radii and powers at the cell centers do not depend on the annulus,
+        so they are computed once, here; each cut only applies its mask.
+        """
+        if self.kind != "radial_power":
+            raise GridError(f"annuli need a radial_power sampler, got {self.kind!r}")
+        r = self._radii(grid.centers()).reshape(grid.shape)
+        powers = [self._radial_powers(r, gradient=False)]
+        if gradient:
+            powers.append(self._radial_powers(r, gradient=True))
+
+        def cut(annulus) -> tuple[GridFunction, ...]:
+            sampler = Sampler.radial_power(self.exponent, self.center, annulus)
+            return tuple(GridFunction(grid, sampler._cut(r, vals)) for vals in powers)
+
+        return cut
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Raw (possibly signed) values at the given points, shape (N, dim)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -380,11 +413,7 @@ class Sampler:
             return np.full(n, self.value)
         if self.kind == "radial_power":
             r = self._radii(points)
-            with np.errstate(divide="ignore"):
-                vals = r**self.exponent
-            if self.annulus is not None:
-                vals = np.where(self._annulus_mask(r), vals, 0.0)
-            return vals
+            return self._cut(r, self._radial_powers(r, gradient=False))
         if self.kind == "ball_indicator":
             r = self._radii(points)
             return (r < self.radius).astype(np.float64)
@@ -404,11 +433,7 @@ class Sampler:
             return np.zeros(n)
         if self.kind == "radial_power":
             r = self._radii(points)
-            with np.errstate(divide="ignore"):
-                vals = abs(self.exponent) * r ** (self.exponent - 1.0)
-            if self.annulus is not None:
-                vals = np.where(self._annulus_mask(r), vals, 0.0)
-            return vals
+            return self._cut(r, self._radial_powers(r, gradient=True))
         if self.kind == "linear":
             return np.full(n, float(np.linalg.norm(self.coeffs)))
         if self.kind == "bump":

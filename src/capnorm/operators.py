@@ -39,11 +39,15 @@ diameter; the averaged quantity varies polynomially in the radius, so
 the sweep captures the continuum supremum within a factor tied to the
 sweep ratio.  f is transformed once per call and its spectrum reused
 for every radius of the sweep.  The Riesz potential carries the
-classical normalization 1/c_alpha of `riesz_normalization`.
+classical normalization 1/c_alpha of `riesz_normalization`.  Its kernel
+spectrum is built once per (grid, alpha) and kept for the next call, so
+a sweep of sources on one grid pays for it once; one spectrum is held at
+a time, at most about 64 MB (2^23 float64 values) at the cell cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,16 +156,16 @@ def _forward(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _convolve(f_hat: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+def _convolve(product: np.ndarray) -> np.ndarray:
     """Sums of f against an even kernel on the 2m-periodic lattice, at the m^dim grid cells.
 
-    f_hat is `_forward` of f, spectrum is `_kernel_spectrum` of the
-    kernel; only the first m lines of each axis are inverted further.
+    product is `_forward` of f times `_kernel_spectrum` of the kernel,
+    formed by the caller, and is overwritten; only the first m lines of
+    each axis are inverted further.
     """
-    m = f_hat.shape[-1] - 1
-    out = f_hat * spectrum
+    m = product.shape[-1] - 1
+    out = product
     for axis in range(out.ndim - 1):
-        # out is this call's own product, so the transform may overwrite it
         out = fft.ifft(out, axis=axis, overwrite_x=True)[(slice(None),) * axis + (slice(0, m),)]
     return fft.irfft(out, n=2 * m, axis=-1)[..., :m]
 
@@ -202,20 +206,37 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
             # the ball sees every cell from every center
             np.maximum(out, scale * total_mass, out=out)
             continue
-        sums = _convolve(f_hat, _kernel_spectrum((dist < r).astype(np.float64)))
+        # f_hat serves every radius, so each product is a new array
+        sums = _convolve(f_hat * _kernel_spectrum((dist < r).astype(np.float64)))
         np.maximum(out, scale * np.maximum(sums, 0.0), out=out)
     return GridFunction(grid, out)
+
+
+@functools.lru_cache(maxsize=1)
+def _riesz_spectrum(grid: DyadicGrid, alpha: float) -> np.ndarray:
+    """Read-only `_kernel_spectrum` of the Riesz kernel on grid's 2m-periodic lattice.
+
+    The kernel is built from grid.dim, grid.depth and grid.root_side
+    (through h) and alpha, all of them in the key; the grid's origin is
+    in it too and moves no value.  One spectrum is held at a time.
+    """
+    dist = _quarter_distances(grid)
+    dist.flat[0] = 1.0  # self cell: placeholder, overwritten below
+    kernel = grid.cell_volume * dist ** (alpha - grid.dim)
+    kernel.flat[0] = _self_cell_weight(grid, alpha)
+    spectrum = _kernel_spectrum(kernel)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _riesz_sums(f: GridFunction, alpha: float) -> np.ndarray:
     """int f(y) |x - y|^(alpha - dim) dy at every cell center, clipped at zero."""
     grid = f.grid
     n = _padded_shape(grid)[0]
-    dist = _quarter_distances(grid)
-    dist.flat[0] = 1.0  # self cell: placeholder, overwritten below
-    kernel = grid.cell_volume * dist ** (alpha - grid.dim)
-    kernel.flat[0] = _self_cell_weight(grid, alpha)
-    return np.maximum(_convolve(_forward(f.values, n), _kernel_spectrum(kernel)), 0.0)
+    spectrum = _riesz_spectrum(grid, float(alpha))
+    product = _forward(f.values, n)
+    product *= spectrum  # the transform is this call's own array
+    return np.maximum(_convolve(product), 0.0)
 
 
 def riesz(f: GridFunction, alpha: float) -> GridFunction:
@@ -226,9 +247,11 @@ def riesz(f: GridFunction, alpha: float) -> GridFunction:
     the ball of equal volume (sphere_area * rho^alpha / alpha with
     vol(ball(rho)) = cell_volume), which is error O(h^(alpha+1)) and has
     no tunable constant.  The kernel is built on the (m+1)^dim quarter of
-    offsets 0..m and its spectrum is the quarter's DCT-I; one call costs
-    that DCT plus the pruned forward and inverse transforms of f.  Raises
-    GridError when the (2m)^dim padded lattice exceeds the leaf-cell cap.
+    offsets 0..m and its spectrum is the quarter's DCT-I, once per
+    (grid, alpha): a call on the grid and alpha of the one before costs
+    only the pruned forward and inverse transforms of f.  The one cached
+    spectrum takes at most about 64 MB at the cell cap.  Raises GridError
+    when the (2m)^dim padded lattice exceeds the leaf-cell cap.
     """
     _check_alpha(alpha, f.grid.dim)
     return GridFunction(f.grid, _riesz_sums(f, alpha) / riesz_normalization(f.grid.dim, alpha))

@@ -318,14 +318,17 @@ def _eps_sweep(
     params: dict,
     predicted_key: str,
     predicted: float,
-    fields: Callable[[DyadicGrid, float], tuple[GridFunction, GridFunction]],
+    fields: Callable[[DyadicGrid], Callable[[float], tuple[GridFunction, GridFunction]]],
     slope_ok: Callable[[float, float], bool],
 ) -> ExperimentReport:
-    """Over params["eps_list"] on one grid: fields(grid, eps) = (left, right) grid functions.
+    """Over params["eps_list"] on one grid: fields(grid)(eps) = (left, right) grid functions.
 
-    Their norms are the sides, in L^{s,q} over the content of exponent
-    delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict needs slope_ok(fitted
-    slope, predicted) and a right-side variation below RHS_VARIATION_LIMIT;
+    fields(grid) runs once, before the sweep, and does the work that no
+    eps changes (the radii and powers of the sampled family); the function
+    it returns gives each eps its pair.  Their norms are the sides, in
+    L^{s,q} over the content of exponent delta - mu p and in
+    L^{p,SHARPNESS_QT}.  The verdict needs slope_ok(fitted slope,
+    predicted) and a right-side variation below RHS_VARIATION_LIMIT;
     params record both limits, qt, and predicted under predicted_key.
     """
     params = {**params, predicted_key: predicted, "qt": SHARPNESS_QT,
@@ -334,9 +337,10 @@ def _eps_sweep(
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
     right = LorentzExponents(p, SHARPNESS_QT, delta)
+    fields_at = fields(grid)
 
     def at(eps):
-        left_fn, right_fn = fields(grid, eps)
+        left_fn, right_fn = fields_at(eps)
         lhs, rhs = lorentz_norm(left_fn, left), lorentz_norm(right_fn, right)
         return (lhs, rhs), [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
 
@@ -656,9 +660,9 @@ def sharpness_poincare(
     if not (lo < eta <= hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}], got {eta}")
 
-    def fields(grid, eps):
-        u = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, 1.0))
-        return sample(u, grid), gradient_magnitude(u, grid)
+    def fields(grid):
+        cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid, gradient=True)
+        return lambda eps: cut((eps, 1.0))
 
     return _eps_sweep("sharpness_poincare", params, "predicted_slope",
                       gradient_slope_prediction(eta, p, s, delta, mu), fields,
@@ -697,10 +701,14 @@ def sharpness_riesz(
     if not (lo < eta < hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}), got {eta}")
 
-    def fields(grid, eps):
-        fs = Sampler.radial_power(eta, center=(0.0,) * dim, annulus=(eps, RIESZ_OUTER_RADIUS))
-        ff = sample(fs, grid)
-        return riesz(ff, alpha), ff
+    def fields(grid):
+        cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid)
+
+        def at(eps):
+            (ff,) = cut((eps, RIESZ_OUTER_RADIUS))
+            return riesz(ff, alpha), ff
+
+        return at
 
     return _eps_sweep("sharpness_riesz", params, "predicted_blowup",
                       riesz_blowup_prediction(eta, p, s, delta, mu, alpha), fields,

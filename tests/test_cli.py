@@ -69,6 +69,17 @@ def test_norm_lebesgue_echoes_the_delta_it_uses(indicator_fn, capsys):
     assert at_13["norm"] != at_dim["norm"]
 
 
+# a tail factor 1 - 2**-q that rounds to zero used to end in a
+# ZeroDivisionError traceback, an overflowing power in an OverflowError one
+@pytest.mark.parametrize("q", ["1e-300", "1e300"])
+def test_norm_dyadic_out_of_range_q_exits_2(indicator_fn, q, capsys):
+    assert run(["norm", "--fn", indicator_fn, "--delta", "1.5", "--p", "1.5", "--q", q,
+                "--dyadic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"q={float(q):g} is not finite" in err
+
+
 def test_maximal_riesz_roundtrip(indicator_fn, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert run(["maximal", "--fn", indicator_fn, "--mu", "0.5", "--out", str(out)]) == 0

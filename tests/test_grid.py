@@ -85,6 +85,21 @@ def test_sample_truncated_radial_power_max():
     assert f.values.max() == admitted.min() ** -0.8
 
 
+def test_annuli_cut_equals_sampling_each_annulus():
+    g = make_grid(2, 4, 2.0)
+    cut = Sampler.radial_power(-0.6, center=(0.25, 0.0)).annuli(g, gradient=True)
+    for annulus in [(0.0, 0.5), (0.125, 1.0), (0.3, 0.31), None]:
+        s = Sampler.radial_power(-0.6, center=(0.25, 0.0), annulus=annulus)
+        values, grad = cut(annulus)
+        assert values.values.tobytes() == sample(s, g).values.tobytes()
+        assert grad.values.tobytes() == gradient_magnitude(s, g).values.tobytes()
+    assert len(Sampler.radial_power(0.5, center=(0.0, 0.0)).annuli(g)((0.1, 0.5))) == 1
+    with pytest.raises(GridError, match="radial_power"):
+        Sampler.bump((0.0, 0.0), 0.5).annuli(g)
+    with pytest.raises(GridError, match="annulus"):
+        cut((0.5, 0.25))
+
+
 def test_sampling_deterministic():
     g = make_grid(2, 4, 2.0)
     s = Sampler.radial_power(-0.3, center=(0.0, 0.0))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -205,7 +206,7 @@ def test_pruned_convolution_matches_full_lattice():
             f_hat = operators._forward(values, n)
             _assert_within(f_hat, reference_hat)
             reference = _corner(fft.irfftn(reference_hat * spectrum, (n,) * dim), m)
-            _assert_within(operators._convolve(f_hat, spectrum), reference)
+            _assert_within(operators._convolve(f_hat * spectrum), reference)
 
 
 def test_riesz_normalization_formula():
@@ -215,6 +216,51 @@ def test_riesz_normalization_formula():
     f = GridFunction(make_grid(2, 3, 2.0), np.random.default_rng(4).random((8, 8)))
     expected = operators._riesz_sums(f, 1.0) / riesz_normalization(2, 1.0)
     assert np.array_equal(riesz(f, 1.0).values, expected)
+
+
+def _fresh_riesz(f, alpha):
+    """riesz from a kernel spectrum built anew, with the out-of-place product."""
+    g = f.grid
+    dist = operators._quarter_distances(g)
+    dist.flat[0] = 1.0
+    kernel = g.cell_volume * dist ** (alpha - g.dim)
+    kernel.flat[0] = operators._self_cell_weight(g, alpha)
+    spectrum = operators._kernel_spectrum(kernel)
+    f_hat = operators._forward(f.values, 2 * g.cells_per_axis)
+    sums = np.maximum(operators._convolve(f_hat * spectrum), 0.0)
+    return sums / riesz_normalization(g.dim, alpha)
+
+
+def test_riesz_spectrum_cache_follows_grid_and_alpha():
+    # the one cached spectrum must never serve a grid or an alpha it was not built for
+    a, b = make_grid(2, 4, 2.0), make_grid(2, 4, 3.0)
+    fa, fb = GridFunction(a, RNG.random(a.shape)), GridFunction(b, RNG.random(b.shape))
+    before = fa.values.copy()
+    for f, alpha in [(fa, 1.0), (fb, 1.0), (fa, 1.0), (fa, 0.6), (fb, 0.6), (fa, 1.0)]:
+        assert np.array_equal(riesz(f, alpha).values, _fresh_riesz(f, alpha))
+    assert np.array_equal(fa.values, before)
+    spectrum = operators._riesz_spectrum(a, 1.0)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 0.0
+
+
+# sha256 of hedberg_ratio_field values, recorded before the Riesz kernel
+# spectrum was cached and multiplied in place
+HEDBERG_FIELD_SHA256 = {
+    1: "e300e16f62faf553678b7a3729a54f8f55456601424a209b52413e8195abd027",
+    2: "d531e88e2cd240f79dbf7418c6bda1fa3f253fe92f6efbbf6f2703bb10784f4c",
+    3: "a0da7b6012173e4c1959b8808a58a56b002bfc0baaa25a3bb3458c89e8b6ebcb",
+}
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 6), (2, 5), (3, 3)])
+def test_hedberg_field_bits_pinned(dim, depth):
+    f = sample(Sampler.bump((0.1,) * dim, 0.6), make_grid(dim, depth, 2.0))
+    before = f.values.copy()
+    field = hedberg_ratio_field(f, 0.8, 0.2, LorentzExponents(1.2, 1.5, dim))
+    assert hashlib.sha256(field.values.tobytes()).hexdigest() == HEDBERG_FIELD_SHA256[dim]
+    assert np.array_equal(f.values, before)
 
 
 def test_riesz_linearity():

@@ -9,12 +9,13 @@ record b_scan; their series did not move.
 """
 
 import functools
+import hashlib
 import inspect
 import json
 
 import pytest
 
-from capnorm import cli, verify
+from capnorm import cli, io, verify
 from capnorm.cli import ConfigError, resolve_config, run
 
 # (test id, experiment, overrides): small sweeps, a few seconds in all
@@ -268,6 +269,22 @@ PINS = {
     ),
 }
 
+# experiment -> sha256 of io.dumps of its default report's params, series
+# and verdict (provenance carries the package version and is left out).
+# Recorded before the sharpness runs began to share their eps-independent
+# work across eps; a speedup must not move a byte of these reports.
+DEFAULT_REPORT_SHA256 = {
+    'poincare': 'a7d4eda636a1fb32e26023cf3dc8821f10546414f836ffdf73ee74834d9ad26c',
+    'poincare_weak': '39b4627dce03fe1cf8c6ecdc691c99f4ce2f09ce2a96b0b359c64c27a06770c4',
+    'poincare_sobolev': '7f3a1b83331ad614cff8cd0c24f37923aa0b96c9554eddf0b0dfbb777615a60b',
+    'compact_support': 'b3093ee315857923928202502b0b9f458219dda41d94db40cc990f96a76f3370',
+    'riesz_bound': '247db11d1db493e3354a98392a9f10ccf6ae366e16b1467c2b233fb0d944f8a1',
+    'maximal_bound': 'db7441c5a010a5e6437b681397fedeb6635ed6504096b127240ce4a1e87e34d3',
+    'hedberg': 'a12267f17f8fba55a7afc0b4c323c4b83372067f69479eadbf53bfd48a602470',
+    'sharpness_poincare': '3d61ff95887d5101017be0e44b211b9dbc66964cf2b7d4c008652308aa7ff7a7',
+    'sharpness_riesz': 'a626afeeadec21f6c58d99e5a44024ef8b3ea85eb6229e7fc9012bc804435c7e',
+}
+
 
 @pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
 def test_config_keys_are_runner_keywords(name):
@@ -344,3 +361,10 @@ def test_b_scan_moves_the_config_hash():
     assert [r.params["b_scan"] for r in reports] == [True, False]
     assert reports[0].provenance["config_hash"] != reports[1].provenance["config_hash"]
     assert len(reports[0].series) > len(reports[1].series)
+
+
+@pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
+def test_default_report_bytes(name):
+    doc = cli.run_experiment(name, resolve_config(name, {}, {})).to_dict()
+    text = io.dumps({key: doc[key] for key in ("params", "series", "verdict")})
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256[name]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capnorm.domains import Shape
-from capnorm.grid import Sampler
+from capnorm.grid import Sampler, gradient_magnitude, make_grid, sample
+from capnorm.operators import riesz
 from capnorm import verify
 from capnorm.verify import (
     VerifyError,
@@ -231,6 +232,43 @@ def test_sharpness_eps_list_refused_before_any_grid(eps_list, monkeypatch):
     monkeypatch.setattr(verify, "sample", no_grid)
     with pytest.raises(VerifyError, match="^eps_list must hold at least 4 positive values"):
         verify.sharpness_riesz(2.0, 0.0, 1.0, 1.5, 8.0, 8.0, -1.3, eps_list)
+
+
+def _sweep_fields(runner, monkeypatch, **overrides):
+    """The fields callback a sharpness runner hands to _eps_sweep, at its default exponents."""
+    captured = []
+    monkeypatch.setattr(verify, "_eps_sweep", lambda *args: captured.append(args[4]))
+    cfg = {**verify.EXPERIMENTS[runner].defaults, **overrides}
+    getattr(verify, verify.EXPERIMENTS[runner].runner)(**cfg)
+    return captured[0], cfg
+
+
+def _same_bits(a, b):
+    return a.grid == b.grid and a.values.tobytes() == b.values.tobytes()
+
+
+# the per-grid fields share one radius and power array across eps; each eps
+# must still see what sampling its own truncated sampler gives
+@pytest.mark.parametrize("dim, depth", [(1, 5), (1, 8), (2, 3), (2, 5), (3, 2), (3, 4)])
+def test_sharpness_shared_fields_equal_sampling(dim, depth, monkeypatch):
+    center = (0.0,) * dim
+    fields, cfg = _sweep_fields("sharpness_poincare", monkeypatch, dim=dim)
+    grid = make_grid(dim, depth, verify.ROOT_SIDE)
+    at = fields(grid)
+    for eps in (0.5, 0.25, 0.2, 0.125, 0.03125, 0.25):
+        u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, 1.0))
+        left, right = at(eps)
+        assert _same_bits(left, sample(u, grid)) and _same_bits(right, gradient_magnitude(u, grid))
+
+    # alpha must lie below dim; eta = -1.3 stays inside the window at alpha = 0.5
+    fields, cfg = _sweep_fields("sharpness_riesz", monkeypatch, dim=dim, alpha=0.5)
+    grid = make_grid(dim, depth, verify.RIESZ_ROOT_SIDE)
+    at = fields(grid)
+    for eps in (2.0, 0.5, 0.25, 0.125, 0.5):
+        u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, verify.RIESZ_OUTER_RADIUS))
+        left, right = at(eps)
+        assert _same_bits(right, sample(u, grid))
+        assert _same_bits(left, riesz(sample(u, grid), cfg["alpha"]))
 
 
 def test_sharpness_runners_return_one_report_with_the_slope_in_the_series():
