@@ -13,6 +13,11 @@ Choquet integral is the Lorentz (1, 1) case, the Choquet p-norm the
 (p, p) case, and the classical Lorentz norm with Lebesgue measure the
 case delta = dim, where the content of a cell set is its measure.
 
+Both, and `interp.interpolation_norm`, return through one guard,
+`checked_norm`: it checks (p, q), gives 0.0 for a zero distribution and
+refuses any other result that is not positive and finite (an overflow, a
+division by zero or an underflow) as an ExponentError naming the norm.
+
 Superlevel sets use strict inequality {f > lam} throughout.  Sorted
 distinct positive values are merged into one threshold wherever the gap
 between neighbours is at most MERGE_RTOL (1e-12) relative, to avoid
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -166,34 +172,49 @@ def distribution(f: GridFunction, delta: float) -> StepDistribution:
 # closed forms on a step distribution ------------------------------------
 
 
-def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
-    """(p/q sum_j (v_j^q - v_{j-1}^q) h_j^{q/p})^{1/q}, or max_j v_j h_j^{1/p} for q = inf.
+def checked_norm(name: str, dist: StepDistribution, p: float, q: float,
+                 closed_form: Callable[[], float]) -> float:
+    """The norm closed_form() of a nonzero dist after a check of (p, q); 0.0 for a zero dist.
 
-    (1, 1) is the layer-cake integral and (p, p) the p-norm, bit for bit:
-    at q = p the factor p/q and the power q/p are exactly one.  A power
-    that overflows, or a result that is not finite, is an ExponentError:
-    such exponents lie outside double precision for this distribution.
+    A nonzero distribution has a positive norm, so a result that is not
+    positive and finite, from a power that overflows (a float power raises
+    OverflowError where numpy's returns inf), a division by zero or an
+    underflow to zero, is an ExponentError naming the norm, p and q: such
+    exponents lie outside double precision for this distribution.
     """
     if not (0 < p < math.inf) or not (0 < q):
         raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
     if dist.is_zero:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+    try:
+        with np.errstate(all="ignore"):  # the result is checked below
+            norm = closed_form()
+    except (OverflowError, ZeroDivisionError):
+        norm = math.inf
+    if not (0 < norm < math.inf):
+        raise ExponentError(
+            f"the {name} at p={p:g}, q={q:g} is not finite and positive in double precision")
+    return norm
+
+
+def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
+    """(p/q sum_j (v_j^q - v_{j-1}^q) h_j^{q/p})^{1/q}, or max_j v_j h_j^{1/p} for q = inf.
+
+    (1, 1) is the layer-cake integral and (p, p) the p-norm, bit for bit:
+    at q = p the factor p/q and the power q/p are exactly one.  Returns
+    through `checked_norm`.
+    """
+
+    def closed_form():
         if q == math.inf:
             # sup of lam * h(lam)^(1/p); on each plateau the sup sits at the
             # right endpoint approached from below, exact for step data
-            norm = float(np.max(dist.thresholds * dist.plateaus ** (1.0 / p)))
-        else:
-            ext = np.concatenate([[0.0], dist.thresholds]) ** q
-            h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
-            total = float((p / q) * np.sum(np.diff(ext) * h))
-            try:
-                norm = total ** (1.0 / q)
-            except OverflowError:  # a float power raises where numpy's returns inf
-                norm = math.inf
-    if not math.isfinite(norm):
-        raise ExponentError(f"the Lorentz norm at p={p:g}, q={q:g} is not finite in double precision")
-    return norm
+            return float(np.max(dist.thresholds * dist.plateaus ** (1.0 / p)))
+        ext = np.concatenate([[0.0], dist.thresholds]) ** q
+        h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
+        return float((p / q) * np.sum(np.diff(ext) * h)) ** (1.0 / q)
+
+    return checked_norm("Lorentz norm", dist, p, q, closed_form)
 
 
 def _largest_pow2_below(v: float) -> int:
@@ -210,39 +231,30 @@ def dyadic_sum_norm_of(dist: StepDistribution, p: float, q: float) -> float:
     geometric tail.  Comparable to the integral form within
     [(q/(p(2^q-1)))^{1/q}, (q 2^q/(p(2^q-1)))^{1/q}] for finite q
     (h is nonincreasing, so each dyadic slab brackets the integrand),
-    and within [1/2, 1] relative for q = inf.  As in `lorentz_norm_of`, a
-    power that overflows, a tail factor 1 - 2^-q that rounds to zero, or a
-    result that is not finite is an ExponentError.
+    and within [1/2, 1] relative for q = inf.  Returns through
+    `checked_norm`, which also refuses a tail factor 1 - 2^-q that rounds
+    to zero.
     """
-    if not (0 < p < math.inf) or not (0 < q):
-        raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
-    if dist.is_zero:
-        return 0.0
-    v_min = float(dist.thresholds[0])
-    v_max = float(dist.thresholds[-1])
-    i_tail = _largest_pow2_below(v_min)  # levels <= i_tail see the whole support
-    i_top = _largest_pow2_below(v_max)  # last level with a nonzero term
-    h0 = float(dist.plateaus[0])
-    try:
+
+    def closed_form():
+        i_tail = _largest_pow2_below(float(dist.thresholds[0]))  # levels <= i_tail: whole support
+        i_top = _largest_pow2_below(float(dist.thresholds[-1]))  # last level with a nonzero term
+        h0 = float(dist.plateaus[0])
         if q == math.inf:
             norm = math.ldexp(1.0, i_tail) * h0 ** (1.0 / p)
             for i in range(i_tail + 1, i_top + 1):
                 h = dist.content_at(math.ldexp(1.0, i))
                 norm = max(norm, math.ldexp(1.0, i) * h ** (1.0 / p))
-        else:
-            total = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
-            for i in range(i_tail + 1, i_top + 1):
-                lam = math.ldexp(1.0, i)
-                h = dist.content_at(lam)
-                if h > 0:
-                    total += lam**q * h ** (q / p)
-            norm = total ** (1.0 / q)
-    except (OverflowError, ZeroDivisionError):  # float powers and division raise
-        norm = math.inf
-    if not math.isfinite(norm):
-        raise ExponentError(
-            f"the dyadic sum norm at p={p:g}, q={q:g} is not finite in double precision")
-    return norm
+            return norm
+        total = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
+        for i in range(i_tail + 1, i_top + 1):
+            lam = math.ldexp(1.0, i)
+            h = dist.content_at(lam)
+            if h > 0:
+                total += lam**q * h ** (q / p)
+        return total ** (1.0 / q)
+
+    return checked_norm("dyadic sum norm", dist, p, q, closed_form)
 
 
 def dyadic_sum_comparability(p: float, q: float) -> tuple[float, float]:

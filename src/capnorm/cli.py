@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--fn", required=True)
     p_norm.add_argument("--delta", required=True, type=float)
     p_norm.add_argument("--p", required=True, type=float)
-    p_norm.add_argument("--q", default=None)
+    p_norm.add_argument("--q", type=float)
     p_norm.add_argument("--dyadic", action="store_true", help="dyadic-level sum form")
     p_norm.add_argument("--lebesgue", action="store_true", help="Lebesgue measure (delta = dim)")
     p_norm.add_argument("--out")
@@ -223,14 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_q(text):
-    if text is None:
-        return None
-    if str(text).lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -248,8 +240,7 @@ def run(argv=None) -> int:
 
         if args.command == "norm":
             f = io.read_gridfunction(args.fn)
-            q = _parse_q(args.q)
-            q_eff = args.p if q is None else q
+            q_eff = args.p if args.q is None else args.q
             # the content of exponent dim is the Lebesgue measure
             delta = float(f.grid.dim) if args.lebesgue else args.delta
             dist = distribution(f, delta)
@@ -288,9 +279,10 @@ def run(argv=None) -> int:
             f = io.read_gridfunction(args.fn)
             pair = InterpPair(p0=args.p0, p1=args.p1, delta=args.delta,
                               eta=args.eta, q_interp=args.q)
-            t_grid, k_vals = k_profile(f, pair)
+            # the guarded norms first: exponents outside double precision end here
             interp = interpolation_norm(f, pair)
             direct = lorentz_norm_of(distribution(f, args.delta), pair.p, args.q)
+            t_grid, k_vals = k_profile(f, pair)
             _emit(
                 {
                     "t_grid": t_grid.tolist(),

@@ -174,12 +174,8 @@ def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
         snapped = np.round(rel)
         if np.any(np.abs(rel - snapped) > 1e-9):
             raise DomainError("puncture must sit on a cell corner of the grid")
-        m = grid.cells_per_axis
         mask = mask.copy()
-        for off in np.ndindex(*(2,) * grid.dim):
-            idx = snapped.astype(int) - 1 + np.asarray(off)
-            if np.all(idx >= 0) and np.all(idx < m):
-                mask[tuple(idx)] = False
+        mask[tuple(slice(max(k - 1, 0), k + 1) for k in snapped.astype(int))] = False
 
     if not mask.any():
         raise DomainError("shape contains no cell centers at this grid depth")

@@ -368,13 +368,12 @@ class Sampler:
                             f"the points have {points.shape[-1]}")
         return np.sqrt(np.sum((points - np.asarray(self.center)) ** 2, axis=-1))
 
-    def _annulus_mask(self, r: np.ndarray) -> np.ndarray:
-        eps_inner, r_outer = self.annulus
-        return (r >= eps_inner) & (r < r_outer)
-
     def _cut(self, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """vals at radii r, zero outside the annulus if there is one."""
-        return vals if self.annulus is None else np.where(self._annulus_mask(r), vals, 0.0)
+        """vals at radii r, zero outside the annulus eps_inner <= r < r_outer if there is one."""
+        if self.annulus is None:
+            return vals
+        eps_inner, r_outer = self.annulus
+        return np.where((r >= eps_inner) & (r < r_outer), vals, 0.0)
 
     def _radial_powers(self, r: np.ndarray, gradient: bool) -> np.ndarray:
         """|x - center|^exponent at radii r, or with gradient its |grad|, before the annulus cut."""

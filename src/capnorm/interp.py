@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .choquet import StepDistribution, distribution
+from .choquet import StepDistribution, checked_norm, distribution
 from .grid import GridFunction
 
 T_GRID_POINTS = 64
@@ -38,6 +38,7 @@ TAIL_RELATIVE = 1e-6
 LINE_BLOCK = 1 << 18  # elements of one Abel-sum block in _truncation_lines
 GL_LOW, GL_HIGH = 10, 20  # the estimate rule and the value rule
 QUAD_RTOL = 1e-10  # largest accepted error estimate, relative to the total
+QUAD_PANEL_LIMIT = 1 << 20  # panels of one quadrature; each holds GL_HIGH + GL_LOW nodes
 
 
 class InterpError(ValueError):
@@ -122,12 +123,20 @@ def _report_t_grid(a: np.ndarray, b: np.ndarray, eta: float, q: float) -> np.nda
     Small t: K <= t ||f||_{p1}, integrand ~ t^{(1-eta)q}; large t:
     K <= ||f||_{p0}, integrand ~ t^{-eta q}.  Cutoffs follow from those
     two closed-form bounds around the crossover t* = ||f||_A0/||f||_A1.
+    Where eta q or (1 - eta) q is small, a cutoff lies outside double
+    precision, and the grid is refused with an InterpError.
     """
-    norm0 = a[0]  # cut c = 0: f0 = f
-    norm1 = b[-1]  # cut c = max: f1 = f
+    norm0 = float(a[0])  # cut c = 0: f0 = f
+    norm1 = float(b[-1])  # cut c = max: f1 = f
     t_star = norm0 / norm1
     lo = t_star * TAIL_RELATIVE ** (1.0 / ((1.0 - eta) * q))
-    hi = t_star * TAIL_RELATIVE ** (-1.0 / (eta * q))
+    try:
+        hi = t_star * TAIL_RELATIVE ** (-1.0 / (eta * q))
+    except OverflowError:  # a float power raises where numpy's returns inf
+        hi = math.inf
+    # every line a_c + t b_c is at most norm0 + t norm1, so K stays finite on the grid
+    if not (lo > 0 and norm0 + hi * norm1 < math.inf):
+        raise InterpError(f"the report t-grid at eta={eta:g}, q={q:g} leaves double precision")
     return np.geomspace(lo, hi, T_GRID_POINTS)
 
 
@@ -139,10 +148,16 @@ def _interior_integrals(a, b, eta: float, q: float, t0, t1) -> tuple[np.ndarray,
     most a factor e, and its nearest complex singularity (Im s = pi) stays
     far from the panel.  All panels of all segments share one GL_HIGH-point
     rule, the value, and one GL_LOW-point rule; the summed |difference| is
-    the estimate.  One bincount per rule sums the panels per segment.
+    the estimate.  One bincount per rule sums the panels per segment.  More
+    than QUAD_PANEL_LIMIT panels in all (a huge q) is an InterpError,
+    raised before any node is placed.
     """
     a, b, s0, s1 = (np.asarray(x, dtype=np.float64) for x in (a, b, np.log(t0), np.log(t1)))
-    panels = np.maximum(1, np.ceil((s1 - s0) * max(1.0, q * max(eta, 1.0 - eta)))).astype(np.int64)
+    panels = np.maximum(1, np.ceil((s1 - s0) * max(1.0, q * max(eta, 1.0 - eta))))
+    if not panels.sum() <= QUAD_PANEL_LIMIT:  # NaN breaks fail too
+        raise InterpError(f"the quadrature at eta={eta:g}, q={q:g} needs {panels.sum():.3g} panels, "
+                          f"above QUAD_PANEL_LIMIT = {QUAD_PANEL_LIMIT}")
+    panels = panels.astype(np.int64)
     seg = np.repeat(np.arange(a.size), panels)
     first = np.cumsum(panels) - panels  # panel index at which each segment starts
     width = ((s1 - s0) / panels)[seg]
@@ -190,29 +205,37 @@ def _lower_envelope(a: np.ndarray, b: np.ndarray):
 
 
 def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
-    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family."""
+    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family.
+
+    Returns through choquet's `checked_norm` at (pair.p, q): 0.0 for f = 0,
+    and an ExponentError where a power leaves double precision.
+    """
     dist = distribution(f, pair.delta)
-    if dist.is_zero:
-        return 0.0
-    a, b = _truncation_lines(dist, pair.p0, pair.p1)
-    hull, breaks = _lower_envelope(a, b)
     eta, q = pair.eta, pair.q_interp
-    # the envelope must start on the pure-slope line (cut at max f, so
-    # f0 = 0) and end on the pure-intercept line (cut 0, f1 = 0), else
-    # one of the tails diverges
-    if hull[0][0] != 0.0 or hull[-1][1] != 0.0:
-        raise InterpError("tail criterion unreachable: envelope tails are not pure powers")
-    e0, e1 = (1.0 - eta) * q, eta * q
-    # pure powers on the tails: b^q t^e0 below the first break, a^q t^-e1 above the last
-    head = hull[0][1] ** q * breaks[0] ** e0 / e0
-    tail = hull[-1][0] ** q * breaks[-1] ** -e1 / e1
-    inner, estimate = _interior_integrals(
-        [ai for ai, _ in hull[1:-1]], [bi for _, bi in hull[1:-1]], eta, q, breaks[:-1], breaks[1:]
-    )
-    total = head + float(np.sum(inner)) + tail
-    if estimate > QUAD_RTOL * total:
-        raise InterpError(f"quadrature error estimate {estimate:.3g} exceeds {QUAD_RTOL:g} of the total {total:.6g}")
-    return total ** (1.0 / q)
+
+    def closed_form():
+        a, b = _truncation_lines(dist, pair.p0, pair.p1)
+        hull, breaks = _lower_envelope(a, b)
+        # the envelope must start on the pure-slope line (cut at max f, so
+        # f0 = 0) and end on the pure-intercept line (cut 0, f1 = 0), else
+        # one of the tails diverges
+        if hull[0][0] != 0.0 or hull[-1][1] != 0.0:
+            raise InterpError("tail criterion unreachable: envelope tails are not pure powers")
+        if not breaks:  # the one line (0, 0): every truncation norm underflowed, K vanishes
+            return 0.0
+        e0, e1 = (1.0 - eta) * q, eta * q
+        # pure powers on the tails: b^q t^e0 below the first break, a^q t^-e1 above the last
+        head = hull[0][1] ** q * breaks[0] ** e0 / e0
+        tail = hull[-1][0] ** q * breaks[-1] ** -e1 / e1
+        inner, estimate = _interior_integrals(
+            [ai for ai, _ in hull[1:-1]], [bi for _, bi in hull[1:-1]], eta, q, breaks[:-1], breaks[1:]
+        )
+        total = head + float(np.sum(inner)) + tail
+        if estimate > QUAD_RTOL * total:
+            raise InterpError(f"quadrature error estimate {estimate:.3g} exceeds {QUAD_RTOL:g} of the total {total:.6g}")
+        return total ** (1.0 / q)
+
+    return checked_norm("interpolation norm", dist, pair.p, q, closed_form)
 
 
 def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:

@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
-from .grid import DyadicGrid, GridFunction, Sampler, gradient_magnitude, make_grid, sample
+from .grid import GridFunction, Sampler, gradient_magnitude, make_grid, sample
 from .operators import MaximalParams, hedberg_ratio_field, maximal, riesz
 
 GROWTH_FACTOR_LIMIT = 1.2
@@ -318,29 +318,27 @@ def _eps_sweep(
     params: dict,
     predicted_key: str,
     predicted: float,
-    fields: Callable[[DyadicGrid], Callable[[float], tuple[GridFunction, GridFunction]]],
+    fields: Callable[[float], tuple[GridFunction, GridFunction]],
     slope_ok: Callable[[float, float], bool],
 ) -> ExperimentReport:
-    """Over params["eps_list"] on one grid: fields(grid)(eps) = (left, right) grid functions.
+    """Over params["eps_list"]: fields(eps) = (left, right) grid functions.
 
-    fields(grid) runs once, before the sweep, and does the work that no
-    eps changes (the radii and powers of the sampled family); the function
-    it returns gives each eps its pair.  Their norms are the sides, in
-    L^{s,q} over the content of exponent delta - mu p and in
-    L^{p,SHARPNESS_QT}.  The verdict needs slope_ok(fitted slope,
-    predicted) and a right-side variation below RHS_VARIATION_LIMIT;
-    params record both limits, qt, and predicted under predicted_key.
+    Each runner builds fields on its one grid, from a `Sampler.annuli`
+    cut, which computes the radii and powers of the sampled family once.
+    The norms of the pair are the sides, in L^{s,q} over the content of
+    exponent delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict needs
+    slope_ok(fitted slope, predicted) and a right-side variation below
+    RHS_VARIATION_LIMIT; params record both limits, qt, and predicted
+    under predicted_key.
     """
     params = {**params, predicted_key: predicted, "qt": SHARPNESS_QT,
               "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT}
-    grid = make_grid(params["dim"], params["depth"], params["root_side"])
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)
     right = LorentzExponents(p, SHARPNESS_QT, delta)
-    fields_at = fields(grid)
 
     def at(eps):
-        left_fn, right_fn = fields_at(eps)
+        left_fn, right_fn = fields(eps)
         lhs, rhs = lorentz_norm(left_fn, left), lorentz_norm(right_fn, right)
         return (lhs, rhs), [(f"lhs@eps={eps:g}", lhs), (f"rhs@eps={eps:g}", rhs)]
 
@@ -660,12 +658,10 @@ def sharpness_poincare(
     if not (lo < eta <= hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}], got {eta}")
 
-    def fields(grid):
-        cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid, gradient=True)
-        return lambda eps: cut((eps, 1.0))
-
+    grid = make_grid(dim, depth, ROOT_SIDE)
+    cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid, gradient=True)
     return _eps_sweep("sharpness_poincare", params, "predicted_slope",
-                      gradient_slope_prediction(eta, p, s, delta, mu), fields,
+                      gradient_slope_prediction(eta, p, s, delta, mu), lambda eps: cut((eps, 1.0)),
                       lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
 
 
@@ -701,14 +697,12 @@ def sharpness_riesz(
     if not (lo < eta < hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}), got {eta}")
 
-    def fields(grid):
-        cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid)
+    grid = make_grid(dim, depth, RIESZ_ROOT_SIDE)
+    cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid)
 
-        def at(eps):
-            (ff,) = cut((eps, RIESZ_OUTER_RADIUS))
-            return riesz(ff, alpha), ff
-
-        return at
+    def fields(eps):
+        (ff,) = cut((eps, RIESZ_OUTER_RADIUS))
+        return riesz(ff, alpha), ff
 
     return _eps_sweep("sharpness_riesz", params, "predicted_blowup",
                       riesz_blowup_prediction(eta, p, s, delta, mu, alpha), fields,

@@ -360,6 +360,9 @@ def test_lorentz_norm_out_of_double_precision_is_an_exponent_error():
     for p, q in ((1.5, 1e-300), (1.5, 1e300), (1e-300, math.inf)):
         with pytest.raises(ExponentError, match="is not finite"):
             lorentz_norm_of(dist, p, q)
+    # 0.75^(q/p) underflows to zero: a nonzero distribution has no norm 0.0
+    with pytest.raises(ExponentError, match="q=10000 is not finite"):
+        lorentz_norm_of(StepDistribution([1.0], [0.75]), 1.5, 1e4)
 
 
 def test_exponent_validation():

@@ -80,6 +80,40 @@ def test_norm_dyadic_out_of_range_q_exits_2(indicator_fn, q, capsys):
     assert f"q={float(q):g} is not finite" in err
 
 
+# powers that underflow used to print a norm of 0.0, and one that overflowed
+# in the interpolation norm's tails ended in an OverflowError traceback
+@pytest.mark.parametrize("args, message", [
+    (["norm", "--delta", "2", "--p", "1.5", "--q", "1e4"], "Lorentz norm at p=1.5, q=10000"),
+    (["norm", "--delta", "2", "--p", "1.5", "--q", "1e3", "--dyadic"],
+     "dyadic sum norm at p=1.5, q=1000"),
+    (["norm", "--delta", "2", "--p", "1e-300", "--q", "1e-300"], "Lorentz norm at p=1e-300, q=1e-300"),
+    (["interp", "--p0", "1", "--p1", "3", "--eta", "0.5", "--q", "1e4", "--delta", "2"],
+     "interpolation norm at p=1.5, q=10000"),
+    (["interp", "--p0", "1", "--p1", "3", "--eta", "0.5", "--q", "1e4", "--delta", "1.5"],
+     "interpolation norm at p=1.5, q=10000"),
+])
+def test_norm_outside_double_precision_exits_2(indicator_fn, args, message, capsys):
+    assert run([args[0], "--fn", indicator_fn, *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{message} is not finite" in err
+
+
+@pytest.mark.parametrize("q", ["inf", "Infinity", "INF"])
+def test_norm_q_reads_infinity_in_any_case(indicator_fn, q, capsys):
+    assert run(["norm", "--fn", indicator_fn, "--delta", "1.5", "--p", "2", "--q", q]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == "inf"
+
+
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_norm_unparsable_number_is_a_usage_error(indicator_fn, flag, capsys):
+    value = {"--p": "1.5", "--q": "2", flag: "abc"}
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--fn", indicator_fn, "--delta", "1.5", "--p", value["--p"], "--q", value["--q"]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 def test_maximal_riesz_roundtrip(indicator_fn, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert run(["maximal", "--fn", indicator_fn, "--mu", "0.5", "--out", str(out)]) == 0
@@ -281,6 +315,8 @@ def test_verify_refused_b_scan_or_c_ball_exits_2(override, message, sampler, cap
     (["sharpness_riesz", "--set", "depth=3", "--set", "q=1e-300"], "q=1e-300 is not finite"),
     # hedberg's norm index is q (delta - alpha p) / (delta - mu p)
     (["hedberg", "--set", "q=1e-300"], "q=2.5e-301 is not finite"),
+    # a norm that underflowed to 0.0 was divided by, with a numpy warning
+    (["hedberg", "--set", "q=1e300"], "q=2.5e+299 is not finite"),
     (["maximal_bound", "--set", "depths=[2,3]", "--set", "r=1e300"], "q=1e+300 is not finite"),
     (["hedberg", "--set", "dim=1e300"], "dim must be 1, 2 or 3, got 1e+300"),
     (["maximal_bound", "--set", "dim=1e300"], "dim must be 1, 2 or 3, got 1e+300"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,3 +167,23 @@ def test_interpolation_norm_refuses_a_large_error_estimate(monkeypatch):
     f = sample(Sampler.radial_power(-0.4, center=(0.0, 0.0)), g)
     with pytest.raises(InterpError, match="quadrature error estimate"):
         interpolation_norm(f, PAIR)
+
+
+# a tiny eta q put the report grid's far cutoff beyond double precision, an
+# OverflowError traceback; a tiny (1 - eta) q underflowed the near one to 0
+@pytest.mark.parametrize("eta", [1e-12, 1.0 - 1e-12])
+def test_k_profile_refuses_a_grid_outside_double_precision(eta):
+    f = sample(Sampler.ball_indicator((0.0, 0.0), 0.5), make_grid(2, 4, 2.0))
+    pair = InterpPair(p0=1.0, p1=3.0, delta=1.5, eta=eta, q_interp=1.5)
+    with pytest.raises(InterpError, match=re.escape(f"t-grid at eta={eta:g}, q=1.5 leaves double")):
+        k_profile(f, pair)
+
+
+# a huge q asked for one panel per 1/q of log t: trillions of panels, and
+# numpy's MemoryError, or at a smaller count gigabytes allocated
+def test_quadrature_refuses_more_panels_than_its_limit():
+    with pytest.raises(InterpError, match="needs 6.91e\\+12 panels, above QUAD_PANEL_LIMIT"):
+        _interior_integrals([1.0], [1.0], 0.5, 1e12, [1e-3], [1e3])
+    f = sample(Sampler.bump((0.0, 0.0), 0.8), make_grid(2, 4, 2.0))
+    with pytest.raises(InterpError, match="QUAD_PANEL_LIMIT"):
+        interpolation_norm(f, InterpPair(p0=1.0, p1=3.0, delta=2.0, eta=0.5, q_interp=1e12))

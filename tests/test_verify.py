@@ -235,7 +235,7 @@ def test_sharpness_eps_list_refused_before_any_grid(eps_list, monkeypatch):
 
 
 def _sweep_fields(runner, monkeypatch, **overrides):
-    """The fields callback a sharpness runner hands to _eps_sweep, at its default exponents."""
+    """The fields(eps) callback a sharpness runner hands to _eps_sweep, at its default exponents."""
     captured = []
     monkeypatch.setattr(verify, "_eps_sweep", lambda *args: captured.append(args[4]))
     cfg = {**verify.EXPERIMENTS[runner].defaults, **overrides}
@@ -252,21 +252,19 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("dim, depth", [(1, 5), (1, 8), (2, 3), (2, 5), (3, 2), (3, 4)])
 def test_sharpness_shared_fields_equal_sampling(dim, depth, monkeypatch):
     center = (0.0,) * dim
-    fields, cfg = _sweep_fields("sharpness_poincare", monkeypatch, dim=dim)
+    fields, cfg = _sweep_fields("sharpness_poincare", monkeypatch, dim=dim, depth=depth)
     grid = make_grid(dim, depth, verify.ROOT_SIDE)
-    at = fields(grid)
     for eps in (0.5, 0.25, 0.2, 0.125, 0.03125, 0.25):
         u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, 1.0))
-        left, right = at(eps)
+        left, right = fields(eps)
         assert _same_bits(left, sample(u, grid)) and _same_bits(right, gradient_magnitude(u, grid))
 
     # alpha must lie below dim; eta = -1.3 stays inside the window at alpha = 0.5
-    fields, cfg = _sweep_fields("sharpness_riesz", monkeypatch, dim=dim, alpha=0.5)
+    fields, cfg = _sweep_fields("sharpness_riesz", monkeypatch, dim=dim, depth=depth, alpha=0.5)
     grid = make_grid(dim, depth, verify.RIESZ_ROOT_SIDE)
-    at = fields(grid)
     for eps in (2.0, 0.5, 0.25, 0.125, 0.5):
         u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, verify.RIESZ_OUTER_RADIUS))
-        left, right = at(eps)
+        left, right = fields(eps)
         assert _same_bits(right, sample(u, grid))
         assert _same_bits(left, riesz(sample(u, grid), cfg["alpha"]))
 
