@@ -41,5 +41,5 @@ from .operators import (
     maximal,
     riesz,
 )
-from .domains import JohnDomain, MeanValueBall, Shape, make_john_domain, mean_value, mean_value_ball
+from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
 from .interp import InterpPair, interpolation_norm, k_functional_upper

@@ -22,8 +22,9 @@ the center, or two segments through a quadrant center for the L-shape):
                         puncture).
 
 A cell belongs to a domain iff its center is inside the continuum shape.
-The mean-value ball B(x0, c_ball * alpha^2 / beta) uses a configurable
-constant c_ball (default 1/4), reported with every experiment.
+The mean-value ball B(x0, c_ball * alpha^2 / beta) is a Shape.ball, so it
+selects cells by the same rule; it uses a configurable constant c_ball
+(default 1/4), reported with every experiment.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import CellSet, DyadicGrid, as_point, positive_finite
+from .grid import CellSet, DyadicGrid, as_point, distance, positive_finite
 
 DEFAULT_MEAN_BALL_CONSTANT = 0.25
 
@@ -100,8 +101,7 @@ class Shape:
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
         if self.kind in ("ball", "punctured_ball"):
-            r = np.sqrt(np.sum((points - np.asarray(self.center)) ** 2, axis=-1))
-            return r < self.radius
+            return distance(points, self.center) < self.radius
         if self.kind == "rectangle":
             rel = np.abs(points - np.asarray(self.center))
             half = np.asarray(self.sides) / 2.0
@@ -148,12 +148,6 @@ class JohnDomain:
         return 2.0 * self.beta_john
 
 
-@dataclass(frozen=True)
-class MeanValueBall:
-    center: tuple[float, ...]
-    radius: float
-
-
 def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
     """Discretize a shape (cell centers inside) with its John constants."""
     if shape.dim != grid.dim:
@@ -163,8 +157,7 @@ def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
     root_hi = root_lo + grid.root_side
     if np.any(lo < root_lo - 1e-12 * grid.root_side) or np.any(hi > root_hi + 1e-12 * grid.root_side):
         raise DomainError("shape does not fit inside the grid root")
-    centers = grid.centers()
-    mask = shape.contains(centers).reshape(grid.shape)
+    mask = shape.contains(grid.centers()).reshape(grid.shape)
 
     if shape.kind == "punctured_ball":
         # drop the 2^dim finest cells whose closure touches the puncture;
@@ -184,31 +177,22 @@ def make_john_domain(shape: Shape, grid: DyadicGrid) -> JohnDomain:
                       center_x0=x0, cells=CellSet(grid, mask))
 
 
-def mean_value_ball(domain: JohnDomain, c_ball: float = DEFAULT_MEAN_BALL_CONSTANT) -> MeanValueBall:
-    """B(x0, c_ball * alpha^2 / beta), c_ball positive and finite; must lie inside the domain."""
+def mean_value_ball(domain: JohnDomain, c_ball: float = DEFAULT_MEAN_BALL_CONSTANT) -> Shape:
+    """Shape.ball(x0, c_ball * alpha^2 / beta), c_ball positive and finite; must lie inside the domain."""
     positive_finite("c_ball", c_ball, DomainError)
     # from c_ball as given, so a numeric string is still refused (a TypeError)
-    radius = c_ball * domain.alpha_john**2 / domain.beta_john
-    ball = MeanValueBall(center=domain.center_x0, radius=radius)
-    grid = domain.grid
-    inside = _ball_mask(grid, ball)
+    ball = Shape.ball(domain.center_x0, c_ball * domain.alpha_john**2 / domain.beta_john)
     # containment is checked against the continuum shape: for punctured
     # shapes the averaging set is the ball intersected with the domain
     # cells, which excludes the puncture cells
-    in_shape = domain.shape.contains(grid.centers()).reshape(grid.shape)
-    if not np.all(~inside | in_shape):
+    centers = domain.grid.centers()
+    if np.any(ball.contains(centers) & ~domain.shape.contains(centers)):
         raise DomainError("mean-value ball sticks out of the domain")
     return ball
 
 
-def _ball_mask(grid: DyadicGrid, ball: MeanValueBall) -> np.ndarray:
-    centers = grid.centers()
-    d = np.sqrt(np.sum((centers - np.asarray(ball.center)) ** 2, axis=-1))
-    return (d < ball.radius).reshape(grid.shape)
-
-
 def mean_value(
-    values: np.ndarray, grid: DyadicGrid, ball: MeanValueBall, within: Optional[CellSet] = None
+    values: np.ndarray, grid: DyadicGrid, ball: Shape, within: Optional[CellSet] = None
 ) -> float:
     """Average of per-cell values over the cells whose center lies in the ball.
 
@@ -217,7 +201,7 @@ def mean_value(
     `within` restricts to domain cells (used for punctured shapes).
     """
     values = np.asarray(values, dtype=float).reshape(grid.shape)
-    mask = _ball_mask(grid, ball)
+    mask = ball.contains(grid.centers()).reshape(grid.shape)
     if within is not None:
         mask &= within.mask
     if not mask.any():

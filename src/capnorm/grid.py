@@ -11,7 +11,8 @@ the callers, which take absolute values before building a GridFunction.
 Sampling uses the midpoint rule (value at the cell center).  Grids for
 radial samplers are expected to be placed so the singular point sits on
 a cell corner (``origin = -root_side / 2`` does this); cell centers then
-never coincide with the singularity.
+never coincide with the singularity.  Samplers, ball shapes and the
+point evaluators measure distances by one rule, :func:`distance`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def positive_finite(what: str, value, error: type = GridError) -> float:
 def as_point(coords) -> tuple[float, ...]:
     """Coordinates as a tuple of floats; a scalar is one coordinate."""
     return tuple(float(c) for c in np.atleast_1d(coords))
+
+
+def distance(points: np.ndarray, center) -> np.ndarray:
+    """|x - center| for each row x of an (N, dim) array of points."""
+    if len(center) != points.shape[-1]:
+        raise GridError(f"center has {len(center)} coordinates, the points have {points.shape[-1]}")
+    return np.sqrt(np.sum((points - np.asarray(center)) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -84,13 +92,9 @@ class DyadicGrid:
     def diameter(self) -> float:
         return self.root_side * math.sqrt(self.dim)
 
-    def axis_centers(self) -> np.ndarray:
-        m = self.cells_per_axis
-        return np.asarray(self.origin)[:, None] + self.h * (np.arange(m) + 0.5)
-
     def centers(self) -> np.ndarray:
         """All cell centers as an ``(n_cells, dim)`` array in C (row-major) order."""
-        ax = self.axis_centers()
+        ax = np.asarray(self.origin)[:, None] + self.h * (np.arange(self.cells_per_axis) + 0.5)
         grids = np.meshgrid(*ax, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -300,11 +304,12 @@ class Sampler:
       radial_power    |x - center|^exponent, optional truncation annulus
                       eps_inner <= |x - center| < r_outer (zero outside)
       ball_indicator  1 on B(center, radius)
-      linear          coeffs . x + offset  (signed; use evaluate, not sample)
+      linear          coeffs . x + offset  (signed: sample refuses it, evaluate does not)
       bump            amplitude * (1 - |x - center|^2 / radius^2)_+^2
 
-    Radii must be positive and finite, and a center must have one
-    coordinate per axis of the points it is evaluated at.
+    All but ball_indicator have a closed-form |grad| (evaluate with
+    gradient).  Radii must be positive and finite, and a center must have
+    one coordinate per axis of the points it is evaluated at.
     """
 
     kind: str
@@ -362,12 +367,6 @@ class Sampler:
             amplitude=float(amplitude),
         )
 
-    def _radii(self, points: np.ndarray) -> np.ndarray:
-        if len(self.center) != points.shape[-1]:
-            raise GridError(f"sampler center has {len(self.center)} coordinates, "
-                            f"the points have {points.shape[-1]}")
-        return np.sqrt(np.sum((points - np.asarray(self.center)) ** 2, axis=-1))
-
     def _cut(self, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """vals at radii r, zero outside the annulus eps_inner <= r < r_outer if there is one."""
         if self.annulus is None:
@@ -393,7 +392,7 @@ class Sampler:
         """
         if self.kind != "radial_power":
             raise GridError(f"annuli need a radial_power sampler, got {self.kind!r}")
-        r = self._radii(grid.centers()).reshape(grid.shape)
+        r = distance(grid.centers(), self.center).reshape(grid.shape)
         powers = [self._radial_powers(r, gradient=False)]
         if gradient:
             powers.append(self._radial_powers(r, gradient=True))
@@ -404,42 +403,28 @@ class Sampler:
 
         return cut
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Raw (possibly signed) values at the given points, shape (N, dim)."""
+    def evaluate(self, points: np.ndarray, gradient: bool = False) -> np.ndarray:
+        """Raw (possibly signed) values at the given points, shape (N, dim); with gradient, |grad|."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = points.shape[0]
         if self.kind == "constant":
-            return np.full(n, self.value)
-        if self.kind == "radial_power":
-            r = self._radii(points)
-            return self._cut(r, self._radial_powers(r, gradient=False))
-        if self.kind == "ball_indicator":
-            r = self._radii(points)
-            return (r < self.radius).astype(np.float64)
+            return np.zeros(n) if gradient else np.full(n, self.value)
         if self.kind == "linear":
+            if gradient:
+                return np.full(n, float(np.linalg.norm(self.coeffs)))
             return points @ np.asarray(self.coeffs) + self.offset
-        if self.kind == "bump":
-            r = self._radii(points)
-            t = 1.0 - (r / self.radius) ** 2
-            return self.amplitude * np.where(t > 0, t, 0.0) ** 2
-        raise GridError(f"cannot evaluate sampler of kind {self.kind!r} pointwise")
-
-    def gradient_magnitude_values(self, points: np.ndarray) -> np.ndarray:
-        """|grad| at the given points for kinds with a closed-form gradient."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
-        if self.kind == "constant":
-            return np.zeros(n)
         if self.kind == "radial_power":
-            r = self._radii(points)
-            return self._cut(r, self._radial_powers(r, gradient=True))
-        if self.kind == "linear":
-            return np.full(n, float(np.linalg.norm(self.coeffs)))
+            r = distance(points, self.center)
+            return self._cut(r, self._radial_powers(r, gradient))
+        if self.kind == "ball_indicator" and not gradient:
+            return (distance(points, self.center) < self.radius).astype(np.float64)
         if self.kind == "bump":
-            r = self._radii(points)
+            r = distance(points, self.center)
             t = 1.0 - (r / self.radius) ** 2
-            return self.amplitude * 4.0 * r / self.radius**2 * np.where(t > 0, t, 0.0)
-        raise GridError(f"sampler of kind {self.kind!r} has no closed-form gradient")
+            if gradient:
+                return self.amplitude * 4.0 * r / self.radius**2 * np.where(t > 0, t, 0.0)
+            return self.amplitude * np.where(t > 0, t, 0.0) ** 2
+        raise GridError(f"{self.kind!r} sampler has no closed-form {'gradient' if gradient else 'value'}")
 
 
 def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
@@ -452,7 +437,7 @@ def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
 
 def gradient_magnitude(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
     """|grad u| sampled at cell centers, from the closed-form gradient."""
-    vals = sampler.gradient_magnitude_values(grid.centers()).reshape(grid.shape)
+    vals = sampler.evaluate(grid.centers(), gradient=True).reshape(grid.shape)
     if not np.all(np.isfinite(vals)):
         raise GridError("gradient sampler produced non-finite values")
     return GridFunction(grid, vals)

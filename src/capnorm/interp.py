@@ -117,17 +117,23 @@ def _envelope_min(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.min(a[None, :] + np.outer(t, b), axis=1)
 
 
-def _report_t_grid(a: np.ndarray, b: np.ndarray, eta: float, q: float) -> np.ndarray:
+def _report_t_grid(a: np.ndarray, b: np.ndarray, pair: InterpPair) -> np.ndarray:
     """Geometric t-grid whose truncated tails fall below TAIL_RELATIVE.
 
     Small t: K <= t ||f||_{p1}, integrand ~ t^{(1-eta)q}; large t:
     K <= ||f||_{p0}, integrand ~ t^{-eta q}.  Cutoffs follow from those
     two closed-form bounds around the crossover t* = ||f||_A0/||f||_A1.
-    Where eta q or (1 - eta) q is small, a cutoff lies outside double
-    precision, and the grid is refused with an InterpError.
+    An endpoint norm that is not positive and finite (an edge p0 or p1),
+    or a cutoff outside double precision (a small eta q or (1 - eta) q),
+    is an InterpError.
     """
+    eta, q = pair.eta, pair.q_interp
     norm0 = float(a[0])  # cut c = 0: f0 = f
     norm1 = float(b[-1])  # cut c = max: f1 = f
+    for name, p, norm in (("p0", pair.p0, norm0), ("p1", pair.p1, norm1)):
+        if not (0 < norm < math.inf):
+            raise InterpError(f"the endpoint norm ||f||_{name} at {name}={p:g} is not finite "
+                              "and positive in double precision")
     t_star = norm0 / norm1
     lo = t_star * TAIL_RELATIVE ** (1.0 / ((1.0 - eta) * q))
     try:
@@ -244,6 +250,7 @@ def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray
     if dist.is_zero:
         t = np.geomspace(1e-3, 1e3, T_GRID_POINTS)
         return t, np.zeros_like(t)
-    a, b = _truncation_lines(dist, pair.p0, pair.p1)
-    t = _report_t_grid(a, b, pair.eta, pair.q_interp)
+    with np.errstate(all="ignore"):  # as in checked_norm; the endpoint norms are checked next
+        a, b = _truncation_lines(dist, pair.p0, pair.p1)
+    t = _report_t_grid(a, b, pair)
     return t, _envelope_min(a, b, t)

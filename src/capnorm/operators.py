@@ -55,7 +55,7 @@ import numpy as np
 from scipy import fft
 
 from .choquet import LorentzExponents, choquet_integral, lorentz_norm
-from .grid import DEFAULT_CELL_CAP, DyadicGrid, GridError, GridFunction
+from .grid import DEFAULT_CELL_CAP, DyadicGrid, GridError, GridFunction, as_point, distance
 
 RADIUS_SWEEP_FACTOR = 1.25
 
@@ -257,13 +257,20 @@ def riesz(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.grid, _riesz_sums(f, alpha) / riesz_normalization(f.grid.dim, alpha))
 
 
+def _snap(grid: DyadicGrid, x) -> tuple[int, np.ndarray]:
+    """The cell nearest x (the first in C order on a tie) and the distances from its center to all."""
+    x = as_point(x)
+    if len(x) != grid.dim:
+        raise GridError(f"point has {len(x)} coordinates, the grid has {grid.dim}")
+    centers = grid.centers()
+    cell = int(np.argmin(np.sum((centers - np.asarray(x)) ** 2, axis=1)))
+    return cell, distance(centers, centers[cell])
+
+
 def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
     """int f(y) |x - y|^(alpha - dim) dy at one point (center-snapped)."""
     grid = f.grid
-    centers = grid.centers()
-    x = np.asarray(x, dtype=float)
-    cell = int(np.argmin(np.sum((centers - x) ** 2, axis=1)))
-    d = np.sqrt(np.sum((centers - centers[cell]) ** 2, axis=1))
+    cell, d = _snap(grid, x)
     d[cell] = 1.0
     weights = grid.cell_volume * d ** (alpha - grid.dim)
     weights[cell] = _self_cell_weight(grid, alpha)
@@ -274,10 +281,7 @@ def maximal_at(f: GridFunction, x, mu: float) -> float:
     """Fractional maximal function at one point (center-snapped), over the radii of `maximal`."""
     grid = f.grid
     MaximalParams(mu).validate(grid.dim)
-    centers = grid.centers()
-    x = np.asarray(x, dtype=float)
-    cell = int(np.argmin(np.sum((centers - x) ** 2, axis=1)))
-    d = np.sqrt(np.sum((centers - centers[cell]) ** 2, axis=1))
+    _, d = _snap(grid, x)
     vals = f.values.ravel()
     vol_unit = unit_ball_volume(grid.dim)
     best = 0.0

@@ -122,7 +122,7 @@ def test_gradient_constant_is_zero():
 def test_gradient_radial_power_closed_form():
     # |grad |x|^eta| = |eta| |x|^(eta-1)
     s = Sampler.radial_power(-0.8, center=(0.0, 0.0))
-    val = s.gradient_magnitude_values(np.array([[0.5, 0.0]]))[0]
+    val = s.evaluate(np.array([[0.5, 0.0]]), gradient=True)[0]
     assert val == pytest.approx(0.8 * 0.5**-1.8, rel=1e-14)
     g = make_grid(2, 4, 2.0)
     gm = gradient_magnitude(s, g)
@@ -163,7 +163,7 @@ def test_radial_power_needs_a_center():
 def test_gradient_bump_closed_form():
     s = Sampler.bump((0.0, 0.0), 1.0, amplitude=2.0)
     pts = np.array([[0.5, 0.0], [2.0, 0.0]])
-    vals = s.gradient_magnitude_values(pts)
+    vals = s.evaluate(pts, gradient=True)
     assert vals[0] == pytest.approx(2.0 * 4 * 0.5 * (1 - 0.25), rel=1e-14)
     assert vals[1] == 0.0
 

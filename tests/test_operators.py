@@ -7,7 +7,7 @@ from scipy import fft
 
 from capnorm import operators
 from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
-from capnorm.grid import GridFunction, Sampler, make_grid, sample
+from capnorm.grid import GridError, GridFunction, Sampler, make_grid, sample
 from capnorm.operators import (
     L1_CONTENT_BOUND,
     MaximalParams,
@@ -417,6 +417,29 @@ def test_maximal_at_matches_field():
     assert maximal_at(f, (g.h / 2, g.h / 2), 0.3) == pytest.approx(
         mf.values[8, 8], rel=1e-12
     )
+
+
+# a point with the wrong number of coordinates used to broadcast against the
+# centers: on a 2D grid (0.3,) was evaluated at (0.3, 0.3)
+@pytest.mark.parametrize("x", [(0.3,), (0.3, 0.3, 0.3)])
+def test_point_evaluators_refuse_a_point_of_the_wrong_dimension(x):
+    f = sample(Sampler.bump((0.0, 0.0), 0.8), make_grid(2, 4, 2.0))
+    message = f"point has {len(x)} coordinates, the grid has 2"
+    with pytest.raises(GridError, match=message):
+        maximal_at(f, x, 0.5)
+    with pytest.raises(GridError, match=message):
+        riesz_unnormalized_at(f, x, 1.0)
+    with pytest.raises(GridError, match=message):
+        hedberg_ratio(f, x, 1.0, 0.0, LorentzExponents(1.5, 1.5, 2.0))
+
+
+def test_point_evaluators_snap_a_tie_to_the_first_cell_in_c_order():
+    g = make_grid(2, 4, 2.0)  # the origin is a corner of cells (7, 7), (7, 8), (8, 7), (8, 8)
+    f = GridFunction(g, np.random.default_rng(5).random(g.shape))
+    first = g.centers()[7 * g.cells_per_axis + 7]
+    assert maximal_at(f, (0.0, 0.0), 0.5) == maximal_at(f, first, 0.5)
+    assert riesz_unnormalized_at(f, (0.0, 0.0), 1.0) == riesz_unnormalized_at(f, first, 1.0)
+    assert riesz_unnormalized_at(f, (0.0, 0.0), 1.0) != riesz_unnormalized_at(f, -first, 1.0)
 
 
 def test_riesz_1d_interval_closed_form():
