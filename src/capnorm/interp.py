@@ -12,7 +12,9 @@ the remaining ones down by v_k, both reusing the same plateau contents.
 K_upper(t) is then the lower envelope of finitely many lines a_c + t*b_c.
 
 The truncation norms of all m + 1 cuts come from a prefix sum (f1) and
-Abel sums in row blocks of bounded size (f0).
+Abel sums in row blocks of bounded size (f0).  There an endpoint norm
+||f||_p0 or ||f||_p1 outside double precision is refused by name, for
+K(t), its profile and the interpolation norm alike.
 
 The interpolation norm integrates [t^-eta K(t)]^q dt/t on that envelope:
 closed forms on the two pure-power tails, and between envelope
@@ -71,6 +73,7 @@ class InterpPair:
         return 1.0 / ((1.0 - self.eta) / self.p0 + self.eta / self.p1)
 
 
+@np.errstate(all="ignore")  # the endpoint norms are checked
 def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
     """Norm pairs (a_c, b_c) = (||(f-c)+||_{p0}, ||min(f,c)||_{p1}) over all cuts.
 
@@ -80,7 +83,8 @@ def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.
     a_k^{p0} = sum_{j>k} (v_j - v_k)^{p0} w_j with w_j = h_{j-1} - h_j >= 0
     (h_m = 0), summed over row blocks of at most LINE_BLOCK elements whose
     columns start after the block's first row, so the lower triangle is
-    mostly skipped.
+    mostly skipped.  The endpoint norms a_0 = ||f||_{p0} and b_m = ||f||_{p1}
+    of the nonzero dist must be positive and finite, else InterpError.
     """
     h = dist.plateaus
     m = h.size
@@ -99,7 +103,12 @@ def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.
         np.power(d, p0, out=d)
         a[k0:k1] = d @ w[k0 + 1 :]
         k0 = k1
-    return a ** (1.0 / p0), b
+    a **= 1.0 / p0
+    for name, p, norm in (("p0", p0, a[0]), ("p1", p1, b[-1])):
+        if not (0 < norm < math.inf):
+            raise InterpError(f"the endpoint norm ||f||_{name} at {name}={p:g} is not finite "
+                              "and positive in double precision")
+    return a, b
 
 
 def k_functional_upper(f: GridFunction, pair: InterpPair, t: float) -> float:
@@ -122,18 +131,14 @@ def _report_t_grid(a: np.ndarray, b: np.ndarray, pair: InterpPair) -> np.ndarray
 
     Small t: K <= t ||f||_{p1}, integrand ~ t^{(1-eta)q}; large t:
     K <= ||f||_{p0}, integrand ~ t^{-eta q}.  Cutoffs follow from those
-    two closed-form bounds around the crossover t* = ||f||_A0/||f||_A1.
-    An endpoint norm that is not positive and finite (an edge p0 or p1),
-    or a cutoff outside double precision (a small eta q or (1 - eta) q),
-    is an InterpError.
+    two closed-form bounds around the crossover t* = ||f||_A0/||f||_A1,
+    both norms positive and finite by `_truncation_lines`.  A cutoff
+    outside double precision (a small eta q or (1 - eta) q) is an
+    InterpError.
     """
     eta, q = pair.eta, pair.q_interp
     norm0 = float(a[0])  # cut c = 0: f0 = f
     norm1 = float(b[-1])  # cut c = max: f1 = f
-    for name, p, norm in (("p0", pair.p0, norm0), ("p1", pair.p1, norm1)):
-        if not (0 < norm < math.inf):
-            raise InterpError(f"the endpoint norm ||f||_{name} at {name}={p:g} is not finite "
-                              "and positive in double precision")
     t_star = norm0 / norm1
     lo = t_star * TAIL_RELATIVE ** (1.0 / ((1.0 - eta) * q))
     try:
@@ -214,7 +219,8 @@ def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
     """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family.
 
     Returns through choquet's `checked_norm` at (pair.p, q): 0.0 for f = 0,
-    and an ExponentError where a power leaves double precision.
+    and an ExponentError where a power past the endpoint norms leaves
+    double precision.
     """
     dist = distribution(f, pair.delta)
     eta, q = pair.eta, pair.q_interp
@@ -250,7 +256,6 @@ def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray
     if dist.is_zero:
         t = np.geomspace(1e-3, 1e3, T_GRID_POINTS)
         return t, np.zeros_like(t)
-    with np.errstate(all="ignore"):  # as in checked_norm; the endpoint norms are checked next
-        a, b = _truncation_lines(dist, pair.p0, pair.p1)
+    a, b = _truncation_lines(dist, pair.p0, pair.p1)
     t = _report_t_grid(a, b, pair)
     return t, _envelope_min(a, b, t)

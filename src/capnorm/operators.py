@@ -31,7 +31,8 @@ reruns are byte-identical.  Its rounding leaves noise near 1e-16 of the
 largest value, so a sum that is exactly zero can come out slightly
 negative and is clipped to zero.  The point evaluators `maximal_at` and
 `riesz_unnormalized_at` sum the same cells directly at one point; they
-are the exact reference for the fields.
+are the exact reference for the fields and refuse the mu and alpha the
+fields refuse.
 
 The maximal supremum is taken over one fixed geometric radius sweep,
 ratio RADIUS_SWEEP_FACTOR, from one cell side up to twice the grid
@@ -43,6 +44,9 @@ classical normalization 1/c_alpha of `riesz_normalization`.  Its kernel
 spectrum is built once per (grid, alpha) and kept for the next call, so
 a sweep of sources on one grid pays for it once; one spectrum is held at
 a time, at most about 64 MB (2^23 float64 values) at the cell cap.
+
+`improved_exponents` is the one rule for the exponents of the improved
+Sobolev-Riesz inequalities: the Hedberg bound's norm and verify's sides.
 """
 
 from __future__ import annotations
@@ -105,9 +109,41 @@ class MaximalParams:
             raise OperatorError(f"mu must be in [0, dim), got {self.mu}")
 
 
-def _check_alpha(alpha: float, dim: int):
+def _check_alpha(alpha: float, dim: int, error: type = OperatorError):
     if not (0 < alpha < dim):
-        raise OperatorError(f"alpha must be in (0, dim), got {alpha}")
+        raise error(f"alpha must be in (0, dim) = (0, {dim:g}), got {alpha}")
+
+
+def riesz_left_exponent(p: float, delta: float, mu: float, alpha: float) -> float:
+    """Target exponent p(delta - mu p)/(delta - alpha p) of the left norm."""
+    return p * (delta - mu * p) / (delta - p * alpha)
+
+
+def riesz_right_q(q: float, p: float, delta: float, mu: float, alpha: float) -> float:
+    """Second index q(delta - alpha p)/(delta - mu p) of the right norm."""
+    return q * (delta - p * alpha) / (delta - mu * p)
+
+
+def improved_exponents(
+    p: float, q: float, delta: float, mu: float, alpha: float, dim: int, error: type = OperatorError
+) -> tuple[LorentzExponents, LorentzExponents]:
+    """Checked (left, right) exponents of an improved inequality of order alpha in (0, dim).
+
+    alpha = 1 for the gradient.  Needs mu in [0, alpha); q is not bounded.
+    Main branch p in (delta/dim, delta/alpha): left L^{riesz_left_exponent,
+    q} over the content of exponent delta - mu p, right L^{p, riesz_right_q}
+    over delta.  Endpoint p = delta/dim: left weak (q = inf), right L^{p, p}.
+    """
+    _check_alpha(alpha, dim, error)
+    if not (0 <= mu < alpha):
+        raise error(f"mu must be in [0, alpha) = [0, {alpha:g}), got {mu}")
+    endpoint = p == delta / dim
+    if not endpoint and not (delta / dim < p < delta / alpha):
+        raise error(f"p must equal delta/dim or lie in (delta/dim, delta/alpha) = "
+                    f"({delta / dim:g}, {delta / alpha:g}), got {p}")
+    left_q, right_q = (math.inf, p) if endpoint else (q, riesz_right_q(q, p, delta, mu, alpha))
+    left = LorentzExponents(riesz_left_exponent(p, delta, mu, alpha), left_q, delta - mu * p)
+    return left, LorentzExponents(p, right_q, delta)
 
 
 def _padded_shape(grid: DyadicGrid) -> tuple[int, ...]:
@@ -270,6 +306,7 @@ def _snap(grid: DyadicGrid, x) -> tuple[int, np.ndarray]:
 def riesz_unnormalized_at(f: GridFunction, x, alpha: float) -> float:
     """int f(y) |x - y|^(alpha - dim) dy at one point (center-snapped)."""
     grid = f.grid
+    _check_alpha(alpha, grid.dim)
     cell, d = _snap(grid, x)
     d[cell] = 1.0
     weights = grid.cell_volume * d ** (alpha - grid.dim)
@@ -297,31 +334,18 @@ def maximal_at(f: GridFunction, x, mu: float) -> float:
 def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExponents):
     """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
 
-    The bound reads LHS <= C * M_mu(f)^maximal_power * ||f||^norm_power.
-    Main branch p in (delta/dim, delta/alpha): the norm is L^{p, norm_q}
-    over the content of exponent delta.  Endpoint p = delta/dim: the plain
-    p-norm, Lorentz (p, p).
+    The bound reads LHS <= C * M_mu(f)^maximal_power * ||f||^norm_power,
+    the norm the right side of `improved_exponents` at exps.
     """
-    dim = f.grid.dim
     p, q, delta = exps.p, exps.q, exps.delta
-    _check_alpha(alpha, dim)
-    if not (0 <= mu < alpha):
-        raise OperatorError(f"mu must be in [0, alpha), got {mu}")
-    if not (0 < delta <= dim):
+    _, norm_exps = improved_exponents(p, q, delta, mu, alpha, f.grid.dim)
+    if not (0 < delta <= f.grid.dim):
         raise OperatorError(f"delta must be in (0, dim], got {delta}")
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta / alpha):
-        raise OperatorError(
-            f"p must equal delta/dim or lie in (delta/dim, delta/alpha) = "
-            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
-        )
     maximal_power = (delta - p * alpha) / (delta - mu * p)
     norm_power = p * (alpha - mu) / (delta - mu * p)
-    norm_q = q * (delta - p * alpha) / (delta - mu * p) if q != math.inf else math.inf
     if not f.values.any():
         return None
-    norm = lorentz_norm(f, LorentzExponents(p, p if endpoint else norm_q, delta))
-    return maximal_power, norm**norm_power
+    return maximal_power, lorentz_norm(f, norm_exps) ** norm_power
 
 
 def hedberg_ratio(f: GridFunction, x, alpha: float, mu: float, exps: LorentzExponents) -> float:
@@ -330,11 +354,11 @@ def hedberg_ratio(f: GridFunction, x, alpha: float, mu: float, exps: LorentzExpo
     Returns 0 for f identically zero (both sides vanish).
     """
     factors = _hedberg_factors(f, alpha, mu, exps)
+    lhs = riesz_unnormalized_at(f, x, alpha)  # checks x, also for f = 0
+    mf = maximal_at(f, x, mu)
     if factors is None:
         return 0.0
     maximal_power, norm_factor = factors
-    lhs = riesz_unnormalized_at(f, x, alpha)
-    mf = maximal_at(f, x, mu)
     # nonzero f has mf > 0 everywhere: some sweep ball reaches the support
     return lhs / (mf**maximal_power * norm_factor)
 

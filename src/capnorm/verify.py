@@ -23,10 +23,10 @@ Grid roots are fixed: a John-domain run sizes its root from the shape
 and every other run ROOT_SIDE.
 
 Every side is one Lorentz norm, ``lorentz_norm`` at some (p, q, delta);
-a plain p-norm is the (p, p) case.  One rule, _improved_exponents, gives
-the two sides of the Sobolev-Poincare (order alpha = 1) and Riesz
-(order alpha) inequalities, with its delta/dim endpoint; the gradient
-sides call the riesz_* window formulas at alpha = 1.0.
+a plain p-norm is the (p, p) case.  One rule, operators.improved_exponents,
+gives the two sides of the Sobolev-Poincare and compact-support Sobolev
+(order alpha = 1) and Riesz (order alpha) inequalities, with its delta/dim
+endpoint; _improved_exponents adds the q window above riesz_q_lower.
 
 Stability verdicts operationalize existential constants: the measured
 left/right ratio may grow by at most GROWTH_FACTOR_LIMIT per grid
@@ -63,7 +63,8 @@ from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
 from .grid import GridFunction, Sampler, gradient_magnitude, make_grid, sample
-from .operators import MaximalParams, hedberg_ratio_field, maximal, riesz
+from .operators import (MaximalParams, hedberg_ratio_field, improved_exponents, maximal, riesz,
+                        riesz_left_exponent)
 
 GROWTH_FACTOR_LIMIT = 1.2
 SLOPE_TOLERANCE = 0.05
@@ -96,50 +97,22 @@ class VerifyError(ValueError):
 # exponent windows -----------------------------------------------------------
 
 
-def riesz_left_exponent(p: float, delta: float, mu: float, alpha: float) -> float:
-    """Target exponent p(delta - mu p)/(delta - alpha p) of the left norm."""
-    return p * (delta - mu * p) / (delta - p * alpha)
-
-
-def riesz_right_q(q: float, p: float, delta: float, mu: float, alpha: float) -> float:
-    """Second index q(delta - alpha p)/(delta - mu p) of the right norm."""
-    return q * (delta - p * alpha) / (delta - mu * p)
-
-
 def riesz_q_lower(p: float, delta: float, mu: float, alpha: float, dim: int) -> float:
     """Lower admissibility bound delta(delta - mu p)/(dim (delta - alpha p)) for q."""
     return delta * (delta - mu * p) / (dim * (delta - p * alpha))
 
 
-def _improved_exponents(
-    p: float, q: Optional[float], delta: float, mu: float, alpha: float, dim: int
-) -> tuple[LorentzExponents, LorentzExponents]:
-    """Checked (left, right) exponents of an improved inequality of order alpha.
-
-    alpha = 1 for the gradient, alpha for the Riesz potential.  Needs mu
-    in [0, alpha).  Main branch: p in (delta/dim, delta/alpha) and q
-    above riesz_q_lower; left L^{riesz_left_exponent, q} over the content
-    of exponent delta - mu p, right L^{p, riesz_right_q} over delta.
-    Endpoint p = delta/dim: the left norm is weak (q = inf) and the right
-    one the p-norm L^{p, p}; q is not read.
-    """
-    if not (0 <= mu < alpha):
-        raise VerifyError(f"mu must be in [0, {alpha:g}), got {mu}")
-    endpoint = p == delta / dim
-    if not endpoint and not (delta / dim < p < delta / alpha):
-        raise VerifyError(
-            f"p must be delta/dim or in (delta/dim, delta/alpha) = "
-            f"({delta / dim:g}, {delta / alpha:g}), got {p}"
-        )
-    left_p = riesz_left_exponent(p, delta, mu, alpha)
-    left_delta = delta - mu * p
-    if endpoint:
-        return LorentzExponents(left_p, math.inf, left_delta), LorentzExponents(p, p, delta)
+def _improved_exponents(p: float, q: Optional[float], delta: float, mu: float, alpha: float,
+                        dim: int) -> tuple[LorentzExponents, LorentzExponents]:
+    """`improved_exponents` as VerifyError, with q in (riesz_q_lower, inf) on the main branch."""
+    # the windows first, at a q every side accepts: riesz_q_lower divides by delta - alpha p
+    sides = improved_exponents(p, math.inf, delta, mu, alpha, dim, VerifyError)
+    if p == delta / dim:  # q is not read
+        return sides
     q_lo = riesz_q_lower(p, delta, mu, alpha, dim)
     if q is None or not (q_lo < q < math.inf):
         raise VerifyError(f"q must be in ({q_lo:g}, inf), got {q}")
-    right = LorentzExponents(p, riesz_right_q(q, p, delta, mu, alpha), delta)
-    return LorentzExponents(left_p, q, left_delta), right
+    return improved_exponents(p, q, delta, mu, alpha, dim, VerifyError)
 
 
 def gradient_eta_window(p: float, s: float, delta: float, mu: float) -> tuple[float, float]:
@@ -524,13 +497,12 @@ def compact_support_check(
         raise VerifyError(f"q must be in (delta/dim, inf), got {q}")
     p_end, diam = delta / dim, params["diam"]
     strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
-    # variant -> (exponents of f's norm, gradient factor, exponents of the gradient's norm)
+    # variant -> (exponents of f's norm, exponents of the gradient's norm, gradient factor)
     variants = {
-        "strong": (strong, diam, strong),
-        "weak": (LorentzExponents(p_end, math.inf, delta), diam, p_norm),
-        "sobolev": (LorentzExponents(riesz_left_exponent(p, delta, mu, 1.0), q, delta - mu * p),
-                    1.0, LorentzExponents(p, riesz_right_q(q, p, delta, mu, 1.0), delta)),
-        "sobolev_weak": (_improved_exponents(p_end, None, delta, mu, 1.0, dim)[0], 1.0, p_norm),
+        "strong": (strong, strong, diam),
+        "weak": (LorentzExponents(p_end, math.inf, delta), p_norm, diam),
+        "sobolev": (*improved_exponents(p, q, delta, mu, 1.0, dim, VerifyError), 1.0),
+        "sobolev_weak": (*improved_exponents(p_end, q, delta, mu, 1.0, dim, VerifyError), 1.0),
     }
 
     def at(depth):
@@ -543,7 +515,7 @@ def compact_support_check(
         fr = f.restrict(domain.cells)
         ratios = tuple(_safe_ratio(lorentz_norm(fr, left), factor * lorentz_norm(grad, right),
                                    f"compact_support {v}")
-                       for v, (left, factor, right) in variants.items())
+                       for v, (left, right, factor) in variants.items())
         return ratios, [(f"{v}@d{depth}", ratio) for v, ratio in zip(variants, ratios)]
 
     series, per_variant = _sweep(params["depths"], at)
@@ -562,8 +534,6 @@ def riesz_boundedness_check(
 ) -> ExperimentReport:
     """Riesz potential norm over the lowered content against the source norm."""
     params = _params(locals(), root_side=ROOT_SIDE)
-    if not (0 < alpha < dim):
-        raise VerifyError(f"alpha must be in (0, dim), got {alpha}")
     left, right = _improved_exponents(p, q, delta, mu, alpha, dim)
     params.update(left_p=left.p, left_delta=left.delta, endpoint=p == delta / dim)
 

@@ -10,9 +10,10 @@ import pytest
 
 from capnorm import io, operators
 from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config, shape_from_config
+from capnorm.domains import Shape
 from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
 from capnorm.operators import MaximalParams, maximal, riesz
-from capnorm.verify import EXPERIMENTS
+from capnorm.verify import EXPERIMENTS, VerifyError, poincare_sobolev_check
 
 
 @pytest.fixture
@@ -188,13 +189,48 @@ def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, ca
     ("sharpness_poincare", "p=-1", "p must be in (0, delta) = (0, 2), got -1"),
     ("sharpness_riesz", "p=2.0", "p must be positive with p*alpha < delta = 2, got 2.0"),
     ("sharpness_riesz", "p=0", "p must be positive with p*alpha < delta = 2, got 0"),
-    ("sharpness_riesz", "alpha=0", "alpha must be in (0, dim), got 0"),
+    ("sharpness_riesz", "alpha=0", "alpha must be in (0, dim) = (0, 2), got 0"),
 ])
 def test_verify_sharpness_p_outside_left_exponent_domain_exits_2(experiment, override, message,
                                                                  capsys):
     assert run(["verify", experiment, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# poincare_sobolev in 1D has alpha = 1 = dim: its endpoint p = delta/dim ended
+# in a ZeroDivisionError traceback from riesz_left_exponent
+def test_verify_poincare_sobolev_in_1d_is_refused_by_alpha_and_dim(capsys):
+    assert run(["verify", "poincare_sobolev",
+                "--set", 'shape={"shape":"ball","center":[0.0],"radius":1.0}',
+                "--set", 'sampler={"kind":"linear","coeffs":[1.0]}',
+                "--set", "delta=1.0", "--set", "p=1.0"]) == 2
+    assert capsys.readouterr().err == "error: alpha must be in (0, dim) = (0, 1), got 1.0\n"
+    with pytest.raises(VerifyError, match=r"^alpha must be in \(0, dim\) = \(0, 1\)"):
+        poincare_sobolev_check(Shape.ball((0.0,), 1.0), Sampler.linear([1.0]), 0.0, 1.0, 1.0,
+                               None, [3])
+
+
+# every experiment outside 2D, on a ball, a bump and dim of that dimension
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_verify_every_experiment_in_1d_and_3d_ends_cleanly(name, dim, capsys):
+    center = [0.0] * dim
+    overrides = {"shape": {"shape": "ball", "center": center, "radius": 1.0},
+                 "sampler": {"kind": "bump", "center": center, "radius": 0.7},
+                 "dim": dim, "depths": [2, 3], "depth": 3}
+    args = ["verify", name]
+    for key, value in overrides.items():
+        if key in EXPERIMENTS[name].defaults:
+            args += ["--set", f"{key}={json.dumps(value)}"]
+    code = run(args)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert all(math.isfinite(value) for _, value in json.loads(out)["series"])
 
 
 def test_verify_runs_and_is_deterministic(capsys):

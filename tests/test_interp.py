@@ -179,14 +179,20 @@ def test_k_profile_refuses_a_grid_outside_double_precision(eta):
         k_profile(f, pair)
 
 
-# an edge endpoint exponent leaked numpy's overflow warning (p0 = 1e-300) or
-# ended in a ZeroDivisionError in the report grid (p1 = 1e300)
-@pytest.mark.parametrize("p0, p1, name", [(1e-300, 3.0, "p0"), (1.0, 1e300, "p1")])
-def test_k_profile_refuses_an_endpoint_norm_outside_double_precision(p0, p1, name):
+# an edge endpoint exponent leaked numpy's overflow warning (p0 = 1e-300,
+# p0 = 1e-3), ended in a ZeroDivisionError in the report grid (p1 = 1e300),
+# gave K = 0 for a nonzero f (p1 = 1e300) or a quadrature of inf panels (p0 = 1e-3)
+@pytest.mark.parametrize("entry", [
+    lambda f, pair: k_functional_upper(f, pair, 1.0), k_profile, interpolation_norm,
+], ids=["k_functional_upper", "k_profile", "interpolation_norm"])
+@pytest.mark.parametrize("p0, p1, name", [
+    (1e-300, 3.0, "p0"), (1e-3, 3.0, "p0"), (1.0, 1e300, "p1"),
+])
+def test_k_profile_refuses_an_endpoint_norm_outside_double_precision(p0, p1, name, entry):
     f = sample(Sampler.bump((0.0, 0.0), 0.8), make_grid(2, 4, 2.0))
     pair = InterpPair(p0=p0, p1=p1, delta=1.5, eta=0.5, q_interp=2.0)
     with pytest.raises(InterpError, match=re.escape(f"endpoint norm ||f||_{name} at {name}=")):
-        k_profile(f, pair)
+        entry(f, pair)
 
 
 # a huge q asked for one panel per 1/q of log t: trillions of panels, and

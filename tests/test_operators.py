@@ -431,6 +431,18 @@ def test_point_evaluators_refuse_a_point_of_the_wrong_dimension(x):
         riesz_unnormalized_at(f, x, 1.0)
     with pytest.raises(GridError, match=message):
         hedberg_ratio(f, x, 1.0, 0.0, LorentzExponents(1.5, 1.5, 2.0))
+    # f = 0 returned 0.0 before x was looked at
+    with pytest.raises(GridError, match=message):
+        hedberg_ratio(GridFunction.zeros(f.grid), x, 1.0, 0.0, LorentzExponents(1.5, 1.5, 2.0))
+
+
+# the point evaluator had no alpha check: alpha = 0 divided by zero, alpha = -1
+# gave a negative potential of a nonnegative f, alpha >= dim a value riesz refuses
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0])
+def test_riesz_unnormalized_at_refuses_alpha_outside_its_window(alpha):
+    f = sample(Sampler.bump((0.0, 0.0), 0.8), make_grid(2, 4, 2.0))
+    with pytest.raises(OperatorError, match=r"^alpha must be in \(0, dim\) = \(0, 2\)"):
+        riesz_unnormalized_at(f, (0.0, 0.0), alpha)
 
 
 def test_point_evaluators_snap_a_tie_to_the_first_cell_in_c_order():

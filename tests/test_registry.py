@@ -285,6 +285,28 @@ DEFAULT_REPORT_SHA256 = {
     'sharpness_riesz': 'a626afeeadec21f6c58d99e5a44024ef8b3ea85eb6229e7fc9012bc804435c7e',
 }
 
+# sha256 of the --out and --csv files of `capnorm verify <name>` on the defaults
+DEFAULT_OUTPUT_SHA256 = {
+    'poincare': ('54e44b465ca9a5279f86b29de6a580eb79af1f706c6bbcb394654b95052fdfe2',
+                 '424b10a8cbda2f7560a4591a8f4cf1d72c3ae2b722e0c9496dd33e6cd92f233b'),
+    'poincare_weak': ('9362c7e5f9b79ac213f925ca202a2399f9e6ddd855b69398b609f4e4cef1d4a7',
+                      '0785d0c01258d379176825e46bf0c135cf6db68933d096931840322d600ee62b'),
+    'poincare_sobolev': ('379173a0fff0ac9503f4ef63de3b51de2272d9214f4565e9f7354a2b6c6b5ee8',
+                         '43f505f24477b706046d0d5c37342d6a796c4835d62b5f6cbb5ed1aa852eac87'),
+    'compact_support': ('35a1c6acd25caa9e31586c4fa38aae401fbc27a1db6fb740e69adaab1ea0490c',
+                        '4ab57633c56e362bd02d8b5a81062b33c7e6eb309adb855dcd738ef42b336b0d'),
+    'riesz_bound': ('a843b68777cfcb0fcd18c8dde4172ef2d8d6824663652b7eb192a560ef941792',
+                    '8e717b8e17b952766dab1571fa452be17ccd0e5febf835db9998b7a4b9891d56'),
+    'maximal_bound': ('5e853bf0e145486f142af669c928ca546e61085016c1e6715b1768bc1d69154e',
+                      '6721f13bc89e14fd4bf032e23e1db46feaa443af904506754022633349305531'),
+    'hedberg': ('d0de6b4642fcff90139f9f8de8e751488b84292733834dca74ce726dea6da5c5',
+                'ac5ccb2d3d071a22244c055aa85c7cf3bdc8edf04b5bc2eb6c06d9eaf925d8a2'),
+    'sharpness_poincare': ('4660a6b87283da579a1c4fccfdced642db194c8ae966441bbc67e0d80baea193',
+                           '4e47dc9fce234dff14548040d12548f431a94367596fc136ce28a82ae2c330f8'),
+    'sharpness_riesz': ('838e9b52827df60b66b8ecd4ff2b6e622f5579b09d6800bcfd3ec114b7f77498',
+                        'ae1ab44bc4f740f71a65a1cc7ded8d7f36b9720a2aa3092be011223cabe330a2'),
+}
+
 
 @pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
 def test_config_keys_are_runner_keywords(name):
@@ -364,7 +386,12 @@ def test_b_scan_moves_the_config_hash():
 
 
 @pytest.mark.parametrize("name", sorted(verify.EXPERIMENTS))
-def test_default_report_bytes(name):
-    doc = cli.run_experiment(name, resolve_config(name, {}, {})).to_dict()
+def test_default_report_bytes(name, tmp_path):
+    out, csv = tmp_path / "report.json", tmp_path / "series.csv"
+    run(["verify", name, "--out", str(out), "--csv", str(csv)])
+    doc = json.loads(out.read_text())
     text = io.dumps({key: doc[key] for key in ("params", "series", "verdict")})
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256[name]
+    # the whole output: the report with its config echo and provenance, and the CSV
+    shas = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, csv))
+    assert shas == DEFAULT_OUTPUT_SHA256[name]

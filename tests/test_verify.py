@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from capnorm.domains import Shape
 from capnorm.grid import Sampler, gradient_magnitude, make_grid, sample
-from capnorm.operators import riesz
+from capnorm.operators import riesz, riesz_left_exponent, riesz_right_q
 from capnorm import verify
 from capnorm.verify import (
     VerifyError,
@@ -17,9 +17,7 @@ from capnorm.verify import (
     growth_factors_ok,
     riesz_blowup_prediction,
     riesz_eta_window,
-    riesz_left_exponent,
     riesz_q_lower,
-    riesz_right_q,
 )
 
 BALL = Shape.ball((0.0, 0.0), 1.0)
