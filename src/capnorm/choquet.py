@@ -98,20 +98,21 @@ class StepDistribution:
         return float(self.plateaus[j])
 
 
-def _clusters(uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge sorted distinct positive values at MERGE_RTOL; returns (opens, reps).
+def _clusters(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted positive values at MERGE_RTOL; returns (opens, reps).
 
     A cluster opens at every value whose gap to the previous value exceeds
-    MERGE_RTOL times the value; opens[i] is True there (and at 0).  Merging
-    is transitive over adjacent gaps, so a chain of values each within
-    MERGE_RTOL of the next forms one cluster that can be wider than
-    MERGE_RTOL.  reps are the cluster maxima (each cluster's last value),
-    strictly increasing.  uniq must be nonempty.
+    MERGE_RTOL times the value; opens[i] is True there (and at 0).  A
+    repeated value has gap 0 and never opens one, so ordered may hold
+    repeats.  Merging is transitive over adjacent gaps, so a chain of
+    values each within MERGE_RTOL of the next forms one cluster that can
+    be wider than MERGE_RTOL.  reps are the cluster maxima (each cluster's
+    last value), strictly increasing.  ordered must be nonempty.
     """
-    opens = np.empty(uniq.size, dtype=bool)
+    opens = np.empty(ordered.size, dtype=bool)
     opens[0] = True
-    np.greater(np.diff(uniq), MERGE_RTOL * uniq[1:], out=opens[1:])
-    return opens, uniq[np.append(opens[1:], True)]
+    np.greater(np.diff(ordered), MERGE_RTOL * ordered[1:], out=opens[1:])
+    return opens, ordered[np.append(opens[1:], True)]
 
 
 def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +134,17 @@ def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _counting_distribution(f: GridFunction) -> StepDistribution:
     """Step distribution with Lebesgue measure: each plateau counts the cells above it.
 
-    One sort of the positive values gives the per-value cell counts; each
-    cluster's count is the sum over its values, so no cell is looked up.
+    One sort of the positive values, repeats kept, gives the clusters; the
+    cells above a threshold are those sorted past its cluster's start, so
+    no cell is looked up and nothing is counted per value.
     """
     values = f.values.ravel()
-    uniq, counts = np.unique(values[values > 0], return_counts=True)
-    if uniq.size == 0:
+    ordered = np.sort(values[values > 0])
+    if ordered.size == 0:
         return StepDistribution(np.empty(0), np.empty(0))
-    opens, reps = _clusters(uniq)
-    cells_in_cluster = np.add.reduceat(counts, np.flatnonzero(opens))
-    cells_in_clusters_from = np.cumsum(cells_in_cluster[::-1])[::-1]  # clusters >= j
-    return StepDistribution(reps, cells_in_clusters_from * f.grid.cell_volume)
+    opens, reps = _clusters(ordered)
+    cells_from = ordered.size - np.flatnonzero(opens)  # cells in clusters >= j
+    return StepDistribution(reps, cells_from * f.grid.cell_volume)
 
 
 def distribution(f: GridFunction, delta: float) -> StepDistribution:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .choquet import StepDistribution, checked_norm, distribution
-from .grid import GridFunction
+from .grid import GridFunction, positive_finite
 
 T_GRID_POINTS = 64
 TAIL_RELATIVE = 1e-6
@@ -112,9 +112,8 @@ def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.
 
 
 def k_functional_upper(f: GridFunction, pair: InterpPair, t: float) -> float:
-    """min over truncation cuts of ||f0||_{p0} + t ||f1||_{p1}."""
-    if t <= 0:
-        raise InterpError(f"t must be positive, got {t}")
+    """min over truncation cuts of ||f0||_{p0} + t ||f1||_{p1}, for t in (0, inf)."""
+    t = positive_finite("t", t, InterpError)
     dist = distribution(f, pair.delta)
     if dist.is_zero:
         return 0.0

@@ -16,13 +16,17 @@ Both kernels depend on |offset| only, so they are even along every axis
 of the lattice and fixed by their (m+1)^dim quarter of offsets 0..m.
 The DFT of such a kernel is real: at frequencies 0..m it is the DCT-I
 of the quarter, and frequency 2m - k repeats frequency k.  The kernel
-spectrum is that DCT mirrored into the rfftn layout.  The transforms of
-f skip what is known to be zero or unread: the forward one transforms
-only the lines that hold nonzeros of the padded f, and the inverse one
-keeps the first m lines of each axis before transforming the next.
-Against full-lattice transforms of the same spectrum this changes no
-bits in 1D and 2D; the DCT spectrum changes rounding by about 1e-16 of
-the largest value.
+spectrum is kept as that quarter; a leading-axis frequency k > m reads
+2m - k through a reversed view.  The transforms of f never hold the
+padded spectrum: the rfft of each last-axis line fills an m^(dim-1) x
+(m+1) array, and each block of about BLOCK_BYTES of its columns is
+padded and transformed along the leading axes (only lines that hold
+nonzeros), multiplied, inverted keeping the first m lines of each axis,
+and written back; the irfft of each line then gives the m^dim sums.
+Each 1D line transform does not depend on how many lines are batched
+with it, so blocking changes no bits.  Against full-lattice transforms
+of the same spectrum the pruning changes no bits in 1D and 2D; the DCT
+spectrum changes rounding by about 1e-16 of the largest value.
 
 The padded lattice holds 2^dim times the grid's cells; a grid whose
 padded transform would exceed ``grid.DEFAULT_CELL_CAP`` cells is refused
@@ -38,12 +42,13 @@ The maximal supremum is taken over one fixed geometric radius sweep,
 ratio RADIUS_SWEEP_FACTOR, from one cell side up to twice the grid
 diameter; the averaged quantity varies polynomially in the radius, so
 the sweep captures the continuum supremum within a factor tied to the
-sweep ratio.  f is transformed once per call and its spectrum reused
-for every radius of the sweep.  The Riesz potential carries the
-classical normalization 1/c_alpha of `riesz_normalization`.  Its kernel
-spectrum is built once per (grid, alpha) and kept for the next call, so
-a sweep of sources on one grid pays for it once; one spectrum is held at
-a time, at most about 64 MB (2^23 float64 values) at the cell cap.
+sweep ratio.  f is transformed once per call, kept block by block, and
+its spectrum reused for every radius of the sweep.  The Riesz potential
+carries the classical normalization 1/c_alpha of `riesz_normalization`.
+Its kernel spectrum quarter is built once per (grid, alpha) and kept for
+the next call, so a sweep of sources on one grid pays for it once; one
+quarter is held at a time, (m+1)^dim float64 values: about 34 MB at 2D
+depth 11 and 64 MB at 1D depth 23, the largest grids the cap admits.
 
 `improved_exponents` is the one rule for the exponents of the improved
 Sobolev-Riesz inequalities: the Hedberg bound's norm and verify's sides.
@@ -52,6 +57,7 @@ Sobolev-Riesz inequalities: the Hedberg bound's norm and verify's sides.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +68,13 @@ from .choquet import LorentzExponents, choquet_integral, lorentz_norm
 from .grid import DEFAULT_CELL_CAP, DyadicGrid, GridError, GridFunction, as_point, distance
 
 RADIUS_SWEEP_FACTOR = 1.25
+
+# complex bytes per column block of the padded leading-axis transforms and per
+# chunk of last-axis lines.  Riesz on 2D depth 10 runs equally fast from 256 KiB
+# to 1 MiB and 25-45% slower at 2 and 4 MiB, where a block and its transform
+# scratch outgrow a 2 MiB L2 cache; 512 KiB is the middle of that plateau.
+# Blocking changes no bits.
+BLOCK_BYTES = 1 << 19
 
 # the plain integral is at most this times the content integral of f^(delta/dim)
 L1_CONTENT_BOUND = 1.0
@@ -133,6 +146,8 @@ def improved_exponents(
     Main branch p in (delta/dim, delta/alpha): left L^{riesz_left_exponent,
     q} over the content of exponent delta - mu p, right L^{p, riesz_right_q}
     over delta.  Endpoint p = delta/dim: left weak (q = inf), right L^{p, p}.
+    The right side is also the norm of the Hedberg bound; a q whose right
+    index underflows to 0 is refused naming q.
     """
     _check_alpha(alpha, dim, error)
     if not (0 <= mu < alpha):
@@ -143,6 +158,9 @@ def improved_exponents(
                     f"({delta / dim:g}, {delta / alpha:g}), got {p}")
     left_q, right_q = (math.inf, p) if endpoint else (q, riesz_right_q(q, p, delta, mu, alpha))
     left = LorentzExponents(riesz_left_exponent(p, delta, mu, alpha), left_q, delta - mu * p)
+    if right_q == 0:  # a positive q, checked by the left side, underflowed
+        raise error(f"the right norm's index q(delta - p alpha)/(delta - mu p) "
+                    f"underflows to 0 at q={q}")
     return left, LorentzExponents(p, right_q, delta)
 
 
@@ -169,41 +187,97 @@ def _quarter_distances(grid: DyadicGrid) -> np.ndarray:
 
 
 def _kernel_spectrum(quarter: np.ndarray) -> np.ndarray:
-    """rfftn of the even 2m-periodic kernel given by its (m+1)^dim quarter.
+    """DFT of the even 2m-periodic kernel given by its (m+1)^dim quarter, at frequencies 0..m.
 
-    The DCT-I of the quarter holds frequencies 0..m; frequency k and
-    2m - k share a value, so every axis but the last, which rfftn keeps
-    at 0..m, is mirrored out to 2m.
+    The DFT of an even kernel is real and is the DCT-I of its quarter;
+    frequency 2m - k repeats frequency k, so the quarter holds every value.
     """
-    spectrum = fft.dctn(quarter, type=1)
-    n = 2 * (quarter.shape[0] - 1)
-    k = np.arange(n)
-    mirror = np.minimum(k, n - k)
-    for axis in range(quarter.ndim - 1):
-        spectrum = spectrum.take(mirror, axis=axis)
-    return spectrum
+    return fft.dctn(quarter, type=1)
 
 
-def _forward(values: np.ndarray, n: int) -> np.ndarray:
-    """rfftn of values zero-padded to n per axis, transforming only lines with nonzeros."""
-    out = fft.rfft(values, n=n, axis=-1)
-    for axis in range(values.ndim - 1):
-        out = fft.fft(out, n=n, axis=axis)
+def _column_blocks(m: int, dim: int) -> list[slice]:
+    """The m + 1 rfft columns in blocks whose padded leading axes hold about BLOCK_BYTES."""
+    width = max(1, BLOCK_BYTES // (16 * (2 * m) ** (dim - 1)))
+    return [slice(c, min(c + width, m + 1)) for c in range(0, m + 1, width)]
+
+
+def _row_chunks(lines: int, m: int) -> list[slice]:
+    """The lines of an m-cell last axis in chunks whose 2m-point transforms hold about BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // (16 * m))
+    return [slice(r, r + size) for r in range(0, lines, size)]
+
+
+def _row_spectrum(values: np.ndarray) -> np.ndarray:
+    """rfft of every last-axis line of values zero-padded to 2m: the m^(dim-1) x (m+1) rows."""
+    m = values.shape[-1]
+    lines = values.reshape(-1, m)
+    rows = np.empty((lines.shape[0], m + 1), dtype=complex)
+    for chunk in _row_chunks(lines.shape[0], m):
+        rows[chunk] = fft.rfft(lines[chunk], n=2 * m, axis=-1)
+    return rows.reshape(values.shape[:-1] + (m + 1,))
+
+
+def _forward_block(rows: np.ndarray, cols: slice, n: int) -> np.ndarray:
+    """Columns cols of the rfftn of f zero-padded to n per axis, as a new array.
+
+    rows is `_row_spectrum` of f.  Each leading axis is padded and
+    transformed in turn, so lines that hold only zeros are never
+    transformed.  In 1D it is a copy of rows[..., cols], since
+    `_inverse_block` writes its result back into rows.
+    """
+    block = rows[..., cols]
+    for axis in range(rows.ndim - 1):
+        block = fft.fft(block, n=n, axis=axis)
+    return block if rows.ndim > 1 else block.copy()
+
+
+def _spectrum_product(block: np.ndarray, spectrum: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
+    """out = block times the kernel spectrum at columns cols; out may be block.
+
+    spectrum is the (m+1)^dim `_kernel_spectrum` quarter.  On each leading
+    axis, frequency k > m reads frequency 2m - k through a reversed view.
+    """
+    m = spectrum.shape[-1] - 1
+    halves = ((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, 2 * m), slice(m - 1, 0, -1)))
+    for parts in itertools.product(halves, repeat=spectrum.ndim - 1):
+        at = tuple(lines for lines, _ in parts) + (slice(None),)
+        np.multiply(block[at], spectrum[tuple(freqs for _, freqs in parts) + (cols,)], out=out[at])
     return out
 
 
-def _convolve(product: np.ndarray) -> np.ndarray:
-    """Sums of f against an even kernel on the 2m-periodic lattice, at the m^dim grid cells.
+def _inverse_block(product: np.ndarray, rows: np.ndarray, cols: slice):
+    """Inverts the leading axes of product into rows[..., cols]; product is overwritten.
 
-    product is `_forward` of f times `_kernel_spectrum` of the kernel,
-    formed by the caller, and is overwritten; only the first m lines of
-    each axis are inverted further.
+    Only the first m lines of each axis are read by the output cells, so
+    only they are inverted further.
     """
-    m = product.shape[-1] - 1
-    out = product
-    for axis in range(out.ndim - 1):
-        out = fft.ifft(out, axis=axis, overwrite_x=True)[(slice(None),) * axis + (slice(0, m),)]
-    return fft.irfft(out, n=2 * m, axis=-1)[..., :m]
+    m = rows.shape[-1] - 1
+    for axis in range(product.ndim - 1):
+        product = fft.ifft(product, axis=axis, overwrite_x=True)[(slice(None),) * axis + (slice(0, m),)]
+    rows[..., cols] = product
+
+
+def _clipped_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The first m points of the 2m-point irfft of every line of rows, clipped at zero, into out."""
+    m = rows.shape[-1] - 1
+    lines, sums = rows.reshape(-1, m + 1), out.reshape(-1, m)
+    for chunk in _row_chunks(lines.shape[0], m):
+        np.maximum(fft.irfft(lines[chunk], n=2 * m, axis=-1)[:, :m], 0.0, out=sums[chunk])
+    return out
+
+
+def _convolve(values: np.ndarray, spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Sums of values against one even kernel on the n-periodic lattice, at the m^dim cells.
+
+    spectrum is the kernel's `_kernel_spectrum` quarter.  Each column
+    block is transformed, multiplied and inverted in its own array, so
+    the padded spectrum is never held whole; the sums are clipped at zero.
+    """
+    rows = _row_spectrum(values)
+    for cols in _column_blocks(values.shape[-1], values.ndim):
+        block = _forward_block(rows, cols, n)
+        _inverse_block(_spectrum_product(block, spectrum, cols, out=block), rows, cols)
+    return _clipped_sums(rows, np.empty(values.shape))
 
 
 def _self_cell_weight(grid: DyadicGrid, alpha: float) -> float:
@@ -217,11 +291,12 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
 
     At each cell center x the average over B(x, r) sums the values of
     cells whose center lies in the open ball, times the cell volume,
-    divided by the exact continuum ball volume.  f is transformed once and
-    its spectrum reused for every radius, so each radius below the largest
-    cell offset costs one DCT-I of its ball mask on the (m+1)^dim quarter
-    and one pruned inverse; larger radii see every cell and use the total
-    mass.  Raises GridError when the (2m)^dim padded lattice exceeds the
+    divided by the exact continuum ball volume.  f is transformed once,
+    kept column block by column block, and reused for every radius: each
+    radius below the largest cell offset costs one DCT-I of its ball mask
+    on the (m+1)^dim quarter and one pruned inverse per block, staged in
+    one buffer; larger radii see every cell and use the total mass.
+    Raises GridError when the (2m)^dim padded lattice exceeds the
     leaf-cell cap.
     """
     grid = f.grid
@@ -232,9 +307,12 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
     vol_unit = unit_ball_volume(grid.dim)
     total_mass = float(f.values.sum())
     max_offset = (m - 1) * grid.h * math.sqrt(grid.dim)
-    f_hat = _forward(f.values, n)
+    rows = _row_spectrum(f.values)
+    f_hat = [(cols, _forward_block(rows, cols, n)) for cols in _column_blocks(m, grid.dim)]
+    staging = np.empty_like(f_hat[0][1])
     dist = _quarter_distances(grid)
 
+    sums = np.empty(grid.shape)
     out = np.zeros(grid.shape)
     for r in radii:
         scale = r**params.mu * grid.cell_volume / (vol_unit * r**grid.dim)
@@ -242,15 +320,17 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
             # the ball sees every cell from every center
             np.maximum(out, scale * total_mass, out=out)
             continue
-        # f_hat serves every radius, so each product is a new array
-        sums = _convolve(f_hat * _kernel_spectrum((dist < r).astype(np.float64)))
-        np.maximum(out, scale * np.maximum(sums, 0.0), out=out)
+        spectrum = _kernel_spectrum((dist < r).astype(np.float64))
+        for cols, block in f_hat:
+            product = _spectrum_product(block, spectrum, cols, out=staging[..., : block.shape[-1]])
+            _inverse_block(product, rows, cols)
+        np.maximum(out, scale * _clipped_sums(rows, sums), out=out)
     return GridFunction(grid, out)
 
 
 @functools.lru_cache(maxsize=1)
 def _riesz_spectrum(grid: DyadicGrid, alpha: float) -> np.ndarray:
-    """Read-only `_kernel_spectrum` of the Riesz kernel on grid's 2m-periodic lattice.
+    """Read-only `_kernel_spectrum` quarter of the Riesz kernel on grid's 2m-periodic lattice.
 
     The kernel is built from grid.dim, grid.depth and grid.root_side
     (through h) and alpha, all of them in the key; the grid's origin is
@@ -267,12 +347,8 @@ def _riesz_spectrum(grid: DyadicGrid, alpha: float) -> np.ndarray:
 
 def _riesz_sums(f: GridFunction, alpha: float) -> np.ndarray:
     """int f(y) |x - y|^(alpha - dim) dy at every cell center, clipped at zero."""
-    grid = f.grid
-    n = _padded_shape(grid)[0]
-    spectrum = _riesz_spectrum(grid, float(alpha))
-    product = _forward(f.values, n)
-    product *= spectrum  # the transform is this call's own array
-    return np.maximum(_convolve(product), 0.0)
+    n = _padded_shape(f.grid)[0]
+    return _convolve(f.values, _riesz_spectrum(f.grid, float(alpha)), n)
 
 
 def riesz(f: GridFunction, alpha: float) -> GridFunction:
@@ -285,9 +361,10 @@ def riesz(f: GridFunction, alpha: float) -> GridFunction:
     no tunable constant.  The kernel is built on the (m+1)^dim quarter of
     offsets 0..m and its spectrum is the quarter's DCT-I, once per
     (grid, alpha): a call on the grid and alpha of the one before costs
-    only the pruned forward and inverse transforms of f.  The one cached
-    spectrum takes at most about 64 MB at the cell cap.  Raises GridError
-    when the (2m)^dim padded lattice exceeds the leaf-cell cap.
+    only the transforms of f, which run column block by column block and
+    never hold the padded spectrum.  The one cached spectrum quarter
+    takes (m+1)^dim float64 values, about 34 MB at 2D depth 11.  Raises
+    GridError when the (2m)^dim padded lattice exceeds the leaf-cell cap.
     """
     _check_alpha(alpha, f.grid.dim)
     return GridFunction(f.grid, _riesz_sums(f, alpha) / riesz_normalization(f.grid.dim, alpha))

@@ -351,6 +351,9 @@ def test_verify_refused_b_scan_or_c_ball_exits_2(override, message, sampler, cap
     (["sharpness_riesz", "--set", "depth=3", "--set", "q=1e-300"], "q=1e-300 is not finite"),
     # hedberg's norm index is q (delta - alpha p) / (delta - mu p)
     (["hedberg", "--set", "q=1e-300"], "q=2.5e-301 is not finite"),
+    # ... and underflowed to 0, refused under that index as "q must be in (0, inf], got 0.0"
+    (["hedberg", "--set", "q=5e-324", "--set", "depths=[3]"],
+     "index q(delta - p alpha)/(delta - mu p) underflows to 0 at q=5e-324"),
     # a norm that underflowed to 0.0 was divided by, with a numpy warning
     (["hedberg", "--set", "q=1e300"], "q=2.5e+299 is not finite"),
     (["maximal_bound", "--set", "depths=[2,3]", "--set", "r=1e300"], "q=1e+300 is not finite"),

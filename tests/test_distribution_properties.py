@@ -2,7 +2,8 @@
 
 The one-pass tree sweep is checked against from-scratch content DPs; the
 value clustering and the counting path against a plain loop over the
-sorted distinct values.
+sorted distinct values, and the counting path bit for bit against the
+per-value counts it replaced.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.choquet import MERGE_RTOL, distribution  # noqa: E402
+from capnorm.choquet import MERGE_RTOL, _clusters, _counting_distribution, distribution  # noqa: E402
 from capnorm.content import content_value  # noqa: E402
 from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
@@ -124,3 +125,27 @@ def test_counting_distribution_matches_loop_reference(f):
         assert dist.plateaus.tobytes() == plateaus.tobytes()
     # below dim the same clusters feed the tree sweep
     assert distribution(f, 0.5 * f.grid.dim).thresholds.tobytes() == thresholds.tobytes()
+
+
+def _unique_counting(f):
+    """The counting distribution from per-value counts: np.unique, one sum per cluster, a reversed cumsum."""
+    values = f.values.ravel()
+    uniq, counts = np.unique(values[values > 0], return_counts=True)
+    if uniq.size == 0:
+        return np.empty(0), np.empty(0)
+    opens, reps = _clusters(uniq)
+    cells_in_cluster = np.add.reduceat(counts, np.flatnonzero(opens))
+    return reps, np.cumsum(cells_in_cluster[::-1])[::-1] * f.grid.cell_volume
+
+
+@given(clustered_functions())
+@settings(max_examples=80, deadline=None)
+@example(GridFunction.zeros(make_grid(2, 3, 1.0)))  # f == 0
+@example(_on_grid(2, 3, [7.25]))  # all values equal
+@example(_on_grid(1, 5, [5e-324, 5e-324, 1e-323, 2.5e-308, 0.0]))  # repeated subnormals
+@example(_on_grid(2, 3, np.append(CHAIN, 2.0)))  # a chain wider than MERGE_RTOL
+def test_counting_distribution_matches_per_value_counts(f):
+    dist = _counting_distribution(f)
+    thresholds, plateaus = _unique_counting(f)
+    assert dist.thresholds.tobytes() == thresholds.tobytes()
+    assert dist.plateaus.tobytes() == plateaus.tobytes()

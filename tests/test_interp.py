@@ -74,9 +74,11 @@ def test_k_homogeneous():
         )
 
 
-def test_k_requires_positive_t():
-    with pytest.raises(InterpError):
-        k_functional_upper(random_step_function(), PAIR, 0.0)
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_k_requires_positive_t(t):
+    bump = sample(Sampler.bump((0.5, 0.5), 0.4), GRID)
+    with pytest.raises(InterpError, match="t must be positive and finite"):
+        k_functional_upper(bump, PAIR, t)
 
 
 def test_interpolation_norm_zero():

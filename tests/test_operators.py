@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,16 @@ def test_quarter_distances_are_the_lattice_corner():
         assert np.array_equal(_full_even(quarter), full)
 
 
+def _mirrored(quarter_spectrum):
+    """A spectrum given at frequencies 0..m in the rfftn layout: mirrored as min(k, 2m - k) on every axis but the last."""
+    n = 2 * (quarter_spectrum.shape[0] - 1)
+    k = np.arange(n)
+    spectrum = quarter_spectrum
+    for axis in range(quarter_spectrum.ndim - 1):
+        spectrum = spectrum.take(np.minimum(k, n - k), axis=axis)
+    return spectrum
+
+
 def test_kernel_spectrum_matches_full_lattice_rfftn():
     alpha = 0.7
     for dim, depth in TRANSFORM_GRIDS:
@@ -191,7 +202,8 @@ def test_kernel_spectrum_matches_full_lattice_rfftn():
         kernels += [(dist < r).astype(float) for r in (0.5 * g.h, 1.5 * g.h, 0.37 * m * g.h, 0.9 * m * g.h)]
         for full in kernels:
             spectrum = operators._kernel_spectrum(_corner(full, m + 1))
-            _assert_within(spectrum, fft.rfftn(full))
+            assert spectrum.shape == (m + 1,) * dim
+            _assert_within(_mirrored(spectrum), fft.rfftn(full))
 
 
 def test_pruned_convolution_matches_full_lattice():
@@ -203,10 +215,12 @@ def test_pruned_convolution_matches_full_lattice():
         for c in (0.0, -1.0):
             values = sample(Sampler.bump((c,) * dim, 0.8), g).values
             reference_hat = fft.rfftn(values, (n,) * dim)
-            f_hat = operators._forward(values, n)
-            _assert_within(f_hat, reference_hat)
-            reference = _corner(fft.irfftn(reference_hat * spectrum, (n,) * dim), m)
-            _assert_within(operators._convolve(f_hat * spectrum), reference)
+            rows = operators._row_spectrum(values)
+            for cols in operators._column_blocks(m, dim):
+                _assert_within(operators._forward_block(rows, cols, n), reference_hat[..., cols])
+            reference = _corner(fft.irfftn(reference_hat * _mirrored(spectrum), (n,) * dim), m)
+            assert reference.min() > 0  # a positive kernel: clipping at zero moves nothing
+            _assert_within(operators._convolve(values, spectrum, n), reference)
 
 
 def test_riesz_normalization_formula():
@@ -219,15 +233,13 @@ def test_riesz_normalization_formula():
 
 
 def _fresh_riesz(f, alpha):
-    """riesz from a kernel spectrum built anew, with the out-of-place product."""
+    """riesz from a kernel spectrum built anew, bypassing the cache."""
     g = f.grid
     dist = operators._quarter_distances(g)
     dist.flat[0] = 1.0
     kernel = g.cell_volume * dist ** (alpha - g.dim)
     kernel.flat[0] = operators._self_cell_weight(g, alpha)
-    spectrum = operators._kernel_spectrum(kernel)
-    f_hat = operators._forward(f.values, 2 * g.cells_per_axis)
-    sums = np.maximum(operators._convolve(f_hat * spectrum), 0.0)
+    sums = operators._convolve(f.values, operators._kernel_spectrum(kernel), 2 * g.cells_per_axis)
     return sums / riesz_normalization(g.dim, alpha)
 
 
@@ -240,9 +252,26 @@ def test_riesz_spectrum_cache_follows_grid_and_alpha():
         assert np.array_equal(riesz(f, alpha).values, _fresh_riesz(f, alpha))
     assert np.array_equal(fa.values, before)
     spectrum = operators._riesz_spectrum(a, 1.0)
+    assert spectrum.shape == (a.cells_per_axis + 1,) * 2  # the quarter, not the mirrored layout
     assert not spectrum.flags.writeable
     with pytest.raises(ValueError):
         spectrum[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim, depth", [(2, 9), (3, 6)])
+def test_riesz_never_holds_the_padded_spectrum(dim, depth):
+    g = make_grid(dim, depth, 2.0)
+    f = sample(Sampler.bump((0.1,) * dim, 0.6), g)
+    riesz(f, 0.8)  # builds and caches the kernel spectrum
+    m = g.cells_per_axis
+    padded_spectrum_bytes = 16 * (2 * m) ** (dim - 1) * (m + 1)
+    tracemalloc.start()
+    try:
+        riesz(f, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < padded_spectrum_bytes
 
 
 # sha256 of hedberg_ratio_field values, recorded before the Riesz kernel
