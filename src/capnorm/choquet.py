@@ -38,6 +38,7 @@ from .content import ContentEngine
 from .grid import CellSet, GridFunction
 
 MERGE_RTOL = 1e-12
+_GAP_SLICE = 1 << 14  # values per slice of the gap test, which bounds its temporaries
 
 
 class ExponentError(ValueError):
@@ -107,11 +108,16 @@ def _clusters(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     repeats.  Merging is transitive over adjacent gaps, so a chain of
     values each within MERGE_RTOL of the next forms one cluster that can
     be wider than MERGE_RTOL.  reps are the cluster maxima (each cluster's
-    last value), strictly increasing.  ordered must be nonempty.
+    last value), strictly increasing.  ordered must be nonempty.  The gap
+    test runs over slices of _GAP_SLICE values, so no temporary is as
+    large as ordered.
     """
     opens = np.empty(ordered.size, dtype=bool)
     opens[0] = True
-    np.greater(np.diff(ordered), MERGE_RTOL * ordered[1:], out=opens[1:])
+    for start in range(1, ordered.size, _GAP_SLICE):
+        stop = min(start + _GAP_SLICE, ordered.size)
+        right = ordered[start:stop]
+        np.greater(right - ordered[start - 1:stop - 1], MERGE_RTOL * right, out=opens[start:stop])
     return opens, ordered[np.append(opens[1:], True)]
 
 
@@ -134,12 +140,13 @@ def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _counting_distribution(f: GridFunction) -> StepDistribution:
     """Step distribution with Lebesgue measure: each plateau counts the cells above it.
 
-    One sort of the positive values, repeats kept, gives the clusters; the
+    One in-place sort of the positive values, repeats kept, gives the clusters; the
     cells above a threshold are those sorted past its cluster's start, so
     no cell is looked up and nothing is counted per value.
     """
     values = f.values.ravel()
-    ordered = np.sort(values[values > 0])
+    ordered = values[values > 0]
+    ordered.sort()
     if ordered.size == 0:
         return StepDistribution(np.empty(0), np.empty(0))
     opens, reps = _clusters(ordered)

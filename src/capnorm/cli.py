@@ -34,13 +34,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _emit(doc: dict, out_path=None):
-    text = io.dumps(doc)
+def _emit(doc, out_path=None, write=None):
+    """write(doc, file) into the file at out_path, or to stdout when there is none.
+
+    write defaults to io.dump, looked up at each call so that a wrapper
+    bound to the module attribute sees every write.
+    """
+    write = write or io.dump
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(doc, fh)
     else:
-        sys.stdout.write(text)
+        write(doc, sys.stdout)
 
 
 def _emit_csv(series, path):
@@ -267,12 +272,12 @@ def run(argv=None) -> int:
 
         if args.command == "maximal":
             f = io.read_gridfunction(args.fn)
-            _emit(io.gridfunction_to_dict(maximal(f, MaximalParams(args.mu))), args.out)
+            _emit(maximal(f, MaximalParams(args.mu)), args.out, io.write_gridfunction)
             return 0
 
         if args.command == "riesz":
             f = io.read_gridfunction(args.fn)
-            _emit(io.gridfunction_to_dict(riesz(f, args.alpha)), args.out)
+            _emit(riesz(f, args.alpha), args.out, io.write_gridfunction)
             return 0
 
         if args.command == "interp":

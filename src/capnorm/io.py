@@ -7,28 +7,40 @@ strings with 17 significant digits, which round-trips float64
 bit-exactly; grid geometry floats round-trip through repr-based JSON.
 
 `dumps` writes the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``
-without the stdlib's pure-Python encoder, which ``indent`` selects.  It
-recurses through dicts and nested lists itself and writes each flat list
-(one that holds no dict, list or tuple) in one call of json's C encoder,
-whose item separator carries the newline and the indent of the list's
-items.  Leaves are written by type as json writes them: strings through
-`json.encoder.encode_basestring_ascii`, ints and finite floats by repr, and
-anything else, such as NaN, infinities and numpy scalars, through a
-`json.JSONEncoder`.  Dict keys must be strings, as they are in every
-capnorm document; another key raises TypeError.
+without the stdlib's pure-Python encoder, which ``indent`` selects, and
+`dump` writes the same bytes to a file as a stream of pieces.  Both
+recurse through dicts and nested lists and write each flat list (one
+that holds no dict, list or tuple) in slices of CHUNK items, one call of
+json's C encoder per slice, whose item separator carries the newline and
+the indent of the list's items.  Leaves are written by type as json
+writes them: strings through `json.encoder.encode_basestring_ascii`, ints
+and finite floats by repr, and anything else, such as NaN, infinities and
+numpy scalars, through a `json.JSONEncoder`.  Dict keys must be strings,
+as they are in every capnorm document; another key raises TypeError.
+
+`write_gridfunction` formats the values from the float64 array itself,
+CHUNK values per %-template, so it builds no string per value.  Beyond
+the document, `dump` holds the text of one slice at a time: about
+CHUNK * 30 bytes (120 kB) for grid-function values.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .content import CoverSolution
 from .grid import CellSet, DyadicGrid, GridFunction, make_grid
+
+
+CHUNK = 4096  # items of a flat list formatted per call
 
 
 class DocumentError(ValueError):
@@ -77,8 +89,13 @@ def cellset_from_dict(doc: dict) -> CellSet:
 def gridfunction_to_dict(f: GridFunction) -> dict:
     return {
         "grid": grid_to_dict(f.grid),
-        "values": _format_values(f.values.ravel().tolist()),
+        "values": _format_values(f.values.ravel()),
     }
+
+
+def write_gridfunction(f: GridFunction, fh) -> None:
+    """Write the bytes of dumps(gridfunction_to_dict(f)) to the text file fh."""
+    dump({"grid": grid_to_dict(f.grid), "values": _DecimalStrings(f.values.ravel())}, fh)
 
 
 def gridfunction_from_dict(doc: dict) -> GridFunction:
@@ -98,9 +115,28 @@ def cover_to_dict(sol: CoverSolution) -> dict:
     }
 
 
-def _format_values(values: list) -> list[str]:
-    """format(v, ".17g") of each float, through one %-template."""
-    return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+@dataclass(frozen=True)
+class _DecimalStrings:
+    """float64 values that a document writes as a list of decimal strings."""
+
+    values: np.ndarray
+
+
+def _value_pieces(values: np.ndarray, separator: str, quote: str) -> Iterator[str]:
+    """Text of values, CHUNK at a time: each quote + format(v, ".17g") + quote, joined by separator.
+
+    One %-template formats a whole slice.
+    """
+    field = quote + "%.17g" + quote
+    for start in range(0, values.size, CHUNK):
+        chunk = tuple(values[start:start + CHUNK].tolist())
+        yield separator.join([field] * len(chunk)) % chunk
+
+
+def _format_values(values: np.ndarray) -> list[str]:
+    """format(v, ".17g") of each float64 value, by the template that `write_gridfunction` uses."""
+    pieces = _value_pieces(values, ",", "")
+    return list(itertools.chain.from_iterable(piece.split(",") for piece in pieces))
 
 
 def dumps(doc: dict) -> str:
@@ -109,7 +145,13 @@ def dumps(doc: dict) -> str:
     Byte for byte ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``;
     the module docstring says how.
     """
-    return _encode(doc, "\n") + "\n"
+    return "".join(_pieces(doc, "\n")) + "\n"
+
+
+def dump(doc: dict, fh) -> None:
+    """Write the bytes of dumps(doc) to the text file fh, one piece at a time."""
+    fh.writelines(_pieces(doc, "\n"))
+    fh.write("\n")
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -122,22 +164,42 @@ def _flat_encoder(item: str):
     return json.JSONEncoder(separators=("," + item, ": ")).encode
 
 
-def _encode(value, newline: str) -> str:
-    """JSON text of value, whose enclosing line ends with newline ("\\n" plus its indent)."""
+def _pieces(value, newline: str) -> Iterator[str]:
+    """JSON text of value in pieces; its line ends with newline ("\\n" plus its indent)."""
+    item = newline + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        item = newline + "  "
-        return "{" + item + ("," + item).join(
-            encode_basestring_ascii(key) + ": " + _encode(v, item)
-            for key, v in sorted(value.items())) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        item = newline + "  "
+        yield from _bracketed("{}", item, newline, (
+            itertools.chain((encode_basestring_ascii(key) + ": ",), _pieces(v, item))
+            for key, v in sorted(value.items())))
+    elif isinstance(value, _DecimalStrings):
+        yield from _bracketed("[]", item, newline, (
+            (piece,) for piece in _value_pieces(value.values, "," + item, '"')))
+    elif isinstance(value, (list, tuple)):
         if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
-            return "[" + item + ("," + item).join(_encode(v, item) for v in value) + newline + "]"
-        return "[" + item + _flat_encoder(item)(value)[1:-1] + newline + "]"
+            members = (_pieces(v, item) for v in value)
+        else:
+            encode = _flat_encoder(item)
+            members = ((encode(value[i:i + CHUNK])[1:-1],) for i in range(0, len(value), CHUNK))
+        yield from _bracketed("[]", item, newline, members)
+    else:
+        yield _leaf(value)
+
+
+def _bracketed(brackets: str, item: str, newline: str,
+               members: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The members' pieces, each on its own line (item), between "," and in brackets.
+
+    Just the brackets when there is no member.
+    """
+    separator, empty = brackets[0] + item, True
+    for member in members:
+        yield separator
+        yield from member
+        separator, empty = "," + item, False
+    yield brackets if empty else newline + brackets[1]
+
+
+def _leaf(value) -> str:
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)

@@ -123,8 +123,23 @@ class MaximalParams:
 
 
 def _check_alpha(alpha: float, dim: int, error: type = OperatorError):
+    """Refuse an alpha outside (0, dim), or one whose Riesz constants leave double precision.
+
+    Near 0 the normalization grows like 2/alpha and the self-cell weight
+    like sphere_area/alpha (its factor rho^alpha rounds to 1 there), so an
+    alpha at which either is not finite is refused by name before any
+    transform runs.
+    """
     if not (0 < alpha < dim):
         raise error(f"alpha must be in (0, dim) = (0, {dim:g}), got {alpha}")
+    try:
+        constants = (riesz_normalization(dim, alpha), unit_sphere_area(dim) / alpha)
+        finite = all(map(math.isfinite, constants))
+    except (OverflowError, ValueError):  # math.gamma overflows, or meets its pole once alpha/2 is 0
+        finite = False
+    if not finite:
+        raise error(f"alpha={alpha} is too small: the Riesz normalization or the self-cell "
+                    f"weight is not finite in double precision")
 
 
 def riesz_left_exponent(p: float, delta: float, mu: float, alpha: float) -> float:

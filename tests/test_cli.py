@@ -125,6 +125,36 @@ def test_maximal_riesz_roundtrip(indicator_fn, tmp_path, capsys):
     assert f.values.max() > 0
 
 
+@pytest.mark.parametrize("args", [["maximal", "--mu", "0.5"], ["riesz", "--alpha", "1.0"],
+                                  ["norm", "--delta", "2", "--p", "1.5", "--lebesgue"]])
+def test_stdout_and_out_file_get_the_same_bytes(indicator_fn, tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    argv = [args[0], "--fn", indicator_fn, *args[1:]]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+# an alpha whose Riesz normalization or self-cell weight overflows ended in an
+# OverflowError traceback (1e-310) or a numpy warning then "math domain error" (5e-324)
+@pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("args", [
+    ["riesz_bound", "--set", "depths=[3]"],
+    ["hedberg", "--set", "depths=[3]"],
+    ["sharpness_riesz", "--set", "depth=3"],
+    None,  # capnorm riesz
+])
+def test_alpha_past_double_precision_exits_2_naming_alpha(indicator_fn, capsys, alpha, args):
+    if args is None:
+        argv = ["riesz", "--fn", indicator_fn, "--alpha", alpha]
+    else:
+        argv = ["verify", *args, "--set", f"alpha={alpha}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha={alpha} is too small") and err.count("\n") == 1
+
+
 def test_interp_subcommand(indicator_fn, capsys):
     rc = run(["interp", "--fn", indicator_fn, "--p0", "1.0", "--p1", "3.0",
               "--eta", "0.5", "--q", "2.0", "--delta", "1.5"])
@@ -448,7 +478,7 @@ def _stdlib_text(text):
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-# io.dumps writes json.dumps(..., sort_keys=True, indent=2) bytes without json's
+# io.dump writes json.dumps(..., sort_keys=True, indent=2) bytes without json's
 # Python encoder; every document a subcommand writes is checked against the stdlib
 def test_every_cli_document_matches_stdlib_json(tmp_path, capsys):
     rng = np.random.default_rng(15)

@@ -25,7 +25,7 @@ from capnorm.cli import run  # noqa: E402
 from capnorm.grid import Sampler, make_grid, sample  # noqa: E402
 from capnorm.verify import EXPERIMENTS  # noqa: E402
 
-EDGE = [0, 1, -1, 1e300, -1e300, 1e-300, -1e-300, 1e-12, None, True, "", "1.5",
+EDGE = [0, 1, -1, 1e300, -1e300, 1e-300, -1e-300, 1e-310, 5e-324, 1e-12, None, True, "", "1.5",
         [], [1], [2, 3], [1e-12, 1e-300, 1, 1e300]]
 SHALLOW = {"depths": [2, 3], "depth": 3}
 NUMBERS = ["-1", "0", "1e-300", "1e-12", "0.5", "1", "1.5", "3", "1e3", "1e4", "1e12", "1e300",

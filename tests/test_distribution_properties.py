@@ -13,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.choquet import MERGE_RTOL, _clusters, _counting_distribution, distribution  # noqa: E402
+from capnorm.choquet import (MERGE_RTOL, _GAP_SLICE, _clusters, _counting_distribution,  # noqa: E402
+                             distribution)
 from capnorm.content import content_value  # noqa: E402
 from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
@@ -149,3 +150,23 @@ def test_counting_distribution_matches_per_value_counts(f):
     thresholds, plateaus = _unique_counting(f)
     assert dist.thresholds.tobytes() == thresholds.tobytes()
     assert dist.plateaus.tobytes() == plateaus.tobytes()
+
+
+@pytest.mark.parametrize("n", [_GAP_SLICE - 1, _GAP_SLICE, _GAP_SLICE + 1, _GAP_SLICE + 2,
+                               2 * _GAP_SLICE + 1])
+def test_gap_test_slices_match_per_value_counts_and_a_loop(n):
+    # sorted neighbours cycle through a tie, a near-tie that merges and a gap that
+    # splits, so each kind meets a slice boundary at one of the sizes
+    steps = np.resize([0.0, 0.5 * MERGE_RTOL, 3 * MERGE_RTOL], n - 1)
+    sorted_values = np.cumprod(np.concatenate([[0.75], 1.0 + steps]))
+    rng = np.random.default_rng(n)
+    values = np.zeros(4 * _GAP_SLICE)
+    values[rng.choice(values.size, n, replace=False)] = rng.permutation(sorted_values)
+    f = _on_grid(1, int(np.log2(values.size)), values)
+    dist = _counting_distribution(f)
+    thresholds, plateaus = _unique_counting(f)
+    assert dist.thresholds.tobytes() == thresholds.tobytes()
+    assert dist.plateaus.tobytes() == plateaus.tobytes()
+    opens, _ = _clusters(sorted_values)
+    gaps = [True] + [b - a > MERGE_RTOL * b for a, b in zip(sorted_values[:-1], sorted_values[1:])]
+    assert opens.tolist() == gaps

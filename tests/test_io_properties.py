@@ -1,8 +1,11 @@
 """Property tests: grid functions and cell sets survive the JSON round trip bit for bit,
-and io.dumps writes the bytes of json.dumps(..., sort_keys=True, indent=2)."""
+and io.dumps, io.dump and io.write_gridfunction write the bytes of
+json.dumps(..., sort_keys=True, indent=2), across the CHUNK boundaries of their slices."""
 
 import json
 import math
+import tracemalloc
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -110,7 +113,70 @@ def test_dumps_matches_stdlib_json(doc):
 @settings(max_examples=300, deadline=None)
 def test_value_template_matches_per_value_format(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert io._format_values(values.tolist()) == [format(v, ".17g") for v in values]
+    assert io._format_values(values) == [format(v, ".17g") for v in values]
+
+
+CHUNK_SIZES = [io.CHUNK - 1, io.CHUNK, io.CHUNK + 1, 2 * io.CHUNK + 1]
+
+
+def _dumped(doc):
+    out = StringIO()
+    io.dump(doc, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_flat_lists_across_chunk_boundaries_match_stdlib_json(n):
+    rng = np.random.default_rng(n)
+    items = [rng.integers(-10**6, 10**6, n).tolist(), rng.exponential(size=n).tolist(),
+             [format(v, ".17g") for v in rng.random(n)], tuple((rng.random(n) < 0.5).tolist())]
+    for flat in items:
+        for doc in (flat, {"a": flat}, {"a": [flat, {"b": flat, "c": 1}], "d": {"e": flat}}):
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            assert io.dumps(doc) == text
+            assert _dumped(doc) == text
+
+
+def _finite_values(n, seed):
+    """n float64 values of random bits: positive finite ones, subnormals among them, and -0.0."""
+    values = np.random.default_rng(seed).integers(0, 0x7FF0000000000000, n, dtype=np.uint64)
+    values[::7] >>= np.uint64(12)  # subnormal
+    values[::11] = np.uint64(1 << 63)  # -0.0
+    return values.view(np.float64)
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_value_array_across_chunk_boundaries_matches_string_list(n):
+    values = _finite_values(n, n)
+    text = io.dumps({"values": io._format_values(values)})
+    assert text == json.dumps({"values": [format(v, ".17g") for v in values]}, indent=2) + "\n"
+    assert io.dumps({"values": io._DecimalStrings(values)}) == text
+    assert _dumped({"values": io._DecimalStrings(values)}) == text
+
+
+@pytest.mark.parametrize("depth", [11, 12, 13])  # CHUNK / 2, CHUNK and 2 CHUNK cells
+def test_write_gridfunction_writes_the_dict_bytes(depth):
+    grid = make_grid(1, depth, 2.0)
+    f = GridFunction(grid, _finite_values(grid.n_cells, depth).reshape(grid.shape))
+    out = StringIO()
+    io.write_gridfunction(f, out)
+    assert out.getvalue() == io.dumps(io.gridfunction_to_dict(f))
+
+
+def test_write_gridfunction_holds_less_than_a_quarter_of_its_file(tmp_path):
+    # the whole-document writer peaked near 5 times the file's size
+    grid = make_grid(2, 9, 2.0)
+    f = GridFunction(grid, np.random.default_rng(9).exponential(size=grid.shape))
+    path = tmp_path / "field.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            io.write_gridfunction(f, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert path.read_text(encoding="utf-8") == io.dumps(io.gridfunction_to_dict(f))
 
 
 value_texts = st.one_of(
