@@ -30,7 +30,6 @@ from .choquet import (
     choquet_integral,
     choquet_p_norm,
     distribution,
-    lebesgue_lorentz_norm,
     lorentz_norm,
     lorentz_norm_dyadic,
 )

@@ -13,7 +13,7 @@ Choquet integral is the Lorentz (1, 1) case, the Choquet p-norm the
 (p, p) case, and the classical Lorentz norm with Lebesgue measure the
 case delta = dim, where the content of a cell set is its measure.
 
-Both, and `interp.interpolation_norm`, return through one guard,
+Both, and `interp.interpolation_norm_of`, return through one guard,
 `checked_norm`: it checks (p, q), gives 0.0 for a zero distribution and
 refuses any other result that is not positive and finite (an overflow, a
 division by zero or an underflow) as an ExponentError naming the norm.
@@ -291,11 +291,6 @@ def lorentz_norm(f: GridFunction, exps: LorentzExponents) -> float:
 
 def lorentz_norm_dyadic(f: GridFunction, exps: LorentzExponents) -> float:
     return dyadic_sum_norm_of(distribution(f, exps.delta), exps.p, exps.q)
-
-
-def lebesgue_lorentz_norm(f: GridFunction, p: float, q: float) -> float:
-    """Classical Lorentz quasi-norm with Lebesgue measure on cell sets."""
-    return lorentz_norm_of(distribution(f, f.grid.dim), p, q)
 
 
 def lebesgue_embedding_constant(dim: int, delta: float, q: float) -> float:

@@ -26,7 +26,7 @@ from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import content_oracle, content_value, dyadic_content
 from .domains import Shape
 from .grid import CellSet, GridFunction, Sampler, grid_dim, make_grid
-from .interp import InterpPair, interpolation_norm, k_profile
+from .interp import InterpPair, interpolation_norm_of, k_profile_of
 from .operators import MaximalParams, maximal, riesz
 
 
@@ -284,10 +284,11 @@ def run(argv=None) -> int:
             f = io.read_gridfunction(args.fn)
             pair = InterpPair(p0=args.p0, p1=args.p1, delta=args.delta,
                               eta=args.eta, q_interp=args.q)
+            dist = distribution(f, args.delta)
             # the guarded norms first: exponents outside double precision end here
-            interp = interpolation_norm(f, pair)
-            direct = lorentz_norm_of(distribution(f, args.delta), pair.p, args.q)
-            t_grid, k_vals = k_profile(f, pair)
+            interp = interpolation_norm_of(dist, pair)
+            direct = lorentz_norm_of(dist, pair.p, args.q)
+            t_grid, k_vals = k_profile_of(dist, pair)
             _emit(
                 {
                     "t_grid": t_grid.tolist(),

@@ -10,6 +10,9 @@ On a step function the truncation norms come from one distribution: with
 cuts at the thresholds v_k, f1 keeps thresholds up to v_k and f0 shifts
 the remaining ones down by v_k, both reusing the same plateau contents.
 K_upper(t) is then the lower envelope of finitely many lines a_c + t*b_c.
+So, as in `choquet`, the closed forms `interpolation_norm_of` and
+`k_profile_of` take that distribution; `interpolation_norm` and
+`k_profile` are one-line front ends that build it from f.
 
 The truncation norms of all m + 1 cuts come from a prefix sum (f1) and
 Abel sums in row blocks of bounded size (f0).  There an endpoint norm
@@ -121,10 +124,6 @@ def k_functional_upper(f: GridFunction, pair: InterpPair, t: float) -> float:
     return float(np.min(a + t * b))
 
 
-def _envelope_min(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.min(a[None, :] + np.outer(t, b), axis=1)
-
-
 def _report_t_grid(a: np.ndarray, b: np.ndarray, pair: InterpPair) -> np.ndarray:
     """Geometric t-grid whose truncated tails fall below TAIL_RELATIVE.
 
@@ -214,14 +213,13 @@ def _lower_envelope(a: np.ndarray, b: np.ndarray):
     return hull, breaks
 
 
-def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
-    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family.
+def interpolation_norm_of(dist: StepDistribution, pair: InterpPair) -> float:
+    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family of dist.
 
     Returns through choquet's `checked_norm` at (pair.p, q): 0.0 for f = 0,
     and an ExponentError where a power past the endpoint norms leaves
     double precision.
     """
-    dist = distribution(f, pair.delta)
     eta, q = pair.eta, pair.q_interp
 
     def closed_form():
@@ -249,12 +247,19 @@ def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
     return checked_norm("interpolation norm", dist, pair.p, q, closed_form)
 
 
-def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
-    """(t_grid, K_upper(t)) on the reporting grid."""
-    dist = distribution(f, pair.delta)
+def k_profile_of(dist: StepDistribution, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
+    """(t_grid, K_upper(t)) of dist on the reporting grid."""
     if dist.is_zero:
         t = np.geomspace(1e-3, 1e3, T_GRID_POINTS)
         return t, np.zeros_like(t)
     a, b = _truncation_lines(dist, pair.p0, pair.p1)
     t = _report_t_grid(a, b, pair)
-    return t, _envelope_min(a, b, t)
+    return t, np.min(a[None, :] + np.outer(t, b), axis=1)
+
+
+def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
+    return interpolation_norm_of(distribution(f, pair.delta), pair)
+
+
+def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
+    return k_profile_of(distribution(f, pair.delta), pair)

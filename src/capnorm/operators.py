@@ -361,9 +361,19 @@ def _riesz_spectrum(grid: DyadicGrid, alpha: float) -> np.ndarray:
 
 
 def _riesz_sums(f: GridFunction, alpha: float) -> np.ndarray:
-    """int f(y) |x - y|^(alpha - dim) dy at every cell center, clipped at zero."""
+    """int f(y) |x - y|^(alpha - dim) dy at every cell center, clipped at zero.
+
+    An alpha near 0 whose finite kernel still overflows the product with
+    f's spectrum (or an f near the largest double) leaves sums that are
+    not finite; they are refused, naming alpha.
+    """
     n = _padded_shape(f.grid)[0]
-    return _convolve(f.values, _riesz_spectrum(f.grid, float(alpha)), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _convolve(f.values, _riesz_spectrum(f.grid, float(alpha)), n)
+    if not np.isfinite(sums).all():
+        raise OperatorError(f"alpha={alpha} is too small, or f too large: the Riesz sums "
+                            "are not finite in double precision")
+    return sums
 
 
 def riesz(f: GridFunction, alpha: float) -> GridFunction:

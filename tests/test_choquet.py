@@ -14,7 +14,6 @@ from capnorm.choquet import (
     dyadic_sum_comparability,
     dyadic_sum_norm_of,
     lebesgue_embedding_constant,
-    lebesgue_lorentz_norm,
     lorentz_norm,
     lorentz_norm_dyadic,
     lorentz_norm_of,
@@ -269,22 +268,13 @@ def test_dyadic_sum_comparability_weak():
         assert 0.5 * direct * (1 - 1e-12) <= dyadic <= direct * (1 + 1e-12)
 
 
-def test_lebesgue_lorentz_equals_delta_dim():
-    for _ in range(30):
-        f = random_step_function()
-        for q in (0.9, 2.0, math.inf):
-            assert lebesgue_lorentz_norm(f, 1.5, q) == lorentz_norm(
-                f, LorentzExponents(1.5, q, 2.0)
-            )
-
-
 def test_lebesgue_embedding():
     # ||f||_{L^{p,q}(Leb)} <= C ||f||_{L^{p delta/dim, q}(H^delta)}
     delta = 1.4
     for _ in range(100):
         f = random_step_function()
         p, q = 1.6, 1.1
-        lhs = lebesgue_lorentz_norm(f, p, q)
+        lhs = lorentz_norm(f, LorentzExponents(p, q, 2.0))  # delta = dim: Lebesgue measure
         rhs = lorentz_norm(f, LorentzExponents(p * delta / 2.0, q, delta))
         c = lebesgue_embedding_constant(2, delta, q)
         assert lhs <= c * rhs * (1 + 1e-12)

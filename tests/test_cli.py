@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from capnorm import io, operators
+from capnorm import choquet, cli, interp, io, operators
 from capnorm.cli import run, resolve_config, ConfigError, sampler_from_config, shape_from_config
 from capnorm.domains import Shape
 from capnorm.grid import CellSet, GridError, GridFunction, Sampler, make_grid, sample
@@ -137,12 +138,15 @@ def test_stdout_and_out_file_get_the_same_bytes(indicator_fn, tmp_path, capsys, 
 
 
 # an alpha whose Riesz normalization or self-cell weight overflows ended in an
-# OverflowError traceback (1e-310) or a numpy warning then "math domain error" (5e-324)
-@pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+# OverflowError traceback (1e-310) or a numpy warning then "math domain error" (5e-324);
+# one whose finite kernel overflowed the spectrum product (1e-306, 1e-307) ended in
+# numpy's overflow warning, then "grid function values must be finite"
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["1e-310", "5e-324", "1e-306", "1e-307"])
 @pytest.mark.parametrize("args", [
     ["riesz_bound", "--set", "depths=[3]"],
     ["hedberg", "--set", "depths=[3]"],
-    ["sharpness_riesz", "--set", "depth=3"],
+    ["sharpness_riesz", "--set", "depth=4"],
     None,  # capnorm riesz
 ])
 def test_alpha_past_double_precision_exits_2_naming_alpha(indicator_fn, capsys, alpha, args):
@@ -162,6 +166,36 @@ def test_interp_subcommand(indicator_fn, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["k_values"]) == 64
     assert doc["interp_norm"] > 0 and doc["ratio"] > 0
+
+
+# sha256 of `capnorm interp --out` on the field below (m = 3285 thresholds at
+# delta = 1.5), recorded while each entry point still built its own distribution
+INTERP_OUTPUT_SHA256 = "8cde26ff5feecda00e276a47f584c6a9c6293615f2a84456dd6931bd6914d037"
+
+
+@pytest.fixture
+def interp_fn(tmp_path):
+    rng = np.random.default_rng(23)
+    values = rng.exponential(size=(64, 64)) * (rng.random((64, 64)) < 0.8)
+    path = tmp_path / "interp_fn.json"
+    path.write_text(io.dumps(io.gridfunction_to_dict(GridFunction(make_grid(2, 6, 2.0), values))))
+    return str(path)
+
+
+def test_interp_builds_one_distribution_with_pinned_output(interp_fn, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(f, delta):
+        calls.append(delta)
+        return choquet.distribution(f, delta)
+
+    for module in (cli, interp):  # every name a distribution is built through
+        monkeypatch.setattr(module, "distribution", counted)
+    out = tmp_path / "interp.json"
+    assert run(["interp", "--fn", interp_fn, "--p0", "1.0", "--p1", "3.0", "--eta", "0.5",
+                "--q", "2.0", "--delta", "1.5", "--out", str(out)]) == 0
+    assert calls == [1.5]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERP_OUTPUT_SHA256
 
 
 def test_verify_missing_config_exits_2(capsys):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from capnorm.choquet import LorentzExponents, choquet_p_norm, lorentz_norm
+from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
 from capnorm.content import content_value
 from capnorm.grid import CellSet, GridFunction, Sampler, make_grid, sample
 from capnorm import interp
@@ -14,8 +14,10 @@ from capnorm.interp import (
     InterpPair,
     _interior_integrals,
     interpolation_norm,
+    interpolation_norm_of,
     k_functional_upper,
     k_profile,
+    k_profile_of,
 )
 
 GRID = make_grid(2, 4, 1.0, origin=(0.0, 0.0))
@@ -171,6 +173,16 @@ def test_interpolation_norm_refuses_a_large_error_estimate(monkeypatch):
         interpolation_norm(f, PAIR)
 
 
+# a 2- or 3-point estimate rule leaves a relative estimate of about 4.3e-7 or
+# 1.4e-10 on this field: refused at QUAD_RTOL = 1e-10, accepted by a looser bound
+@pytest.mark.parametrize("low", [2, 3])
+def test_interpolation_norm_refuses_an_estimate_just_above_quad_rtol(monkeypatch, low):
+    monkeypatch.setattr(interp, "GL_LOW", low)
+    f = sample(Sampler.radial_power(-0.4, center=(0.0, 0.0)), make_grid(2, 5, 2.0))
+    with pytest.raises(InterpError, match="quadrature error estimate .* exceeds 1e-10 of the total"):
+        interpolation_norm(f, PAIR)
+
+
 # a tiny eta q put the report grid's far cutoff beyond double precision, an
 # OverflowError traceback; a tiny (1 - eta) q underflowed the near one to 0
 @pytest.mark.parametrize("eta", [1e-12, 1.0 - 1e-12])
@@ -186,7 +198,10 @@ def test_k_profile_refuses_a_grid_outside_double_precision(eta):
 # gave K = 0 for a nonzero f (p1 = 1e300) or a quadrature of inf panels (p0 = 1e-3)
 @pytest.mark.parametrize("entry", [
     lambda f, pair: k_functional_upper(f, pair, 1.0), k_profile, interpolation_norm,
-], ids=["k_functional_upper", "k_profile", "interpolation_norm"])
+    lambda f, pair: k_profile_of(distribution(f, pair.delta), pair),
+    lambda f, pair: interpolation_norm_of(distribution(f, pair.delta), pair),
+], ids=["k_functional_upper", "k_profile", "interpolation_norm", "k_profile_of",
+        "interpolation_norm_of"])
 @pytest.mark.parametrize("p0, p1, name", [
     (1e-300, 3.0, "p0"), (1e-3, 3.0, "p0"), (1.0, 1e300, "p1"),
 ])
