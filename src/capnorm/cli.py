@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import inspect
 import json
 import math
 import sys
@@ -24,14 +23,10 @@ import numpy as np
 from . import __version__, io, verify
 from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import content_oracle, content_value, dyadic_content
-from .domains import Shape
-from .grid import CellSet, GridFunction, Sampler, grid_dim, make_grid
+from .grid import CellSet, GridFunction, grid_dim, make_grid
 from .interp import InterpPair, interpolation_norm_of, k_profile_of
 from .operators import MaximalParams, maximal, riesz
-
-
-class ConfigError(ValueError):
-    pass
+from .verify import ConfigError, sampler_from_config, shape_from_config
 
 
 def _emit(doc, out_path=None, write=None):
@@ -54,44 +49,6 @@ def _emit_csv(series, path):
         fh.write("\n".join(lines) + "\n")
 
 
-SAMPLER_KINDS = ("constant", "radial_power", "ball_indicator", "linear", "bump")
-SHAPE_KINDS = ("ball", "rectangle", "l_shape", "punctured_ball")
-
-
-def _construct(cls, kinds: tuple, kind, keys: dict, **defaults):
-    """cls.<kind>(**keys), defaults filling the keywords it takes that keys lack.
-
-    An unknown kind, a missing or unknown key, or a value the constructor
-    refuses is a ConfigError naming the kind.
-    """
-    what = f"{cls.__name__.lower()} kind {kind!r}"
-    if kind not in kinds:
-        raise ConfigError(f"unknown {what}; choose from {list(kinds)}")
-    build = getattr(cls, kind)
-    taken = inspect.signature(build).parameters
-    try:
-        return build(**{**{k: v for k, v in defaults.items() if k in taken}, **keys})
-    except (TypeError, ValueError) as exc:  # TypeError: a key or a JSON type; ValueError: a value
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
-def sampler_from_config(cfg: dict, dim: int = 2) -> Sampler:
-    """Sampler.<kind> of a dim-dimensional run; a missing center is the origin."""
-    keys = dict(cfg)
-    sampler = _construct(Sampler, SAMPLER_KINDS, keys.pop("kind", None), keys,
-                         center=(0.0,) * dim)
-    for key, noun in (("center", "coordinates"), ("coeffs", "entries")):
-        size = len(getattr(sampler, key))
-        if key in keys and size != dim:
-            raise ConfigError(f"sampler {key} has {size} {noun} but the run has dim {dim}")
-    return sampler
-
-
-def shape_from_config(cfg: dict) -> Shape:
-    keys = dict(cfg)
-    return _construct(Shape, SHAPE_KINDS, keys.pop("shape", None), keys)
-
-
 def _experiment(name: str) -> verify.Experiment:
     if name not in verify.EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(verify.EXPERIMENTS)}")
@@ -99,13 +56,17 @@ def _experiment(name: str) -> verify.Experiment:
 
 
 def resolve_config(experiment: str, file_cfg: dict, overrides: dict) -> dict:
-    cfg = copy.deepcopy(_experiment(experiment).defaults)
+    """The defaults, then the file's keys, then the overrides; true or false only where a default is."""
+    defaults = _experiment(experiment).defaults
+    cfg = copy.deepcopy(defaults)
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"a config file must hold a JSON object, got {type(file_cfg).__name__}")
     for source in (file_cfg, overrides):
         for key, value in source.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for experiment {experiment!r}")
+            if isinstance(value, bool) and not isinstance(defaults[key], bool):
+                raise ConfigError(f"config key {key!r} must not be true or false, got {json.dumps(value)}")
             cfg[key] = value
     return cfg
 
@@ -315,9 +276,7 @@ def run(argv=None) -> int:
                 report = run_experiment(args.experiment, cfg)
             except TypeError as exc:
                 raise ConfigError(f"a config value has the wrong JSON type: {exc}") from exc
-            doc = report.to_dict()
-            doc["config"] = cfg
-            _emit(doc, args.out)
+            _emit(report.to_dict(), args.out)
             if args.csv:
                 _emit_csv(report.series, args.csv)
             return 0 if report.verdict else 1

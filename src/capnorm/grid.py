@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,6 +108,11 @@ def grid_integer(key: str, value) -> int:
     if isinstance(value, bool) or not integral:
         raise GridError(f"grid {key} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_number(value) -> bool:
+    """Whether value is a number as JSON has them: a bool, a string or a list is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def grid_dim(value) -> int:
@@ -321,8 +326,6 @@ class Sampler:
     offset: float = 0.0
     amplitude: float = 1.0
     annulus: Optional[tuple[float, float]] = None
-    # always None; kept because repr(sampler) is recorded in every report's params and hashed
-    table: Optional[np.ndarray] = field(default=None, compare=False)
 
     @classmethod
     def constant(cls, value: float) -> "Sampler":

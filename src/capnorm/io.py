@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .content import CoverSolution
-from .grid import CellSet, DyadicGrid, GridFunction, make_grid
+from .grid import CellSet, DyadicGrid, GridFunction, json_number, make_grid
 
 
 CHUNK = 4096  # items of a flat list formatted per call
@@ -62,12 +62,10 @@ def grid_from_dict(doc: dict) -> DyadicGrid:
     Callers read a document's cells or values only after this returns, so
     an oversized grid fails with GridError before any of them is converted.
     """
-    return make_grid(
-        doc["dim"],
-        doc["depth"],
-        float(doc["root_side"]),
-        origin=tuple(float(x) for x in doc["origin"]),
-    )
+    root_side, origin = doc["root_side"], doc["origin"]
+    if not (json_number(root_side) and all(map(json_number, origin))):
+        raise DocumentError(f"grid root_side and origin must be numbers, got {root_side!r} and {origin!r}")
+    return make_grid(doc["dim"], doc["depth"], float(root_side), origin=tuple(map(float, origin)))
 
 
 def cellset_to_dict(cells: CellSet) -> dict:

@@ -4,12 +4,14 @@ Every experiment is one pattern: sweep grid depths (or truncation radii),
 compute the two sides of one inequality with the exact norm machinery,
 and emit a self-contained ExperimentReport: full parameter record,
 (label, value) series, a pass/fail verdict, and a config hash.
-Re-running with the embedded parameters reproduces the series
-bit-identically, since one rule, _params, records them: every runner
-calls it on its locals() as its first statement, which records each
-argument (shape and sampler as repr; depths and eps_list as the lists
-_depth_list and _eps_list check before any grid is built) and what the
-runner derives.  The sweep skeletons add the limits of their verdicts.
+Re-running with the runner keywords of the recorded parameters as a
+config reproduces the series bit-identically, since one rule, _params,
+records them: every runner calls it on its locals() as its first
+statement, which records each argument (shape and sampler through
+to_config, the inverse of the config parsers here; depths and eps_list
+as the lists _depth_list and _eps_list check before any grid is built)
+and what the runner derives.  The sweep skeletons add the limits of
+their verdicts.
 
 One point loop, _sweep, runs every experiment; compact_support and
 hedberg call it directly, the rest through two adapters.  _ratio_sweep
@@ -62,7 +64,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
-from .grid import GridFunction, Sampler, gradient_magnitude, make_grid, sample
+from .grid import GridFunction, Sampler, gradient_magnitude, json_number, make_grid, sample
 from .operators import (MaximalParams, hedberg_ratio_field, improved_exponents, maximal, riesz,
                         riesz_left_exponent)
 
@@ -88,6 +90,9 @@ ROOT_SIDE = 2.0
 # [-10.24, 10.24)^dim holds that ball, with cells of side 0.02 at depth 10.
 RIESZ_ROOT_SIDE = 20.48
 RIESZ_OUTER_RADIUS = 10.0
+# the constructors of Sampler and Shape that a config can name
+SAMPLER_KINDS = ("constant", "radial_power", "ball_indicator", "linear", "bump")
+SHAPE_KINDS = ("ball", "rectangle", "l_shape", "punctured_ball")
 
 
 class VerifyError(ValueError):
@@ -134,6 +139,58 @@ def riesz_blowup_prediction(eta: float, p: float, s: float, delta: float, mu: fl
 
 
 # report infrastructure ------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    """A config that names an unknown kind or key, or holds a value that is refused."""
+
+
+def _construct(cls, kinds: tuple, kind, keys: dict, **defaults):
+    """cls.<kind>(**keys), defaults filling the keywords it takes that keys lack.
+
+    An unknown kind, a missing or unknown key, a value other than a
+    number, a list of numbers or null, or a value the constructor refuses
+    is a ConfigError naming the kind.
+    """
+    what = f"{cls.__name__.lower()} kind {kind!r}"
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what}; choose from {list(kinds)}")
+    for key, value in keys.items():
+        if not (value is None or json_number(value)
+                or isinstance(value, list) and all(map(json_number, value))):
+            raise ConfigError(f"{what}: {key} must be a number, a list of numbers or null, got {value!r}")
+    build = getattr(cls, kind)
+    taken = inspect.signature(build).parameters
+    try:
+        return build(**{**{k: v for k, v in defaults.items() if k in taken}, **keys})
+    except (TypeError, ValueError) as exc:  # TypeError: a key or a JSON type; ValueError: a value
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def sampler_from_config(cfg: dict, dim: int = 2) -> Sampler:
+    """Sampler.<kind> of a dim-dimensional run; a missing center is the origin."""
+    keys = dict(cfg)
+    sampler = _construct(Sampler, SAMPLER_KINDS, keys.pop("kind", None), keys,
+                         center=(0.0,) * dim)
+    for key, noun in (("center", "coordinates"), ("coeffs", "entries")):
+        size = len(getattr(sampler, key))
+        if key in keys and size != dim:
+            raise ConfigError(f"sampler {key} has {size} {noun} but the run has dim {dim}")
+    return sampler
+
+
+def shape_from_config(cfg: dict) -> Shape:
+    keys = dict(cfg)
+    return _construct(Shape, SHAPE_KINDS, keys.pop("shape", None), keys)
+
+
+def to_config(obj, kind_key: str) -> dict:
+    """The config that rebuilds a Sampler (kind_key "kind") or a Shape ("shape"), tuples as lists."""
+    config = {kind_key: obj.kind}
+    for key in inspect.signature(getattr(type(obj), obj.kind)).parameters:
+        value = getattr(obj, key)
+        config[key] = list(value) if isinstance(value, tuple) else value
+    return config
 
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -196,15 +253,16 @@ def _depth_list(depths: Sequence[int]) -> list:
 
 
 def _eps_list(eps_list: Sequence[float]) -> list:
-    """The truncation radii of a sweep, sorted, as floats: at least 4, all positive."""
-    eps = [float(e) for e in sorted(eps_list)]
-    if len(eps) < 4 or eps[0] <= 0:
-        raise VerifyError(f"eps_list must hold at least 4 positive values, got {eps}")
-    return eps
+    """The truncation radii of a sweep, sorted, as floats: at least 4, all positive numbers."""
+    eps = sorted(eps_list)
+    if len(eps) < 4 or not all(map(json_number, eps)) or eps[0] <= 0:
+        raise VerifyError(f"eps_list must hold at least 4 positive values, each a number, got {eps}")
+    return [float(e) for e in eps]
 
 
 # runner argument -> its recorded form; every other argument is recorded as given
-_RECORDED = {"shape": repr, "sampler": repr, "depths": _depth_list, "eps_list": _eps_list}
+_RECORDED = {"shape": lambda shape: to_config(shape, "shape"), "depths": _depth_list,
+             "sampler": lambda sampler: to_config(sampler, "kind"), "eps_list": _eps_list}
 
 
 def _params(arguments: dict, **derived) -> dict:
@@ -304,7 +362,8 @@ def _eps_sweep(
     RHS_VARIATION_LIMIT; params record both limits, qt, and predicted
     under predicted_key.
     """
-    params = {**params, predicted_key: predicted, "qt": SHARPNESS_QT,
+    qt = "inf" if SHARPNESS_QT == math.inf else SHARPNESS_QT  # as `--q inf` reads it
+    params = {**params, predicted_key: predicted, "qt": qt,
               "slope_tolerance": SLOPE_TOLERANCE, "rhs_variation_limit": RHS_VARIATION_LIMIT}
     delta, p = params["delta"], params["p"]
     left = LorentzExponents(params["s"], params["q"], delta - params["mu"] * p)

@@ -237,8 +237,10 @@ def test_verify_config_file_not_an_object_exits_2(tmp_path, capsys):
     assert "a config file must hold a JSON object, got list" in capsys.readouterr().err
 
 
-# fewer than 4 radii, or a non-positive one, is refused before any field is computed
-@pytest.mark.parametrize("eps_list", ["[0.5,0.25,0.125]", "[0.5,0.25,0.125,0.0]"])
+# fewer than 4 radii, or a non-positive one, is refused before any field is computed;
+# strings and booleans used to be read as numbers, by float() or as 1.0
+@pytest.mark.parametrize("eps_list", ["[0.5,0.25,0.125]", "[0.5,0.25,0.125,0.0]",
+                                      '["0.5","0.25","0.125","0.0625"]', "[true,0.25,0.125,0.0625]"])
 @pytest.mark.parametrize("experiment", ["sharpness_poincare", "sharpness_riesz"])
 def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, capsys):
     assert run(["verify", experiment, "--set", f"eps_list={eps_list}"]) == 2
@@ -305,7 +307,7 @@ def test_verify_runs_and_is_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["verdict"] is True
-    assert doc["config"]["depths"] == [3, 4]
+    assert doc["params"]["depths"] == [3, 4]
     assert "config_hash" in doc["provenance"]
 
 
@@ -314,8 +316,8 @@ def test_verify_config_file_and_overrides(tmp_path, capsys):
     cfg.write_text(json.dumps({"depths": [3, 4], "p": 1.2}))
     assert run(["verify", "poincare", "--config", str(cfg), "--set", "q=1.8"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["p"] == 1.2  # file beats default
-    assert doc["config"]["q"] == 1.8  # CLI beats file
+    assert doc["params"]["p"] == 1.2  # file beats default
+    assert doc["params"]["q"] == 1.8  # CLI beats file
 
 
 def test_verify_csv_emission(tmp_path, capsys):
@@ -374,6 +376,15 @@ def test_sampler_from_config_rejects_unknown_keys():
      "shape kind 'rectangle': rectangle center needs 2 coordinates, got 1"),
     ("shape", {"shape": "rectangle", "center": [0, 0, 0], "sides": [1.0, 2.0]},
      "shape kind 'rectangle': rectangle center needs 2 coordinates, got 3"),
+    # a string or a boolean used to be read as a number, by float() or as 0 and 1
+    ("sampler", {"kind": "ball_indicator", "radius": "0.5"},
+     "sampler kind 'ball_indicator': radius must be a number, a list of numbers or null, got '0.5'"),
+    ("sampler", {"kind": "bump", "center": [True, 0], "radius": 0.5},
+     "sampler kind 'bump': center must be a number, a list of numbers or null, got [True, 0]"),
+    ("sampler", {"kind": "bump", "radius": 0.7, "amplitude": True},
+     "sampler kind 'bump': amplitude must be a number, a list of numbers or null, got True"),
+    ("shape", {"shape": "ball", "center": [0, 0], "radius": "1"},
+     "shape kind 'ball': radius must be a number, a list of numbers or null, got '1'"),
 ])
 def test_verify_refused_sampler_or_shape_exits_2(key, value, message, capsys):
     from_config = {"sampler": sampler_from_config, "shape": shape_from_config}[key]
@@ -397,6 +408,9 @@ def test_verify_refused_sampler_or_shape_exits_2(key, value, message, capsys):
     ("c_ball=0", "c_ball must be positive and finite, got 0.0"),
     ("c_ball=NaN", "c_ball must be positive and finite, got nan"),
     ('c_ball="0.25"', "a config value has the wrong JSON type"),
+    # a boolean used to be read as 0 or 1: c_ball=true ran as 1.0, delta=true as 1
+    ("c_ball=true", "config key 'c_ball' must not be true or false, got true"),
+    ("delta=true", "config key 'delta' must not be true or false, got true"),
 ])
 @pytest.mark.parametrize("sampler", ['{"kind": "constant", "value": 1.0}',
                                      '{"kind": "linear", "coeffs": [1.0, 0.0]}'])
@@ -405,6 +419,21 @@ def test_verify_refused_b_scan_or_c_ball_exits_2(override, message, sampler, cap
     assert run([*args, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# a boolean where the default is not one used to be read as 0 or 1: riesz_bound
+# ran on mu=false and recorded "mu": false in its params
+def test_verify_boolean_where_the_default_is_not_exits_2(capsys):
+    for name, experiment in EXPERIMENTS.items():
+        for key, default in experiment.defaults.items():
+            if isinstance(default, bool):
+                assert resolve_config(name, {key: False}, {})[key] is False
+                continue
+            for file_cfg, overrides in (({key: True}, {}), ({}, {key: False})):
+                with pytest.raises(ConfigError, match=f"config key '{key}' must not be true or false"):
+                    resolve_config(name, file_cfg, overrides)
+    assert run(["verify", "riesz_bound", "--set", "mu=false"]) == 2
+    assert capsys.readouterr().err == "error: config key 'mu' must not be true or false, got false\n"
 
 
 # an exponent whose powers leave double precision used to end in an
@@ -446,7 +475,7 @@ _RIESZ_3D = ["riesz_bound", "--set", "dim=3", "--set", "delta=3.0", "--set", "p=
 def test_verify_sampler_center_defaults_to_origin_of_run_dim(args, capsys):
     assert run(["verify", *args]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert "center=(0.0, 0.0, 0.0)" in doc["params"]["sampler"]
+    assert doc["params"]["sampler"]["center"] == [0.0, 0.0, 0.0]
 
 
 def test_verify_sampler_center_of_wrong_length_exits_2(capsys):
@@ -614,7 +643,13 @@ _SMALL_GRID = {"dim": 1, "depth": 2, "root_side": 1.0, "origin": [0.0]}
     [1, 2],
     {"grid": _SMALL_GRID, "values": ["1", None, "2", "3"]},
     {"grid": {**_SMALL_GRID, "origin": 0.0}, "values": ["1", "0", "2", "3"]},
-], ids=["list_document", "null_value", "scalar_origin"])
+    # the grid schema asks for numbers; these were read through float()
+    {"grid": {**_SMALL_GRID, "root_side": "2.0"}, "values": ["1", "0", "2", "3"]},
+    {"grid": {**_SMALL_GRID, "root_side": True}, "values": ["1", "0", "2", "3"]},
+    {"grid": {"dim": 2, "depth": 1, "root_side": 2.0, "origin": [True, "-1"]},
+     "values": ["1", "0", "2", "3"]},
+], ids=["list_document", "null_value", "scalar_origin", "string_root_side", "true_root_side",
+        "true_and_string_origin"])
 def test_malformed_gridfunction_document_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "fn.json"
     path.write_text(json.dumps(doc))

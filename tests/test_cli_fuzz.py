@@ -45,8 +45,15 @@ def fns(tmp_path_factory):
     return paths
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def _report(args):
-    """The JSON a run writes on exit 0 or 1, None on exit 2, after checking its exit and stderr."""
+    """The JSON a run writes on exit 0 or 1, None on exit 2, after checking its exit and stderr.
+
+    The JSON is parsed strictly: NaN, Infinity and -Infinity are refused.
+    """
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(args)
@@ -56,7 +63,7 @@ def _report(args):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         return None
     assert err == ""
-    return json.loads(out)
+    return json.loads(out, parse_constant=_refuse)
 
 
 @st.composite

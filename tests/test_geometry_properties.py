@@ -1,4 +1,7 @@
-"""Property test: samplers, shapes and the mean value share one distance rule."""
+"""Property tests: samplers, shapes and the mean value share one distance rule,
+and each sampler and shape is rebuilt from its config bit for bit."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from capnorm.domains import DomainError, Shape, mean_value  # noqa: E402
 from capnorm.grid import Sampler, distance, make_grid, sample  # noqa: E402
+from capnorm.verify import (SAMPLER_KINDS, SHAPE_KINDS, sampler_from_config,  # noqa: E402
+                            shape_from_config, to_config)
 
 
 @st.composite
@@ -40,3 +45,53 @@ def test_one_distance_rule(geometry):
     with np.errstate(divide="ignore"):  # a center on a cell center puts r = 0 under a negative power
         expected = distance(points, center) ** exponent
     assert np.array_equal(Sampler.radial_power(exponent, center).evaluate(points), expected)
+
+
+NUMBER = st.floats(-10.0, 10.0)
+RADIUS = st.floats(1e-3, 10.0)
+
+
+def _points(dim):
+    return st.tuples(*[NUMBER] * dim)
+
+
+# kind -> strategy of its constructor's keywords, for a run of dimension dim
+def _sampler_keys(dim):
+    annulus = st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(1.5, 10.0))
+    return {
+        "constant": {"value": NUMBER},
+        "radial_power": {"exponent": NUMBER, "center": _points(dim), "annulus": annulus},
+        "ball_indicator": {"center": _points(dim), "radius": RADIUS},
+        "linear": {"coeffs": _points(dim), "offset": NUMBER},
+        "bump": {"center": _points(dim), "radius": RADIUS, "amplitude": NUMBER},
+    }
+
+
+def _shape_keys(dim):
+    return {
+        "ball": {"center": _points(dim), "radius": RADIUS},
+        "rectangle": {"center": _points(2), "sides": st.tuples(RADIUS, RADIUS)},
+        "l_shape": {"anchor": _points(2), "size": RADIUS},
+        "punctured_ball": {"center": _points(dim), "radius": RADIUS},
+    }
+
+
+def _json(config):
+    """config as a report file holds it: strict JSON, read back."""
+    return json.loads(json.dumps(config, allow_nan=False))
+
+
+@given(st.integers(1, 3), st.sampled_from(SAMPLER_KINDS), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sampler_config_round_trip(dim, kind, data):
+    assert sorted(_sampler_keys(dim)) == sorted(SAMPLER_KINDS)
+    sampler = getattr(Sampler, kind)(**data.draw(st.fixed_dictionaries(_sampler_keys(dim)[kind])))
+    assert sampler_from_config(_json(to_config(sampler, "kind")), dim) == sampler
+
+
+@given(st.integers(1, 3), st.sampled_from(SHAPE_KINDS), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_shape_config_round_trip(dim, kind, data):
+    assert sorted(_shape_keys(dim)) == sorted(SHAPE_KINDS)
+    shape = getattr(Shape, kind)(**data.draw(st.fixed_dictionaries(_shape_keys(dim)[kind])))
+    assert shape_from_config(_json(to_config(shape, "shape"))) == shape

@@ -5,7 +5,9 @@ were moved onto the shared sweep skeletons, and the l_shape, punctured_ball,
 rectangle-with-bump and constant-sampler pins before sampler and shape
 configs were handed to their constructors as keywords; they must not move.
 The poincare config hashes were re-recorded once, when params began to
-record b_scan; their series did not move.
+record b_scan, and every config hash once more, when params began to record
+samplers and shapes as config JSON and the sharpness runs' qt as "inf";
+no series moved.
 """
 
 import functools
@@ -57,7 +59,7 @@ CASES = [
 # test id -> (provenance.config_hash, series)
 PINS = {
     'poincare': (
-        '9e0b124131005e76d01695f3792d3ae54443051379caddaa3db28d6321df0118',
+        '0ab119f98ce582a945911a61bc071182c041668fc2efda8aa57e3d907c8c82cc',
         [
             ('lhs@d3', 1.0354588522814572),
             ('rhs@d3', 2.194095738832282),
@@ -70,7 +72,7 @@ PINS = {
         ],
     ),
     'poincare_rectangle': (
-        '1658a9fa580a0f84ebcc4f11c65f888069199d81495cca3c3c0942372604b5da',
+        '8e46e6cf9ec967c1084125da16ace480b235d5a27fe16eeaf73b32e1a515d8c2',
         [
             ('lhs@d5', 0.5938975240514225),
             ('rhs@d5', 16.35592037800813),
@@ -81,7 +83,7 @@ PINS = {
         ],
     ),
     'poincare_weak': (
-        '4e1000dfe3093f8aa3a53fc55a6594d21cb983c9144e612669e48f39bddce3c7',
+        'f26abb2a3f703f7eef87ab2f71a40eb5466075857658eefe12f4e68da1be9a17',
         [
             ('lhs@d3', 0.84375),
             ('rhs@d3', 3.25),
@@ -92,7 +94,7 @@ PINS = {
         ],
     ),
     'poincare_sobolev': (
-        '2a51c46343e202c7ed04ea10745c4fa456180e4cec1eaee97455cb72dc0d9eea',
+        '433e023408142782d119f0a8ebf4f872447f567cf1bcad4cfb2f6bb014bd749b',
         [
             ('lhs@d3', 0.8048799458855032),
             ('rhs@d3', 2.194095738832282),
@@ -103,7 +105,7 @@ PINS = {
         ],
     ),
     'poincare_sobolev_endpoint': (
-        '2c87d90325c286c60f85027ba9570a31877d7e2d0ecca1aecc54e2d78423d397',
+        '70b573ded58f4d60a2244c6627b7f5d0faddedf7f5ddacfd12545f35378b8c05',
         [
             ('lhs@d3', 0.6987712429686843),
             ('rhs@d3', 3.25),
@@ -114,7 +116,7 @@ PINS = {
         ],
     ),
     'compact_support': (
-        '732eb930efc80038a4d7dcfb8ddeca25c09a209a752c2a582099dfbb24170276',
+        '80f407a6d8bd15210f9ae311fb407d82a7684db250988a8735e87f21760c2938',
         [
             ('strong@d4', 0.12460101632014481),
             ('weak@d4', 0.05704645256889186),
@@ -127,7 +129,7 @@ PINS = {
         ],
     ),
     'riesz_bound': (
-        '3c677dee8b6a05cb732ce6266a2b4e9d31bb167af20ccca7415c57fa7cdae1a0',
+        '73986baa4d0c0c066085196691a80329b0038774c70788d7cf05e004627caf96',
         [
             ('lhs@d3', 0.40238857692541014),
             ('rhs@d3', 0.8254818122236567),
@@ -138,7 +140,7 @@ PINS = {
         ],
     ),
     'riesz_bound_endpoint': (
-        'bce766f2940dd6bda4736101dc54bf0d238d523fd2b566fd9fc37a2665f11042',
+        '6b418378f7648209f79f3681c6d79433a3f5c03b89681a1548856dc4591a405f',
         [
             ('lhs@d3', 0.3378225264997344),
             ('rhs@d3', 0.75),
@@ -149,7 +151,7 @@ PINS = {
         ],
     ),
     'maximal_bound': (
-        '8e810ea35aaf6788f20b5b5a26783b1dbe9372b3c0f1c25a144080aa20e90ea1',
+        '6be3a49d87cff5f20b9d1a708668aba516712dd8297a0049469e8532face3244',
         [
             ('lhs@d3', 0.8622885742317826),
             ('rhs@d3', 0.8254818122236567),
@@ -160,21 +162,21 @@ PINS = {
         ],
     ),
     'hedberg': (
-        '1bbd96d7a9d4c08f061cd744269405e69a47c3e177503a6849c85383d65fca0a',
+        '032793b08cb60346db3368d763e3f66d00dfc0ec11f485525e6bb0f8e475806a',
         [
             ('sup_ratio@d3', 0.20639388622995514),
             ('sup_ratio@d4', 0.20856726512733836),
         ],
     ),
     'hedberg_endpoint': (
-        'b404d3d6cc623dcee8786ff3776e0a4c8f28f1de55b9dac8445bb11c73e93735',
+        '56428f2724b5747fa7493345a68c61f0a4ff4cc02ea753a7a2884936e19684c4',
         [
             ('sup_ratio@d3', 3.5052352522324526),
             ('sup_ratio@d4', 3.2062913464403726),
         ],
     ),
     'sharpness_poincare': (
-        '8bde9fa49d59758fd9d8983ee2df6656f2bae3b7783cd80080e5840af6f0db49',
+        '6ba383a47c9ae2fe00372950898d0e2c47d153796b84b2780a21a382e1c3e411',
         [
             ('lhs@eps=0.03125', 4.601695430889508),
             ('rhs@eps=0.03125', 4.180820752146401),
@@ -191,7 +193,7 @@ PINS = {
         ],
     ),
     'sharpness_riesz': (
-        '6453656d847bf83c2a63cd303bc2eb5bd79e9988dda7b82d51116eef0bb77e01',
+        '254cbeeb3e450835e89704e3784b1276273b66f9f22678abefb13609d02e128b',
         [
             ('lhs@eps=0.0625', 5.422872333726205),
             ('rhs@eps=0.0625', 3.719747759198268),
@@ -207,7 +209,7 @@ PINS = {
             ('rhs_variation', 0.6064387378050162),
         ],
     ),    'poincare_l_shape': (
-        'a1508093c79986dda01b12891105bf5005b433f6ab81a7fc8178814224a9e3a6',
+        'ee4816382005fc7b4ddaf0dae17541510cd9005de0016a3f28503f568fe85be9',
         [
             ('lhs@d5', 1.1994617488033776),
             ('rhs@d5', 1065.002917402575),
@@ -220,7 +222,7 @@ PINS = {
         ],
     ),
     'poincare_punctured_ball': (
-        '6f6973ccc0aac90ee71125cbaceeadd30353e36dbff5b9d8c55414a875b910c4',
+        'df8cd1d3f12b7a25356cae8d19d152774bb1545e3f10a7344736f380e66bd3a5',
         [
             ('lhs@d4', 0.8414973561806942),
             ('rhs@d4', 1.4010020686919882),
@@ -233,7 +235,7 @@ PINS = {
         ],
     ),
     'poincare_punctured_ball_annulus': (
-        '227ec541d7a7d4709c29fdc6285315eb767f7096df635d806f4b597c69da06fa',
+        '5c0f9cb57c78a1f4db1ca04796aafcb549b0c0bbda71e7059a8f3bf647af758e',
         [
             ('lhs@d4', 0.9829235175807687),
             ('rhs@d4', 0.950489227110936),
@@ -246,7 +248,7 @@ PINS = {
         ],
     ),
     'poincare_weak_rectangle_bump': (
-        '2c02265ba4dd88b60825683416db298190a9178fdfb270245b4337dfd80c3f73',
+        'aba73dd740acccea393ababc734a8e8b902d10b587e90b7e3069576bae6670fb',
         [
             ('lhs@d5', 1.1452587890625003),
             ('rhs@d5', 16.058740890030357),
@@ -257,7 +259,7 @@ PINS = {
         ],
     ),
     'riesz_bound_constant': (
-        'c242145a4306f659b231cabbfbb7695e55c5d295ac502b2afdb4dd3650e1505f',
+        'd7c34a3dfe774f0dff4ea984cb02b57c26bc2b17a06b83c0ca6d19280707c961',
         [
             ('lhs@d3', 1.8336474781898684),
             ('rhs@d3', 3.7797631496846193),
@@ -272,38 +274,54 @@ PINS = {
 # experiment -> sha256 of io.dumps of its default report's params, series
 # and verdict (provenance carries the package version and is left out).
 # Recorded before the sharpness runs began to share their eps-independent
-# work across eps; a speedup must not move a byte of these reports.
+# work across eps, and re-recorded when params began to record samplers and
+# shapes as config JSON; a speedup must not move a byte of these reports.
 DEFAULT_REPORT_SHA256 = {
-    'poincare': 'a7d4eda636a1fb32e26023cf3dc8821f10546414f836ffdf73ee74834d9ad26c',
-    'poincare_weak': '39b4627dce03fe1cf8c6ecdc691c99f4ce2f09ce2a96b0b359c64c27a06770c4',
-    'poincare_sobolev': '7f3a1b83331ad614cff8cd0c24f37923aa0b96c9554eddf0b0dfbb777615a60b',
-    'compact_support': 'b3093ee315857923928202502b0b9f458219dda41d94db40cc990f96a76f3370',
-    'riesz_bound': '247db11d1db493e3354a98392a9f10ccf6ae366e16b1467c2b233fb0d944f8a1',
-    'maximal_bound': 'db7441c5a010a5e6437b681397fedeb6635ed6504096b127240ce4a1e87e34d3',
-    'hedberg': 'a12267f17f8fba55a7afc0b4c323c4b83372067f69479eadbf53bfd48a602470',
-    'sharpness_poincare': '3d61ff95887d5101017be0e44b211b9dbc66964cf2b7d4c008652308aa7ff7a7',
-    'sharpness_riesz': 'a626afeeadec21f6c58d99e5a44024ef8b3ea85eb6229e7fc9012bc804435c7e',
+    'poincare': 'bc8f1ca0835ea114e446c45c4cc6f3bc7182ca7562b2076d6ce92baf5b9ed72e',
+    'poincare_weak': 'e4db90607cf5b532aac1b84cdb274f0845d259b2398eada14062d06ed3284559',
+    'poincare_sobolev': '76f0395189cc7561fcd058f80bd01020e622b3991af05c619856384420b00c02',
+    'compact_support': '8fb5b4ed25e51d0badb8a2fbc467debbae020e8c342e89d4029fd76377bccce8',
+    'riesz_bound': '8dcbc6fa739e6df80bf63fa933d9c6f0590402cc25b1eeea6451e91344553e24',
+    'maximal_bound': '1e4025d3298ba8bd1acf8fb6360c856b038c4684a87d40b83033728876984c91',
+    'hedberg': '500c1696aa5e212b7a5c46ef42b8976ebdd98074b3e1435fe11558e3822905d3',
+    'sharpness_poincare': '72bdde6784277b97463698e2cab673295a7f822942362efae9864e5ba073e23f',
+    'sharpness_riesz': '9b5027bcde5e06a8c4c2bf9d6092ccd02b6bea15930b0b75baad9487b17f9a7f',
+}
+
+# experiment -> sha256 of io.dumps of its default report's series and verdict.
+# Recorded before params began to record samplers and shapes as config
+# JSON; a change to what a report records of its inputs must not move these.
+DEFAULT_SERIES_SHA256 = {
+    'poincare': '014c311e11e5fa7e5a8b189d86acbb1d84d16ab7d7f7cdcc4691f15b17b3fd77',
+    'poincare_weak': 'dafd3dcf6da8f0983f3db04c7dd6c6b726abb9e737dad855faa36f9e98e3b967',
+    'poincare_sobolev': '7a67c37b427412e81b4fe467cfbc7f62cd562d3835222e3b3b82950fc9aa4010',
+    'compact_support': 'd2492657e2c21c37f97bb0d24bfec953f7b584303c8eaf588ed710ff71fe3fad',
+    'riesz_bound': '4b5846bf5719c46f8c787a0bb836eb1fb225a1fbcadbaef6636c138b5da27caf',
+    'maximal_bound': 'e47db30fb3368bbf4b60b711172dfa518330dae509834fb89b17e74fa1025e5a',
+    'hedberg': '447284c31d0b743e267479cf0edcf6bdc2e5d3d3724c208b0007ecc7f169c9cd',
+    'sharpness_poincare': '133d875fd40d5c2e51ca97758961653fdfabbc27004f1aef9fab87ff8f2d6d4f',
+    'sharpness_riesz': '7e740abf2998443938d5f7740911629bbb9dd32f69399cff38721959cebd3425',
 }
 
 # sha256 of the --out and --csv files of `capnorm verify <name>` on the defaults
 DEFAULT_OUTPUT_SHA256 = {
-    'poincare': ('54e44b465ca9a5279f86b29de6a580eb79af1f706c6bbcb394654b95052fdfe2',
+    'poincare': ('82184a9d169546301db204e705155c42f43d3b342380bee86cc1d730312f1eb7',
                  '424b10a8cbda2f7560a4591a8f4cf1d72c3ae2b722e0c9496dd33e6cd92f233b'),
-    'poincare_weak': ('9362c7e5f9b79ac213f925ca202a2399f9e6ddd855b69398b609f4e4cef1d4a7',
+    'poincare_weak': ('ee0b242f8378c05d05c9252bca502f6e5907f34e1b23b30f090a4e7595ffb4b2',
                       '0785d0c01258d379176825e46bf0c135cf6db68933d096931840322d600ee62b'),
-    'poincare_sobolev': ('379173a0fff0ac9503f4ef63de3b51de2272d9214f4565e9f7354a2b6c6b5ee8',
+    'poincare_sobolev': ('5113c43a89987a3d0e5b59fedff2a918d91a7429a4a6be7f0651bf99d4765edc',
                          '43f505f24477b706046d0d5c37342d6a796c4835d62b5f6cbb5ed1aa852eac87'),
-    'compact_support': ('35a1c6acd25caa9e31586c4fa38aae401fbc27a1db6fb740e69adaab1ea0490c',
+    'compact_support': ('be2ef79cdd084baf287f2c5fe789f2ec7b48dbc8b7826e4471e0618782fbc519',
                         '4ab57633c56e362bd02d8b5a81062b33c7e6eb309adb855dcd738ef42b336b0d'),
-    'riesz_bound': ('a843b68777cfcb0fcd18c8dde4172ef2d8d6824663652b7eb192a560ef941792',
+    'riesz_bound': ('f705973d410356ab60a057d82f26d43b2ef1cd483cc3ff7075931e8b3db2619c',
                     '8e717b8e17b952766dab1571fa452be17ccd0e5febf835db9998b7a4b9891d56'),
-    'maximal_bound': ('5e853bf0e145486f142af669c928ca546e61085016c1e6715b1768bc1d69154e',
+    'maximal_bound': ('626c643228e40ec67a6c734395f17ef6d8d13d6f36f077f746124bda02723385',
                       '6721f13bc89e14fd4bf032e23e1db46feaa443af904506754022633349305531'),
-    'hedberg': ('d0de6b4642fcff90139f9f8de8e751488b84292733834dca74ce726dea6da5c5',
+    'hedberg': ('2eb261413bcac1441659b4935a3d7ade21b80e21c3b2053455b1a5cfec0ca4ab',
                 'ac5ccb2d3d071a22244c055aa85c7cf3bdc8edf04b5bc2eb6c06d9eaf925d8a2'),
-    'sharpness_poincare': ('4660a6b87283da579a1c4fccfdced642db194c8ae966441bbc67e0d80baea193',
+    'sharpness_poincare': ('333a8969263dc1320de1554e4a50c0f7b9d4a4f82efa8f599ab533edab71ea66',
                            '4e47dc9fce234dff14548040d12548f431a94367596fc136ce28a82ae2c330f8'),
-    'sharpness_riesz': ('838e9b52827df60b66b8ecd4ff2b6e622f5579b09d6800bcfd3ec114b7f77498',
+    'sharpness_riesz': ('d3a6d87c175d2a82193fc1901bb29bd8aa50de300af88ee1ae430bacec5ddbad',
                         'ae1ab44bc4f740f71a65a1cc7ded8d7f36b9720a2aa3092be011223cabe330a2'),
 }
 
@@ -377,6 +395,22 @@ def test_params_record_every_runner_keyword(name):
     assert set(inspect.signature(runner).parameters) <= set(report.params)
 
 
+@pytest.mark.parametrize("name, overrides", [(name, {}) for name in sorted(verify.EXPERIMENTS)]
+                         + [case[1:] for case in CASES],
+                         ids=[f"default_{name}" for name in sorted(verify.EXPERIMENTS)]
+                         + [case[0] for case in CASES])
+def test_params_rebuild_the_run(name, overrides):
+    # params is the report's one record of its inputs: its runner keywords,
+    # written to a config file as a report holds them, run the same series
+    report = cli.run_experiment(name, resolve_config(name, {}, overrides))
+    params = json.loads(io.dumps(report.params))
+    runner = getattr(verify, verify.EXPERIMENTS[name].runner)
+    file_cfg = {key: params[key] for key in inspect.signature(runner).parameters}
+    rebuilt = cli.run_experiment(name, resolve_config(name, file_cfg, {}))
+    assert (rebuilt.series, rebuilt.verdict) == (report.series, report.verdict)
+    assert rebuilt.params == report.params
+
+
 def test_b_scan_moves_the_config_hash():
     reports = [cli.run_experiment("poincare", resolve_config("poincare", {}, {
         "depths": [3, 4], "b_scan": b_scan})) for b_scan in (True, False)]
@@ -390,8 +424,10 @@ def test_default_report_bytes(name, tmp_path):
     out, csv = tmp_path / "report.json", tmp_path / "series.csv"
     run(["verify", name, "--out", str(out), "--csv", str(csv)])
     doc = json.loads(out.read_text())
+    series = io.dumps({key: doc[key] for key in ("series", "verdict")})
+    assert hashlib.sha256(series.encode()).hexdigest() == DEFAULT_SERIES_SHA256[name]
     text = io.dumps({key: doc[key] for key in ("params", "series", "verdict")})
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256[name]
-    # the whole output: the report with its config echo and provenance, and the CSV
+    # the whole output: the report with its provenance, and the CSV
     shas = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, csv))
     assert shas == DEFAULT_OUTPUT_SHA256[name]
