@@ -14,9 +14,10 @@ Choquet integral is the Lorentz (1, 1) case, the Choquet p-norm the
 case delta = dim, where the content of a cell set is its measure.
 
 Both, and `interp.interpolation_norm_of`, return through one guard,
-`checked_norm`: it checks (p, q), gives 0.0 for a zero distribution and
-refuses any other result that is not positive and finite (an overflow, a
-division by zero or an underflow) as an ExponentError naming the norm.
+`checked_norm`, which is told only whether the function is zero: it
+checks (p, q), gives 0.0 for a zero function and refuses any other
+result that is not positive and finite (an overflow, a division by zero
+or an underflow) as an ExponentError naming the norm.
 
 Superlevel sets use strict inequality {f > lam} throughout.  Sorted
 distinct positive values are merged into one threshold wherever the gap
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .content import ContentEngine
+from .content import ContentEngine, _check_delta
 from .grid import CellSet, GridFunction
 
 MERGE_RTOL = 1e-12
@@ -162,8 +163,10 @@ def distribution(f: GridFunction, delta: float) -> StepDistribution:
     function of the threshold index (ContentEngine.superlevel_contents);
     every plateau is bit-identical to a from-scratch pass on its set.
     For delta == dim the content of a cell set equals its Lebesgue
-    measure, so plateaus are computed by counting.
+    measure, so plateaus are computed by counting.  A delta outside
+    (0, dim] is a ContentError for every f, the zero function included.
     """
+    _check_delta(delta, f.grid.dim)
     if delta == f.grid.dim:
         return _counting_distribution(f)
     grid = f.grid
@@ -180,19 +183,19 @@ def distribution(f: GridFunction, delta: float) -> StepDistribution:
 # closed forms on a step distribution ------------------------------------
 
 
-def checked_norm(name: str, dist: StepDistribution, p: float, q: float,
+def checked_norm(name: str, is_zero: bool, p: float, q: float,
                  closed_form: Callable[[], float]) -> float:
-    """The norm closed_form() of a nonzero dist after a check of (p, q); 0.0 for a zero dist.
+    """The norm closed_form() of a nonzero function after a check of (p, q); 0.0 where is_zero.
 
-    A nonzero distribution has a positive norm, so a result that is not
+    A nonzero function has a positive norm, so a result that is not
     positive and finite, from a power that overflows (a float power raises
     OverflowError where numpy's returns inf), a division by zero or an
     underflow to zero, is an ExponentError naming the norm, p and q: such
-    exponents lie outside double precision for this distribution.
+    exponents lie outside double precision for this function.
     """
     if not (0 < p < math.inf) or not (0 < q):
         raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
-    if dist.is_zero:
+    if is_zero:
         return 0.0
     try:
         with np.errstate(all="ignore"):  # the result is checked below
@@ -222,7 +225,7 @@ def lorentz_norm_of(dist: StepDistribution, p: float, q: float) -> float:
         h = dist.plateaus if q == p else dist.plateaus ** (q / p)  # h ** 1.0 is h
         return float((p / q) * np.sum(np.diff(ext) * h)) ** (1.0 / q)
 
-    return checked_norm("Lorentz norm", dist, p, q, closed_form)
+    return checked_norm("Lorentz norm", dist.is_zero, p, q, closed_form)
 
 
 def _largest_pow2_below(v: float) -> int:
@@ -262,7 +265,7 @@ def dyadic_sum_norm_of(dist: StepDistribution, p: float, q: float) -> float:
                 total += lam**q * h ** (q / p)
         return total ** (1.0 / q)
 
-    return checked_norm("dyadic sum norm", dist, p, q, closed_form)
+    return checked_norm("dyadic sum norm", dist.is_zero, p, q, closed_form)
 
 
 def dyadic_sum_comparability(p: float, q: float) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from . import __version__, io, verify
 from .choquet import distribution, dyadic_sum_norm_of, lorentz_norm_of
 from .content import content_oracle, content_value, dyadic_content
 from .grid import CellSet, GridFunction, grid_dim, make_grid
-from .interp import InterpPair, interpolation_norm_of, k_profile_of
+from .interp import InterpPair, interpolation_norm_of, k_envelope, k_profile_of
 from .operators import MaximalParams, maximal, riesz
 from .verify import ConfigError, sampler_from_config, shape_from_config
 
@@ -246,10 +246,11 @@ def run(argv=None) -> int:
             pair = InterpPair(p0=args.p0, p1=args.p1, delta=args.delta,
                               eta=args.eta, q_interp=args.q)
             dist = distribution(f, args.delta)
+            env = k_envelope(dist, pair)
             # the guarded norms first: exponents outside double precision end here
-            interp = interpolation_norm_of(dist, pair)
+            interp = interpolation_norm_of(env, pair)
             direct = lorentz_norm_of(dist, pair.p, args.q)
-            t_grid, k_vals = k_profile_of(dist, pair)
+            t_grid, k_vals = k_profile_of(env, pair)
             _emit(
                 {
                     "t_grid": t_grid.tolist(),

@@ -10,9 +10,12 @@ On a step function the truncation norms come from one distribution: with
 cuts at the thresholds v_k, f1 keeps thresholds up to v_k and f0 shifts
 the remaining ones down by v_k, both reusing the same plateau contents.
 K_upper(t) is then the lower envelope of finitely many lines a_c + t*b_c.
-So, as in `choquet`, the closed forms `interpolation_norm_of` and
-`k_profile_of` take that distribution; `interpolation_norm` and
-`k_profile` are one-line front ends that build it from f.
+`k_envelope` computes those lines once for a distribution and keeps
+their lower envelope, a KEnvelope, whose `at(t)` is the one rule for
+K(t).  The closed forms `interpolation_norm_of` and `k_profile_of` take
+that envelope; `k_functional_upper`, `interpolation_norm` and `k_profile`
+are one-line front ends that build the distribution and its envelope
+from f.
 
 The truncation norms of all m + 1 cuts come from a prefix sum (f1) and
 Abel sums in row blocks of bounded size (f0).  There an endpoint norm
@@ -114,17 +117,66 @@ def _truncation_lines(dist: StepDistribution, p0: float, p1: float) -> tuple[np.
     return a, b
 
 
-def k_functional_upper(f: GridFunction, pair: InterpPair, t: float) -> float:
-    """min over truncation cuts of ||f0||_{p0} + t ||f1||_{p1}, for t in (0, inf)."""
-    t = positive_finite("t", t, InterpError)
-    dist = distribution(f, pair.delta)
+@dataclass(frozen=True)
+class KEnvelope:
+    """Lower envelope of the truncation lines t -> a_c + t b_c over t > 0.
+
+    norm0 = ||f||_p0 and norm1 = ||f||_p1 as `_truncation_lines` checked
+    them (0.0 for f = 0); the intercepts a and slopes b of the active lines
+    in order of increasing t, slopes strictly decreasing, the first line of
+    intercept 0 and the last of slope 0; breaks, where each line meets the next.
+    """
+
+    norm0: float
+    norm1: float
+    a: np.ndarray
+    b: np.ndarray
+    breaks: np.ndarray
+
+    @property
+    def is_zero(self) -> bool:
+        return self.norm0 == 0.0
+
+    def at(self, t):
+        """K_upper(t), the min of a + t b over the envelope's lines, at t or at each entry of an array t."""
+        return np.min(self.a + np.multiply.outer(t, self.b), axis=-1)
+
+
+@np.errstate(over="ignore")  # a crossing past double precision is inf, as a float division gives
+def k_envelope(dist: StepDistribution, pair: InterpPair) -> KEnvelope:
+    """The KEnvelope of dist, from one `_truncation_lines` call.
+
+    Keeps the lowest line of each slope, then makes one stack pass, steepest (active near t = 0) first.
+    """
     if dist.is_zero:
-        return 0.0
+        return KEnvelope(0.0, 0.0, np.zeros(1), np.zeros(1), np.empty(0))
     a, b = _truncation_lines(dist, pair.p0, pair.p1)
-    return float(np.min(a + t * b))
+    by_slope: dict[float, float] = {}
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        if bi not in by_slope or ai < by_slope[bi]:
+            by_slope[bi] = ai
+    hull: list[tuple[float, float]] = []
+    for bi in sorted(by_slope, reverse=True):
+        ai = by_slope[bi]
+        while hull:
+            aj, bj = hull[-1]
+            if ai <= aj:
+                hull.pop()  # smaller slope and intercept: previous line is useless
+                continue
+            t_new = (ai - aj) / (bj - bi)
+            if len(hull) >= 2:
+                ak, bk = hull[-2]
+                t_prev = (aj - ak) / (bk - bj)
+                if t_new <= t_prev:
+                    hull.pop()
+                    continue
+            break
+        hull.append((ai, bi))
+    ha, hb = np.array(hull).T
+    return KEnvelope(float(a[0]), float(b[-1]), ha, hb, np.diff(ha) / -np.diff(hb))
 
 
-def _report_t_grid(a: np.ndarray, b: np.ndarray, pair: InterpPair) -> np.ndarray:
+def _report_t_grid(env: KEnvelope, pair: InterpPair) -> np.ndarray:
     """Geometric t-grid whose truncated tails fall below TAIL_RELATIVE.
 
     Small t: K <= t ||f||_{p1}, integrand ~ t^{(1-eta)q}; large t:
@@ -135,16 +187,14 @@ def _report_t_grid(a: np.ndarray, b: np.ndarray, pair: InterpPair) -> np.ndarray
     InterpError.
     """
     eta, q = pair.eta, pair.q_interp
-    norm0 = float(a[0])  # cut c = 0: f0 = f
-    norm1 = float(b[-1])  # cut c = max: f1 = f
-    t_star = norm0 / norm1
+    t_star = env.norm0 / env.norm1
     lo = t_star * TAIL_RELATIVE ** (1.0 / ((1.0 - eta) * q))
     try:
         hi = t_star * TAIL_RELATIVE ** (-1.0 / (eta * q))
     except OverflowError:  # a float power raises where numpy's returns inf
         hi = math.inf
     # every line a_c + t b_c is at most norm0 + t norm1, so K stays finite on the grid
-    if not (lo > 0 and norm0 + hi * norm1 < math.inf):
+    if not (lo > 0 and env.norm0 + hi * env.norm1 < math.inf):
         raise InterpError(f"the report t-grid at eta={eta:g}, q={q:g} leaves double precision")
     return np.geomspace(lo, hi, T_GRID_POINTS)
 
@@ -180,86 +230,47 @@ def _interior_integrals(a, b, eta: float, q: float, t0, t1) -> tuple[np.ndarray,
     return sums[0], float(np.sum(np.abs(sums[0] - sums[1])))
 
 
-def _lower_envelope(a: np.ndarray, b: np.ndarray):
-    """Lower envelope of the lines t -> a_c + t b_c over t > 0.
-
-    Returns (hull, breaks): the active (intercept, slope) pairs in order
-    of increasing t (slopes strictly decreasing) and the crossing points
-    between consecutive ones.
-    """
-    by_slope: dict[float, float] = {}
-    for ai, bi in zip(a, b):
-        bi, ai = float(bi), float(ai)
-        if bi not in by_slope or ai < by_slope[bi]:
-            by_slope[bi] = ai
-    hull: list[tuple[float, float]] = []
-    for bi in sorted(by_slope, reverse=True):  # steepest first: active near t = 0
-        ai = by_slope[bi]
-        while hull:
-            aj, bj = hull[-1]
-            if ai <= aj:
-                hull.pop()  # smaller slope and intercept: previous line is useless
-                continue
-            t_new = (ai - aj) / (bj - bi)
-            if len(hull) >= 2:
-                ak, bk = hull[-2]
-                t_prev = (aj - ak) / (bk - bj)
-                if t_new <= t_prev:
-                    hull.pop()
-                    continue
-            break
-        hull.append((ai, bi))
-    breaks = [(a1 - a0) / (b0 - b1) for (a0, b0), (a1, b1) in zip(hull, hull[1:])]
-    return hull, breaks
-
-
-def interpolation_norm_of(dist: StepDistribution, pair: InterpPair) -> float:
-    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the truncation family of dist.
+def interpolation_norm_of(env: KEnvelope, pair: InterpPair) -> float:
+    """{ int_0^inf [t^-eta K_upper(t)]^q dt/t }^(1/q) on the envelope env.
 
     Returns through choquet's `checked_norm` at (pair.p, q): 0.0 for f = 0,
     and an ExponentError where a power past the endpoint norms leaves
-    double precision.
+    double precision or where K vanishes on a nonzero f.
     """
     eta, q = pair.eta, pair.q_interp
 
     def closed_form():
-        a, b = _truncation_lines(dist, pair.p0, pair.p1)
-        hull, breaks = _lower_envelope(a, b)
-        # the envelope must start on the pure-slope line (cut at max f, so
-        # f0 = 0) and end on the pure-intercept line (cut 0, f1 = 0), else
-        # one of the tails diverges
-        if hull[0][0] != 0.0 or hull[-1][1] != 0.0:
-            raise InterpError("tail criterion unreachable: envelope tails are not pure powers")
-        if not breaks:  # the one line (0, 0): every truncation norm underflowed, K vanishes
+        # a cut whose two norms both underflow gives the line (0, 0), below every other: K vanishes
+        if not env.breaks.size:
             return 0.0
         e0, e1 = (1.0 - eta) * q, eta * q
         # pure powers on the tails: b^q t^e0 below the first break, a^q t^-e1 above the last
-        head = hull[0][1] ** q * breaks[0] ** e0 / e0
-        tail = hull[-1][0] ** q * breaks[-1] ** -e1 / e1
-        inner, estimate = _interior_integrals(
-            [ai for ai, _ in hull[1:-1]], [bi for _, bi in hull[1:-1]], eta, q, breaks[:-1], breaks[1:]
-        )
+        head = float(env.b[0]) ** q * float(env.breaks[0]) ** e0 / e0
+        tail = float(env.a[-1]) ** q * float(env.breaks[-1]) ** -e1 / e1
+        inner, estimate = _interior_integrals(env.a[1:-1], env.b[1:-1], eta, q, env.breaks[:-1], env.breaks[1:])
         total = head + float(np.sum(inner)) + tail
         if estimate > QUAD_RTOL * total:
             raise InterpError(f"quadrature error estimate {estimate:.3g} exceeds {QUAD_RTOL:g} of the total {total:.6g}")
         return total ** (1.0 / q)
 
-    return checked_norm("interpolation norm", dist, pair.p, q, closed_form)
+    return checked_norm("interpolation norm", env.is_zero, pair.p, q, closed_form)
 
 
-def k_profile_of(dist: StepDistribution, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
-    """(t_grid, K_upper(t)) of dist on the reporting grid."""
-    if dist.is_zero:
-        t = np.geomspace(1e-3, 1e3, T_GRID_POINTS)
-        return t, np.zeros_like(t)
-    a, b = _truncation_lines(dist, pair.p0, pair.p1)
-    t = _report_t_grid(a, b, pair)
-    return t, np.min(a[None, :] + np.outer(t, b), axis=1)
+def k_profile_of(env: KEnvelope, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
+    """(t_grid, K_upper(t)) of env on the reporting grid."""
+    t = np.geomspace(1e-3, 1e3, T_GRID_POINTS) if env.is_zero else _report_t_grid(env, pair)
+    return t, env.at(t)
+
+
+def k_functional_upper(f: GridFunction, pair: InterpPair, t: float) -> float:
+    """min over truncation cuts of ||f0||_{p0} + t ||f1||_{p1}, for t in (0, inf)."""
+    t = positive_finite("t", t, InterpError)
+    return float(k_envelope(distribution(f, pair.delta), pair).at(t))
 
 
 def interpolation_norm(f: GridFunction, pair: InterpPair) -> float:
-    return interpolation_norm_of(distribution(f, pair.delta), pair)
+    return interpolation_norm_of(k_envelope(distribution(f, pair.delta), pair), pair)
 
 
 def k_profile(f: GridFunction, pair: InterpPair) -> tuple[np.ndarray, np.ndarray]:
-    return k_profile_of(distribution(f, pair.delta), pair)
+    return k_profile_of(k_envelope(distribution(f, pair.delta), pair), pair)

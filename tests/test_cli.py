@@ -183,19 +183,45 @@ def interp_fn(tmp_path):
 
 
 def test_interp_builds_one_distribution_with_pinned_output(interp_fn, tmp_path, monkeypatch):
-    calls = []
+    calls, line_calls = [], []
+    truncation_lines = interp._truncation_lines
 
     def counted(f, delta):
         calls.append(delta)
         return choquet.distribution(f, delta)
 
+    def counted_lines(dist, p0, p1):
+        line_calls.append((p0, p1))
+        return truncation_lines(dist, p0, p1)
+
     for module in (cli, interp):  # every name a distribution is built through
         monkeypatch.setattr(module, "distribution", counted)
+    monkeypatch.setattr(interp, "_truncation_lines", counted_lines)
     out = tmp_path / "interp.json"
     assert run(["interp", "--fn", interp_fn, "--p0", "1.0", "--p1", "3.0", "--eta", "0.5",
                 "--q", "2.0", "--delta", "1.5", "--out", str(out)]) == 0
     assert calls == [1.5]
+    assert line_calls == [(1.0, 3.0)]  # the norm and the profile read one envelope
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERP_OUTPUT_SHA256
+
+
+# the zero function's distribution skipped the delta check, so norm and interp
+# exited 0 on it at delta 7 or nan and echoed that delta
+@pytest.mark.parametrize("delta", ["7", "nan", "0", "-1"])
+@pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
+@pytest.mark.parametrize("command", [
+    ["norm", "--p", "1.5"], ["interp", "--p0", "1", "--p1", "3", "--eta", "0.5", "--q", "2"],
+], ids=["norm", "interp"])
+def test_delta_outside_its_window_exits_2_for_every_field(command, zero, delta, indicator_fn,
+                                                          tmp_path, capsys):
+    fn = indicator_fn
+    if zero:
+        fn = str(tmp_path / "zero.json")
+        with open(fn, "w", encoding="utf-8") as fh:
+            io.write_gridfunction(GridFunction.zeros(make_grid(2, 4, 2.0)), fh)
+    assert run([command[0], "--fn", fn, *command[1:], "--delta", delta]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: delta must be") and err.count("\n") == 1
 
 
 def test_verify_missing_config_exits_2(capsys):

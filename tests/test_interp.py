@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
+from capnorm.choquet import ExponentError, LorentzExponents, choquet_p_norm, distribution, lorentz_norm
 from capnorm.content import content_value
 from capnorm.grid import CellSet, GridFunction, Sampler, make_grid, sample
 from capnorm import interp
@@ -15,6 +15,7 @@ from capnorm.interp import (
     _interior_integrals,
     interpolation_norm,
     interpolation_norm_of,
+    k_envelope,
     k_functional_upper,
     k_profile,
     k_profile_of,
@@ -85,6 +86,21 @@ def test_k_requires_positive_t(t):
 
 def test_interpolation_norm_zero():
     assert interpolation_norm(GridFunction.zeros(GRID), PAIR) == 0.0
+
+
+# a cut between the two endpoints whose norms both underflow gives the line (0, 0), which
+# lies below every other line; the closed form must not read a break that is not there
+def test_interpolation_norm_refuses_an_envelope_of_one_line():
+    values = np.full(16, 5e-324)
+    values[0] = 1.0
+    f = GridFunction(make_grid(1, 4, 1.0, origin=(0.0,)), values)
+    pair = InterpPair(p0=1e-3, p1=1.5, delta=1.0, eta=0.5, q_interp=2.0)
+    env = k_envelope(distribution(f, pair.delta), pair)
+    assert env.norm0 > 0 and env.norm1 > 0
+    assert (env.a.tolist(), env.b.tolist(), env.breaks.size) == ([0.0], [0.0], 0)
+    assert k_functional_upper(f, pair, 1.0) == 0.0
+    with pytest.raises(ExponentError, match="interpolation norm at p=0.00199867, q=2 is not finite"):
+        interpolation_norm_of(env, pair)
 
 
 def test_interpolation_norm_indicator_closed_form():
@@ -198,8 +214,8 @@ def test_k_profile_refuses_a_grid_outside_double_precision(eta):
 # gave K = 0 for a nonzero f (p1 = 1e300) or a quadrature of inf panels (p0 = 1e-3)
 @pytest.mark.parametrize("entry", [
     lambda f, pair: k_functional_upper(f, pair, 1.0), k_profile, interpolation_norm,
-    lambda f, pair: k_profile_of(distribution(f, pair.delta), pair),
-    lambda f, pair: interpolation_norm_of(distribution(f, pair.delta), pair),
+    lambda f, pair: k_profile_of(k_envelope(distribution(f, pair.delta), pair), pair),
+    lambda f, pair: interpolation_norm_of(k_envelope(distribution(f, pair.delta), pair), pair),
 ], ids=["k_functional_upper", "k_profile", "interpolation_norm", "k_profile_of",
         "interpolation_norm_of"])
 @pytest.mark.parametrize("p0, p1, name", [

@@ -1,8 +1,10 @@
-"""Property test: the blocked Abel truncation lines against a per-cut loop.
+"""Property tests: the blocked Abel truncation lines against a per-cut loop,
+and the K-functional envelope built on them.
 
 The reference computes each cut's two norms from scratch, one
 StepDistribution per cut, exactly as the O(m^2) loop the blocked form
-replaced did.
+replaced did.  The envelope's K(t) is checked bit for bit against the
+minimum over all m + 1 lines.
 """
 
 from unittest import mock
@@ -56,3 +58,33 @@ def test_blocked_lines_match_per_cut_loop(dist, p0, gap, block):
     assert a[-1] == 0.0 and b[0] == 0.0  # the envelope's pure-power tails test these exactly
     assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(a_ref)
     assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(b_ref)
+
+
+P0 = st.sampled_from([0.3, 0.5, 1.0, 1.7, 3.0])
+
+
+def _pair(p0, gap, eta=0.5):
+    return interp.InterpPair(p0=p0, p1=p0 + gap, delta=1.0, eta=eta, q_interp=p0 + gap + 1.0)
+
+
+@given(distributions(), P0, st.floats(0.1, 4.0))
+@settings(max_examples=150, deadline=None)
+def test_envelope_runs_from_intercept_zero_to_slope_zero(dist, p0, gap):
+    """a_m = 0 and b_0 = 0 exactly, so both tails of the envelope are pure powers."""
+    env = interp.k_envelope(dist, _pair(p0, gap))
+    assert env.a[0] == 0.0 and env.b[-1] == 0.0
+    assert np.all(np.diff(env.b) < 0) and np.all(np.diff(env.breaks) > 0)
+
+
+@given(distributions(), P0, st.floats(0.1, 4.0), st.floats(0.1, 0.9),
+       st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=20))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_envelope_at_is_the_min_over_all_lines(dist, p0, gap, eta, ts):
+    """On the report grid, at each break and at random t, scalar and array alike."""
+    pair = _pair(p0, gap, eta)
+    env = interp.k_envelope(dist, pair)
+    a, b = interp._truncation_lines(dist, pair.p0, pair.p1)
+    t = np.concatenate([interp._report_t_grid(env, pair), env.breaks, ts])
+    k_all = np.min(a + np.multiply.outer(t, b), axis=1)
+    assert np.array_equal(env.at(t), k_all)
+    assert [env.at(x) for x in t[::7]] == k_all[::7].tolist()
