@@ -271,7 +271,10 @@ def run(argv=None) -> int:
                 key, _, raw = item.partition("=")
                 if not _:
                     raise ConfigError(f"override must look like key=value, got {item!r}")
-                overrides[key] = json.loads(raw)
+                try:
+                    overrides[key] = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"--set {key}: the value {raw!r} is not JSON ({exc.msg})") from exc
             try:
                 cfg = resolve_config(args.experiment, file_cfg, overrides)
                 report = run_experiment(args.experiment, cfg)

@@ -111,14 +111,19 @@ class ContentEngine:
         to ``build(levels >= j)`` followed by ``value``.
 
         Every occupied node carries its cost as a step function of j:
-        sorted segment starts with one value each.  A parent's starts are
-        the union of its children's; a child's value at each start comes
-        from ``searchsorted`` and is 0.0 for an absent child, so the sum
-        in the fixed child order and the ``min`` with the cube weight are
-        the arithmetic of ``build``.  Adjacent equal segments are merged.
-        Nodes are keyed in Morton order (axis 0 most significant), which
-        makes the children of node K the keys K * 2**dim + o, o being the
-        C-order offset index.
+        sorted segment starts with one value each.  A parent's starts (its
+        breakpoints) are the union of its children's.  Each level ranks
+        every child segment once among the breakpoints and copies the
+        values into a padded array that holds a 0.0 slot just before each
+        parent's own segments.  Then, per child offset, a row over the
+        breakpoints gets each parent's 0.0 slot at its first breakpoint
+        and the offset's segment slots at theirs; a running maximum fills
+        it forward, so every breakpoint reads the child's value there, or
+        0.0 for an absent child.  The sum in the fixed child order and the
+        ``min`` with the cube weight are the arithmetic of ``build``.
+        Adjacent equal segments are merged.  Nodes are keyed in Morton
+        order (axis 0 most significant), which makes the children of node
+        K the keys K * 2**dim + o, o being the C-order offset index.
         """
         dim, L = self.dim, self.depth
         fan = 2**dim
@@ -149,25 +154,66 @@ class ContentEngine:
         start, value = start[keep].astype(np.int64), value[keep]
 
         for k in range(L - 2, -1, -1):
+            # the segments come sorted by (key, start), that is by (parent, offset, start)
             offset = (key & (fan - 1)).astype(np.uint8)
-            seg = (key >> dim) * m + start  # (parent, start), sorted within each offset
-            del key, start  # release the child level before the parent level is allocated
-            bp = np.sort(seg)  # sort and mask: faster here than np.unique's hashing
-            bp = bp[np.append(True, bp[1:] != bp[:-1])]
-            parent = bp // m
-            acc = None
-            for o in range(fan):
-                child_seg, child_value = seg[offset == o], value[offset == o]
-                i = np.searchsorted(child_seg, bp, side="right") - 1
-                hit = i >= 0
-                hit[hit] = child_seg[i[hit]] // m == parent[hit]
-                v = np.zeros(bp.size)
-                v[hit] = child_value[i[hit]]
-                acc = v if acc is None else acc + v
+            key >>= dim  # parent keys
+            opens = np.empty(key.size, dtype=bool)  # a parent's first segment, at start 0
+            opens[0] = True
+            np.not_equal(key[1:], key[:-1], out=opens[1:])
+            # a segment's slot is its index plus one 0.0 slot before each parent's own segments;
+            # int32 holds them, a level having fewer than three slots per leaf cell
+            slot = np.cumsum(opens, dtype=np.int32)
+            slot += np.arange(key.size, dtype=np.int32)
+            padded = np.zeros(key.size + np.count_nonzero(opens))
+            padded[slot] = value
+            del value
+            key *= m
+            key += start  # (parent, start), one int64 per segment
+            del start
+            # each segment's breakpoint: its rank among the distinct (parent, start)
+            order = np.argsort(key)
+            seg = key[order]
+            del key
+            distinct = np.empty(seg.size, dtype=bool)
+            distinct[0] = True
+            np.not_equal(seg[1:], seg[:-1], out=distinct[1:])
+            bp = seg[distinct]
+            del seg
+            pos = np.empty(order.size, dtype=np.int32)
+            pos[order] = np.cumsum(distinct, dtype=np.int32) - 1
+            del order, distinct
+            first = pos[opens]  # each parent's first breakpoint
+            seed = np.zeros(bp.size, dtype=np.int32)
+            seed[first] = slot[opens] - 1  # points at the parent's 0.0 slot
+            del opens
+            # the segments of each offset together, C order (a stable sort of uint8 is a radix sort)
+            by_offset = np.argsort(offset, kind="stable")
+            ends = np.cumsum(np.bincount(offset, minlength=fan))
+            pos, slot = pos[by_offset], slot[by_offset]
+            del by_offset, offset
+            row = np.empty(bp.size, dtype=np.int32)
+            v = np.empty(bp.size)
+            acc, lo = None, 0
+            for hi in ends:
+                np.copyto(row, seed)
+                row[pos[lo:hi]] = slot[lo:hi]
+                # slots rise along the breakpoints, so the running max is the child's
+                # segment at each breakpoint, or its parent's 0.0 slot if it has none yet
+                np.maximum.accumulate(row, out=row)
+                if acc is None:
+                    acc = padded.take(row)
+                else:
+                    acc += padded.take(row, out=v)
+                lo = hi
+            del row, v, padded, seed, pos, slot
             value = self._node_cost(k, acc)
-            keep = np.ones(bp.size, dtype=bool)
-            keep[1:] = (parent[1:] != parent[:-1]) | (value[1:] != value[:-1])
-            key, start, value = parent[keep], bp[keep] - parent[keep] * m, value[keep]
+            del acc
+            keep = np.zeros(bp.size, dtype=bool)
+            keep[1:] = value[1:] != value[:-1]
+            keep[first] = True
+            bp, value = bp[keep], value[keep]
+            key = bp // m
+            start = bp - key * m
 
         return np.repeat(value, np.diff(np.append(start, m)))
 

@@ -10,8 +10,9 @@ records them: every runner calls it on its locals() as its first
 statement, which records each argument (shape and sampler through
 to_config, the inverse of the config parsers here; depths and eps_list
 as the lists _depth_list and _eps_list check before any grid is built)
-and what the runner derives.  The sweep skeletons add the limits of
-their verdicts.
+and what the runner derives.  _params is also where delta meets
+content._check_delta, before any window is read off it.  The sweep
+skeletons add the limits of their verdicts.
 
 One point loop, _sweep, runs every experiment; compact_support and
 hedberg call it directly, the rest through two adapters.  _ratio_sweep
@@ -63,6 +64,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
+from .content import _check_delta
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
 from .grid import GridFunction, Sampler, gradient_magnitude, json_number, make_grid, sample
 from .operators import (MaximalParams, _check_alpha, _check_mu, hedberg_ratio_field, improved_exponents,
@@ -279,8 +281,11 @@ def _params(arguments: dict, **derived) -> dict:
     the shape) and the John constants.  A value derived through an
     exponent check (left_p, a predicted slope) is added after that check.
     Strict JSON has no infinity, so a recorded value that holds one is a
-    VerifyError naming its key.
+    VerifyError naming its key.  Every runner calls this first, so delta
+    is checked here, before any p, q or eta window is read off it.
     """
+    dim = arguments["shape"].dim if "shape" in arguments else arguments["dim"]
+    _check_delta(arguments["delta"], dim)
     params = {key: _RECORDED.get(key, lambda v: v)(value) for key, value in arguments.items()}
     if "shape" in arguments:
         alpha_john, beta_john, x0 = arguments["shape"].john_constants()

@@ -316,15 +316,28 @@ def test_verify_mu_outside_its_window_exits_2(experiment, mu, capsys):
     assert out == "" and err.startswith("error: mu must be in [0, ") and err.count("\n") == 1
 
 
-# a delta outside (0, dim] is named as delta, by the content's one check: every norm
-# reaches it through its distribution, and the Hedberg bound checks it before its p window
+# a delta outside (0, dim] is named as delta, by the content's one check, which every
+# runner makes before any window is read off delta: at delta = 3, poincare, poincare_weak,
+# compact_support and maximal_bound used to name p and sharpness_riesz eta
 @pytest.mark.parametrize("experiment, delta", [
     ("hedberg", "-1"), ("hedberg", "0"), ("hedberg", "3"), ("poincare", "-1"), ("maximal_bound", "0"),
+    *[(name, "3") for name in sorted(EXPERIMENTS) if name != "hedberg"], ("poincare", "Infinity"),
 ])
 def test_verify_delta_outside_its_window_exits_2(experiment, delta, capsys):
-    assert run(["verify", experiment, "--set", "depths=[3]", "--set", f"delta={delta}"]) == 2
+    assert run(["verify", experiment, "--set", f"delta={delta}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: delta must be in (0, 2], got ") and err.count("\n") == 1
+
+
+# a --set value that is not JSON used to exit 2 with only the decoder's message
+# ("Expecting value: line 1 column 1 (char 0)"), naming neither key nor value
+@pytest.mark.parametrize("override, key, raw", [("mu=abc", "mu", "abc"), ("mu=nan", "mu", "nan"),
+                                                ("depths=[4,", "depths", "[4,")])
+def test_verify_override_that_is_not_json_names_key_and_value(override, key, raw, capsys):
+    assert run(["verify", "poincare_sobolev", "--set", override]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --set {key}: the value {raw!r} is not JSON (")
+    assert err.count("\n") == 1
 
 
 # an infinite config number used to be recorded in params as Infinity, which strict JSON lacks

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,27 @@ def test_superlevel_contents_of_empty_family(dim, depth):
     contents = engine.superlevel_contents(levels, 3)
     engine.build(levels >= 0)
     assert contents.tolist() == [engine.value] * 3 == [0.0] * 3
+
+
+# traced peak bytes of superlevel_contents on the field below when each child offset
+# binary-searched every breakpoint (numpy 2.4.6): the forward fill stays under it
+# (1,341,240), while an int64 slot and breakpoint index (1,673,968) or one
+# (2**dim x breakpoints) matrix of rows (2,061,545) exceeds it
+SEARCH_SWEEP_PEAK_BYTES = 1_511_173
+
+
+def test_superlevel_sweep_peak_memory():
+    grid = make_grid(3, 5, 2.0)
+    levels = np.random.default_rng(2027).integers(0, 48, size=grid.shape, dtype=np.int32)
+    engine = ContentEngine(grid, 2.2)
+    engine.superlevel_contents(levels, 48)  # numpy's first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        engine.superlevel_contents(levels, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SEARCH_SWEEP_PEAK_BYTES
 
 
 def test_ball_bracket_examples():

@@ -21,12 +21,12 @@ from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
 @st.composite
 def quantised_functions(draw):
-    """A grid of up to 2^12 cells, a delta in (0, dim), values on a few tied levels."""
+    """A grid of up to 2^12 cells, a delta in (0, dim), values on up to 64 tied levels."""
     dim = draw(st.integers(1, 3))
     depth = draw(st.integers(1, 12 // dim))
     grid = make_grid(dim, depth, draw(st.sampled_from([0.5, 1.0, 2.75])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_levels = draw(st.integers(1, 8))
+    n_levels = draw(st.integers(1, 64))
     density = draw(st.floats(0.0, 1.0))
     step = draw(st.floats(1e-3, 1e3))
     values = rng.integers(1, n_levels + 1, size=grid.shape) * step * (rng.random(grid.shape) < density)
@@ -41,6 +41,35 @@ def _single_cell(dim, depth, index, delta):
     return GridFunction(grid, values), delta
 
 
+def _on_grid(dim, depth, values):
+    grid = make_grid(dim, depth, 1.0)
+    return GridFunction(grid, np.resize(np.asarray(values, dtype=np.float64), grid.shape))
+
+
+def _quantised(dim, depth, n_levels, density, seed, delta):
+    """A seeded field on n_levels tied levels; a cell is positive with probability density."""
+    grid = make_grid(dim, depth, 1.0)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, n_levels + 1, size=grid.shape) * (rng.random(grid.shape) < density)
+    return GridFunction(grid, values.astype(np.float64)), delta
+
+
+def _last_children_only(dim, depth, delta):
+    """Positive cells only where every index is 2 or 3 mod 4: each level-(depth-2) node
+    has its last child and no other, each coarser node all of its children."""
+    grid = make_grid(dim, depth, 1.0)
+    idx = np.indices(grid.shape)
+    values = np.where(np.all(idx % 4 >= 2, axis=0), 1.0 + idx.sum(axis=0) % 5, 0.0)
+    return GridFunction(grid, values), delta
+
+
+# a parent's offset-0 child absent, a later child present: of the 4x4 blocks, the one
+# at (0, 0) holds only its (1, 1) quadrant, the one at (4, 4) only its (1, 0) quadrant
+_OFFSET0_ABSENT = np.zeros((8, 8))
+_OFFSET0_ABSENT[2:4, 2:4] = [[1.0, 2.0], [3.0, 1.0]]
+_OFFSET0_ABSENT[6:8, 4:6] = 2.0
+
+
 @given(quantised_functions())
 @settings(max_examples=80, deadline=None)
 @example((GridFunction.zeros(make_grid(2, 3, 1.0)), 1.2))  # f == 0
@@ -48,6 +77,21 @@ def _single_cell(dim, depth, index, delta):
 @example((GridFunction(make_grid(2, 1, 1.0), np.array([[0.0, 3.0], [3.0, 1.0]])), 1.7))  # depth 1
 @example(_single_cell(3, 4, 1234, 2.9))  # a single occupied cell
 @example(_single_cell(1, 12, 4095, 0.01))
+# the forward fill's cases: an absent offset-0 child before a present later one
+@example((_on_grid(1, 3, [0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]), 0.6))
+@example((_on_grid(2, 3, _OFFSET0_ABSENT), 1.4))
+@example(_last_children_only(3, 4, 2.3))
+# a child whose only segment starts at 0: both its cells are on the top level
+@example((_on_grid(1, 3, [3.0, 3.0, 0.0, 1.0, 0.0, 0.0, 2.0, 3.0]), 0.45))
+@example((_on_grid(2, 3, np.append(np.full(16, 3.0), np.resize([1.0, 2.0, 0.0, 3.0], 48))), 1.1))
+# sparse occupancy on more than 8 levels
+@example(_quantised(2, 6, 40, 0.03, 7, 1.3))
+@example(_quantised(1, 12, 200, 0.01, 8, 0.45))
+@example(_quantised(3, 4, 25, 0.02, 9, 1.8))
+# 3D at depths 2 to 4
+@example(_quantised(3, 2, 5, 0.7, 1, 2.2))
+@example(_quantised(3, 3, 12, 0.4, 2, 1.1))
+@example(_quantised(3, 4, 30, 0.5, 3, 2.6))
 def test_one_pass_distribution_matches_from_scratch(case):
     f, delta = case
     dist = distribution(f, delta)
@@ -101,11 +145,6 @@ def clustered_functions(draw):
     values = np.array(pool)[rng.integers(0, len(pool), size=grid.shape)]
     values *= rng.random(grid.shape) < draw(st.floats(0.0, 1.0))
     return GridFunction(grid, values)
-
-
-def _on_grid(dim, depth, values):
-    grid = make_grid(dim, depth, 1.0)
-    return GridFunction(grid, np.resize(np.asarray(values, dtype=np.float64), grid.shape))
 
 
 CHAIN = np.cumprod(np.full(9, 1.0 + 0.9 * MERGE_RTOL))  # each within MERGE_RTOL of the next

@@ -250,15 +250,18 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("dim, depth", [(1, 5), (1, 8), (2, 3), (2, 5), (3, 2), (3, 4)])
 def test_sharpness_shared_fields_equal_sampling(dim, depth, monkeypatch):
     center = (0.0,) * dim
-    fields, cfg = _sweep_fields("sharpness_poincare", monkeypatch, dim=dim, depth=depth)
+    # the default delta = 2 is above dim in 1D, where delta = 1 takes p and eta inside their windows
+    poincare_1d, riesz_1d = ({"delta": 1.0, "p": 0.5}, {"delta": 1.0, "eta": -0.65}) if dim == 1 else ({}, {})
+    fields, cfg = _sweep_fields("sharpness_poincare", monkeypatch, dim=dim, depth=depth, **poincare_1d)
     grid = make_grid(dim, depth, verify.ROOT_SIDE)
     for eps in (0.5, 0.25, 0.2, 0.125, 0.03125, 0.25):
         u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, 1.0))
         left, right = fields(eps)
         assert _same_bits(left, sample(u, grid)) and _same_bits(right, gradient_magnitude(u, grid))
 
-    # alpha must lie below dim; eta = -1.3 stays inside the window at alpha = 0.5
-    fields, cfg = _sweep_fields("sharpness_riesz", monkeypatch, dim=dim, depth=depth, alpha=0.5)
+    # alpha must lie below dim; eta = -1.3 stays inside the window at alpha = 0.5, delta = 2
+    fields, cfg = _sweep_fields("sharpness_riesz", monkeypatch, dim=dim, depth=depth, alpha=0.5,
+                                **riesz_1d)
     grid = make_grid(dim, depth, verify.RIESZ_ROOT_SIDE)
     for eps in (2.0, 0.5, 0.25, 0.125, 0.5):
         u = Sampler.radial_power(cfg["eta"], center, annulus=(eps, verify.RIESZ_OUTER_RADIUS))
