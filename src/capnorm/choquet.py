@@ -19,12 +19,13 @@ checks (p, q), gives 0.0 for a zero function and refuses any other
 result that is not positive and finite (an overflow, a division by zero
 or an underflow) as an ExponentError naming the norm.
 
-Superlevel sets use strict inequality {f > lam} throughout.  Sorted
-distinct positive values are merged into one threshold wherever the gap
-between neighbours is at most MERGE_RTOL (1e-12) relative, to avoid
-spurious zero-width steps.  Merging is transitive over adjacent gaps, so
-a cluster can be wider than MERGE_RTOL; its threshold is the cluster
-maximum.
+Superlevel sets use strict inequality {f > lam} throughout.  At every
+delta, one sort of the positive values, repeats kept, gives the
+clusters: sorted neighbours are merged into one threshold wherever their
+gap is at most MERGE_RTOL (1e-12) relative, to avoid spurious zero-width
+steps.  Merging is transitive over adjacent gaps, so a cluster can be
+wider than MERGE_RTOL; its threshold is the cluster maximum.  Below dim,
+the same order gives each cell its cluster index for the tree sweep.
 """
 
 from __future__ import annotations
@@ -120,22 +121,6 @@ def _clusters(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return opens, ordered[np.append(opens[1:], True)]
 
 
-def _merged_value_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster the positive values as _clusters does; returns (reps, group_of_cell).
-
-    Merging is transitive over adjacent sorted gaps of at most MERGE_RTOL
-    relative, so a cluster can be wider than MERGE_RTOL.  reps are the
-    cluster maxima, strictly increasing.  group_of_cell maps
-    each positive cell (in the order of `values`) to its cluster, 0-based.
-    """
-    uniq, value_of_cell = np.unique(values[values > 0], return_inverse=True)
-    if uniq.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    opens, reps = _clusters(uniq)
-    cluster_of_value = np.cumsum(opens) - 1
-    return reps, cluster_of_value[value_of_cell]
-
-
 def _counting_distribution(f: GridFunction) -> StepDistribution:
     """Step distribution with Lebesgue measure: each plateau counts the cells above it.
 
@@ -156,24 +141,29 @@ def _counting_distribution(f: GridFunction) -> StepDistribution:
 def distribution(f: GridFunction, delta: float) -> StepDistribution:
     """Exact step distribution of f under the dyadic content of exponent delta.
 
-    For delta < dim all superlevel sets are evaluated in one bottom-up
-    pass over the dyadic tree, in which each node's cost is a step
-    function of the threshold index (ContentEngine.superlevel_contents);
-    every plateau is bit-identical to a from-scratch pass on its set.
-    For delta == dim the content of a cell set equals its Lebesgue
-    measure, so plateaus are computed by counting.  A delta outside
-    (0, dim] is a ContentError for every f, the zero function included.
+    At every delta one sort of the positive values, repeats kept, gives
+    the clusters (_clusters).  For delta < dim the positive cells are
+    sorted by value, so the same order gives each cell its cluster index,
+    and all superlevel sets are evaluated in one bottom-up pass over the
+    dyadic tree, in which each node's cost is a step function of that
+    index (ContentEngine.superlevel_contents); every plateau is
+    bit-identical to a from-scratch pass on its set.  For delta == dim the
+    content of a cell set equals its Lebesgue measure, so plateaus are
+    computed by counting.  A delta outside (0, dim] is a ContentError for
+    every f, the zero function included.
     """
     _check_delta(delta, f.grid.dim)
     if delta == f.grid.dim:
         return _counting_distribution(f)
     grid = f.grid
     flat = f.values.ravel()
-    reps, groups = _merged_value_groups(flat)
-    if reps.size == 0:
+    cells = np.flatnonzero(flat > 0)
+    if cells.size == 0:
         return StepDistribution(np.empty(0), np.empty(0))
+    cells = cells[np.argsort(flat[cells])]
+    opens, reps = _clusters(flat[cells])
     levels = np.full(flat.size, -1, dtype=np.int32)
-    levels[flat > 0] = groups
+    levels[cells] = np.cumsum(opens, dtype=np.int32) - 1
     engine = ContentEngine(grid, delta)
     return StepDistribution(reps, engine.superlevel_contents(levels.reshape(grid.shape), reps.size))
 

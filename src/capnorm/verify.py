@@ -255,11 +255,16 @@ def _depth_list(depths: Sequence[int]) -> list:
 
 
 def _eps_list(eps_list: Sequence[float]) -> list:
-    """The truncation radii of a sweep, sorted, as floats: at least 4, all positive numbers."""
+    """The truncation radii of a sweep, sorted, as floats: at least 4 positive numbers, no two labelled alike."""
     eps = sorted(eps_list)
     if len(eps) < 4 or not all(map(json_number, eps)) or eps[0] <= 0:
         raise VerifyError(f"eps_list must hold at least 4 positive values, each a number, got {eps}")
-    return [float(e) for e in eps]
+    eps = [float(e) for e in eps]
+    labels = [f"{e:g}" for e in eps]
+    for label, twin in zip(labels, labels[1:]):  # sorted, so a repeated label sits next to its twin
+        if label == twin:
+            raise VerifyError(f"eps_list repeats the label eps={label}, got {eps}")
+    return eps
 
 
 # runner argument -> its recorded form; every other argument is recorded as given

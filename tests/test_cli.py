@@ -205,6 +205,22 @@ def test_interp_builds_one_distribution_with_pinned_output(interp_fn, tmp_path, 
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERP_OUTPUT_SHA256
 
 
+# sha256 of `capnorm interp --out` on a 3D depth-4 field of 32 value levels at
+# delta = 2.2: cells share values, so the distribution sorts repeats; recorded
+# while the delta < dim distribution still grouped cells through np.unique
+INTERP_3D_OUTPUT_SHA256 = "5ca8f537c6e6d544a0c1f6a9f13f26fdebe8adf3664230bd1cb0f1c9bff1b1b3"
+
+
+def test_interp_output_pinned_on_a_3d_field_of_repeated_values(tmp_path):
+    rng = np.random.default_rng(28)
+    values = rng.integers(0, 32, size=(16, 16, 16)) * 0.25
+    fn, out = tmp_path / "fn.json", tmp_path / "interp.json"
+    fn.write_text(io.dumps(io.gridfunction_to_dict(GridFunction(make_grid(3, 4, 2.0), values))))
+    assert run(["interp", "--fn", str(fn), "--p0", "1.0", "--p1", "3.0", "--eta", "0.5",
+                "--q", "2.0", "--delta", "2.2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERP_3D_OUTPUT_SHA256
+
+
 # a cut whose two norms both underflow makes K vanish on this nonzero f
 def test_interp_refuses_a_vanishing_k(tmp_path, capsys):
     values = ["1"] + ["5e-324"] * 15
@@ -283,6 +299,16 @@ def test_verify_config_file_not_an_object_exits_2(tmp_path, capsys):
 def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, capsys):
     assert run(["verify", experiment, "--set", f"eps_list={eps_list}"]) == 2
     assert "eps_list must hold at least 4 positive values" in capsys.readouterr().err
+
+
+# two radii with one {eps:g} label used to run: the report and CSV held that label
+# twice, and the slope was fitted from 3 distinct radii
+@pytest.mark.parametrize("eps_list", ["[0.25,0.125,0.0625,0.0625]", "[0.25,0.125,0.06250001,0.0625]"])
+@pytest.mark.parametrize("experiment", ["sharpness_poincare", "sharpness_riesz"])
+def test_verify_eps_list_refuses_a_repeated_label(experiment, eps_list, capsys):
+    assert run(["verify", experiment, "--set", f"eps_list={eps_list}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: eps_list repeats the label eps=0.0625")
 
 
 # p = delta/alpha used to end in a ZeroDivisionError traceback from riesz_left_exponent;

@@ -81,6 +81,19 @@ CASES = [
     # window (-1.25, -1.1875), the left content at exponent 1.5; passes
     ("sharpness_riesz_delta_1_5", "sharpness_riesz", {
         "depth": 7, "delta": 1.5, "p": 1.2, "eta": -1.22}),
+    # the weak endpoint p = delta/dim = 0.75 at delta = 1.5; passes
+    ("poincare_weak_delta_1_5", "poincare_weak", {"depths": [3, 4], "delta": 1.5, "p": 0.75}),
+    # p = 1.2 inside the gradient's main branch (delta/dim, delta) = (0.75, 1.5); passes
+    ("poincare_sobolev_delta_1_5", "poincare_sobolev", {"depths": [3, 4], "delta": 1.5, "p": 1.2}),
+    # p = 1.2 inside (delta/dim, delta) = (0.75, 1.5), its weak forms at p = 0.75; passes
+    ("compact_support_delta_1_5", "compact_support", {"depths": [4, 5], "delta": 1.5, "p": 1.2}),
+    # p = 1.2 inside the Riesz main branch (delta/dim, delta/alpha) = (0.75, 1.5); passes
+    ("hedberg_delta_1_5", "hedberg", {"depths": [3, 4], "delta": 1.5, "p": 1.2}),
+    # a 3D John domain: p = q = 1.5 inside (delta/dim, inf) = (0.733, inf) at delta = 2.2; passes
+    ("poincare_3d_delta_2_2", "poincare", {
+        "depths": [3, 4], "delta": 2.2,
+        "shape": {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "sampler": {"kind": "linear", "coeffs": [1.0, 0.0, 0.0]}}),
 ]
 
 # test id -> (provenance.config_hash, series)
@@ -385,6 +398,61 @@ PINS = {
             ('predicted_blowup', -0.03249999999999997),
             ('r_squared', 0.8989718127049457),
             ('rhs_variation', 0.0488273649729416),
+        ],
+    ),
+    'poincare_weak_delta_1_5': (
+        '492692967a053189c9dfb345e1e4da2413f811b88b906c058beea1d756bcf770',
+        [
+            ('lhs@d3', 1.5),
+            ('rhs@d3', 4.0),
+            ('ratio@d3', 0.375),
+            ('lhs@d4', 1.75),
+            ('rhs@d4', 4.0),
+            ('ratio@d4', 0.4375),
+        ],
+    ),
+    'poincare_sobolev_delta_1_5': (
+        '16b8c44037ea5a5fd2ae5eb39e5bb1db6c9d77d22b164e2c660deccfc9926a19',
+        [
+            ('lhs@d3', 0.8926213979441465),
+            ('rhs@d3', 2.378414230005442),
+            ('ratio@d3', 0.3753010668549961),
+            ('lhs@d4', 0.9286277192850464),
+            ('rhs@d4', 2.378414230005442),
+            ('ratio@d4', 0.3904398601260141),
+        ],
+    ),
+    'compact_support_delta_1_5': (
+        '715db12d164cf665a62093521e6d1751b444dde0403d6c59bee1e1b8ef160442',
+        [
+            ('strong@d4', 0.12016284859169572),
+            ('weak@d4', 0.057805153000135175),
+            ('sobolev@d4', 0.005067966934220223),
+            ('sobolev_weak@d4', 0.10197634081070844),
+            ('strong@d5', 0.11920861873937723),
+            ('weak@d5', 0.05235500252215895),
+            ('sobolev@d5', 0.004922901220058774),
+            ('sobolev_weak@d5', 0.09011394257004404),
+        ],
+    ),
+    'hedberg_delta_1_5': (
+        '8b38610b4983243a53d73adb38d1a84d2603a86483b9d16d94a8c73c7be064f1',
+        [
+            ('sup_ratio@d3', 0.05641905452074388),
+            ('sup_ratio@d4', 0.05969167985174079),
+        ],
+    ),
+    'poincare_3d_delta_2_2': (
+        '594dc57683c41947e9d4fd3534b65f1d13f93750f9e793bead924bb33be86372',
+        [
+            ('lhs@d3', 1.7349425624816404),
+            ('rhs@d3', 2.763825759935552),
+            ('ratio@d3', 0.6277322498514148),
+            ('b_scan_ok@d3', 1.0),
+            ('lhs@d4', 1.8826021789576188),
+            ('rhs@d4', 2.763825759935552),
+            ('ratio@d4', 0.6811580549858969),
+            ('b_scan_ok@d4', 1.0),
         ],
     ),
 }
