@@ -227,28 +227,26 @@ def dyadic_sum_norm_of(dist: StepDistribution, p: float, q: float) -> float:
 
     Levels with 2^i >= max f contribute zero; levels below the least
     positive value all see the full support and are summed as a closed
-    geometric tail.  Comparable to the integral form within
-    [(q/(p(2^q-1)))^{1/q}, (q 2^q/(p(2^q-1)))^{1/q}] for finite q
-    (h is nonincreasing, so each dyadic slab brackets the integrand),
-    and within [1/2, 1] relative for q = inf.  Returns through
-    `checked_norm`, which also refuses a tail factor 1 - 2^-q that rounds
-    to zero.
+    geometric tail.  One searchsorted finds the heights of the levels in
+    between; a level whose plateau underflowed to 0.0 adds no term.
+    Comparable to the integral form within [(q/(p(2^q-1)))^{1/q},
+    (q 2^q/(p(2^q-1)))^{1/q}] for finite q (h is nonincreasing, so each
+    dyadic slab brackets the integrand), and within [1/2, 1] relative for
+    q = inf.  Returns through `checked_norm`, which also refuses a tail
+    factor 1 - 2^-q that rounds to zero.
     """
 
     def closed_form():
         i_tail = _largest_pow2_below(float(dist.thresholds[0]))  # levels <= i_tail: whole support
         i_top = _largest_pow2_below(float(dist.thresholds[-1]))  # last level with a nonzero term
-        h0 = float(dist.plateaus[0])
+        levels = np.ldexp(1.0, np.arange(i_tail + 1, i_top + 1))  # the 2^i in [v_1, v_m)
+        heights = dist.plateaus[np.searchsorted(dist.thresholds, levels, side="right")]
+        steps = zip(levels.tolist(), heights.tolist())
+        tail, h0 = math.ldexp(1.0, i_tail), float(dist.plateaus[0])
         if q == math.inf:
-            norm = math.ldexp(1.0, i_tail) * h0 ** (1.0 / p)
-            for i in range(i_tail + 1, i_top + 1):
-                h = dist.content_at(math.ldexp(1.0, i))
-                norm = max(norm, math.ldexp(1.0, i) * h ** (1.0 / p))
-            return norm
-        total = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
-        for i in range(i_tail + 1, i_top + 1):
-            lam = math.ldexp(1.0, i)
-            h = dist.content_at(lam)
+            return max([tail * h0 ** (1.0 / p)] + [lam * h ** (1.0 / p) for lam, h in steps])
+        total = h0 ** (q / p) * tail**q / (1.0 - 2.0**-q)
+        for lam, h in steps:
             if h > 0:
                 total += lam**q * h ** (q / p)
         return total ** (1.0 / q)

@@ -218,6 +218,8 @@ def load_path(path: str) -> dict:
 def _read(path: str, from_dict):
     try:
         return from_dict(load_path(path))
+    except KeyError as exc:
+        raise DocumentError(f"{path} does not have the document layout: it has no key {exc}") from None
     except (TypeError, DocumentError) as exc:  # a list document, a null or a wrongly typed value
         raise DocumentError(f"{path} does not have the document layout: {exc}") from None
 

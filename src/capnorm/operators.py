@@ -53,7 +53,7 @@ depth 11 and 64 MB at 1D depth 23, the largest grids the cap admits.
 `improved_exponents` is the one rule for the exponents of the improved
 Sobolev-Riesz inequalities: the Hedberg bound's norm and verify's sides.
 `_check_alpha` owns the alpha window, `_check_mu` the mu windows [0, dim)
-and [0, alpha), and content's `_check_delta` the delta window (0, dim].
+(`maximal`, `maximal_at`) and [0, alpha), content's `_check_delta` (0, dim].
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ class MaximalParams:
     def resolve_radii(self, grid: DyadicGrid) -> np.ndarray:
         """The radius sweep of `maximal` on this grid: `default_radius_sweep`."""
         return default_radius_sweep(grid)
-
-    def validate(self, dim: int):
-        _check_mu(self.mu, dim, "dim")
 
 
 def _check_mu(mu: float, bound: float, name: str, error: type = OperatorError):
@@ -322,7 +319,7 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
     leaf-cell cap.
     """
     grid = f.grid
-    params.validate(grid.dim)
+    _check_mu(params.mu, grid.dim, "dim")
     radii = params.resolve_radii(grid)
     n = _padded_shape(grid)[0]
     m = grid.cells_per_axis

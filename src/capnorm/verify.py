@@ -9,10 +9,10 @@ config reproduces the series bit-identically, since one rule, _params,
 records them: every runner calls it on its locals() as its first
 statement, which records each argument (shape and sampler through
 to_config, the inverse of the config parsers here; depths and eps_list
-as the lists _depth_list and _eps_list check before any grid is built)
-and what the runner derives.  _params is also where delta meets
-content._check_delta, before any window is read off it.  The sweep
-skeletons add the limits of their verdicts.
+as the lists _depth_list and _eps_list check before any grid is built,
+each depth as grid_integer's int) and what the runner derives.  _params
+is also where delta meets content._check_delta, before any window is
+read off it.  The sweep skeletons add the limits of their verdicts.
 
 One point loop, _sweep, runs every experiment; compact_support and
 hedberg call it directly, the rest through two adapters.  _ratio_sweep
@@ -66,7 +66,7 @@ from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .content import _check_delta
 from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
-from .grid import GridFunction, Sampler, gradient_magnitude, json_number, make_grid, sample
+from .grid import GridFunction, Sampler, gradient_magnitude, grid_integer, json_number, make_grid, sample
 from .operators import (MaximalParams, _check_alpha, _check_mu, hedberg_ratio_field, improved_exponents,
                         maximal, riesz, riesz_left_exponent)
 
@@ -247,8 +247,8 @@ def growth_factors_ok(ratios: Sequence[float]) -> bool:
 
 
 def _depth_list(depths: Sequence[int]) -> list:
-    """The depths of a sweep as a list: at least one, strictly increasing."""
-    depths = list(depths)
+    """The depths of a sweep as a list of ints (grid_integer's rule): at least one, strictly increasing."""
+    depths = [grid_integer("depth", depth) for depth in depths]
     if not depths or any(a >= b for a, b in zip(depths, depths[1:])):
         raise VerifyError(f"depths must be a nonempty strictly increasing list, got {depths}")
     return depths
@@ -269,6 +269,7 @@ def _eps_list(eps_list: Sequence[float]) -> list:
 
 # runner argument -> its recorded form; every other argument is recorded as given
 _RECORDED = {"shape": lambda shape: to_config(shape, "shape"), "depths": _depth_list,
+             "depth": lambda depth: grid_integer("depth", depth),
              "sampler": lambda sampler: to_config(sampler, "kind"), "eps_list": _eps_list}
 
 
@@ -577,7 +578,7 @@ def compact_support_check(
     if not (delta / dim < p < delta):
         raise VerifyError(f"p must be in (delta/dim, delta) = ({delta / dim:g}, {delta:g}), got {p}")
     if not (delta / dim < q < math.inf):
-        raise VerifyError(f"q must be in (delta/dim, inf), got {q}")
+        raise VerifyError(f"q must be in (delta/dim, inf) = ({delta / dim:g}, inf), got {q}")
     p_end, diam = delta / dim, params["diam"]
     strong, p_norm = LorentzExponents(p, q, delta), LorentzExponents(p_end, p_end, delta)
     # variant -> (exponents of f's norm, exponents of the gradient's norm, gradient factor)

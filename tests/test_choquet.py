@@ -96,6 +96,21 @@ def test_distribution_merges_close_values():
     assert dist.thresholds.size == 1
 
 
+# the merge rule stated against the literal 1e-12, not MERGE_RTOL, so that a change
+# of the constant fails here and not only in the reports it moves
+@pytest.mark.parametrize("gap, thresholds", [(5e-13, 1), (2e-12, 2)])
+@pytest.mark.parametrize("delta", [1.3, 2.0])
+def test_merge_rule_is_1e_12_relative(gap, thresholds, delta):
+    vals = np.zeros(GRID.shape)
+    vals[0, :2] = [1.0, 1.0 + gap]
+    assert distribution(GridFunction(GRID, vals), delta).thresholds.size == thresholds
+
+
+def test_step_distribution_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        StepDistribution([1.0, 2.0], [1.0])
+
+
 # each value within MERGE_RTOL of the next, the whole chain wider than MERGE_RTOL
 CHAIN = np.cumprod(np.full(9, 1.0 + 0.9 * MERGE_RTOL))
 
@@ -260,6 +275,7 @@ def test_dyadic_sum_comparability():
 
 
 def test_dyadic_sum_comparability_weak():
+    assert dyadic_sum_comparability(1.3, math.inf) == (0.5, 1.0)
     for _ in range(40):
         f = random_step_function()
         exps = LorentzExponents(1.3, math.inf, 1.3)
@@ -278,6 +294,15 @@ def test_lebesgue_embedding():
         rhs = lorentz_norm(f, LorentzExponents(p * delta / 2.0, q, delta))
         c = lebesgue_embedding_constant(2, delta, q)
         assert lhs <= c * rhs * (1 + 1e-12)
+
+
+def test_lebesgue_embedding_weak_has_constant_one():
+    delta, p = 1.4, 1.6
+    assert lebesgue_embedding_constant(2, delta, math.inf) == 1.0
+    for _ in range(20):
+        f = random_step_function()
+        lhs = lorentz_norm(f, LorentzExponents(p, math.inf, 2.0))
+        assert lhs <= lorentz_norm(f, LorentzExponents(p * delta / 2.0, math.inf, delta)) * (1 + 1e-12)
 
 
 def test_layer_cake_nonlinearity_bound():

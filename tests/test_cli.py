@@ -277,6 +277,44 @@ def test_verify_depths_must_be_nonempty_and_increasing(experiment, depths, capsy
     assert "depths must be a nonempty strictly increasing list" in capsys.readouterr().err
 
 
+# integral float depths used to run but be recorded as given: labels lhs@d3.0,
+# params [3.0, 4.0] and a config_hash other than the one for [3, 4]
+@pytest.mark.parametrize("experiment, floats, ints", [
+    ("riesz_bound", "depths=[3.0,4.0]", "depths=[3,4]"),
+    ("sharpness_poincare", "depth=6.0", "depth=6"),
+])
+def test_verify_integral_float_depths_give_the_int_report(experiment, floats, ints, tmp_path):
+    outputs = []
+    for override in (floats, ints):
+        out, csv = tmp_path / f"{override}.json", tmp_path / f"{override}.csv"
+        assert run(["verify", experiment, "--set", override, "--out", str(out), "--csv", str(csv)]) == 0
+        outputs.append((out.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("experiment, override, message", [
+    ("riesz_bound", "depths=[3,3.5]", "grid depth must be an integer, got 3.5"),
+    ("riesz_bound", "depths=[true,4]", "grid depth must be an integer, got True"),
+    ("sharpness_poincare", "depth=6.5", "grid depth must be an integer, got 6.5"),
+    ("sharpness_poincare", "depth=true", "config key 'depth' must not be true or false, got true"),
+])
+def test_verify_depth_that_is_not_an_integer_exits_2(experiment, override, message, capsys):
+    assert run(["verify", experiment, "--set", override]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_override_without_equals_exits_2(capsys):
+    assert run(["verify", "poincare", "--set", "depths"]) == 2
+    assert capsys.readouterr().err == "error: override must look like key=value, got 'depths'\n"
+
+
+# compact_support named the window without its value
+@pytest.mark.parametrize("experiment", ["poincare", "compact_support"])
+def test_verify_q_below_its_window_names_the_window(experiment, capsys):
+    assert run(["verify", experiment, "--set", "q=0.5"]) == 2
+    assert capsys.readouterr().err == "error: q must be in (delta/dim, inf) = (1, inf), got 0.5\n"
+
+
 # values of the wrong JSON type are configuration errors, not a failing verdict
 @pytest.mark.parametrize("override", ["depths=5", 'p="abc"', "shape=5"])
 def test_verify_config_value_of_wrong_type_exits_2(override, capsys):
@@ -783,6 +821,26 @@ def test_malformed_gridfunction_document_exits_2(doc, tmp_path, capsys):
         io.read_gridfunction(str(path))
     assert run(["norm", "--fn", str(path), "--delta", "0.5", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a missing key used to be printed as a bare KeyError: "error: 'grid'"
+@pytest.mark.parametrize("argv, doc, key", [
+    (["norm", "--delta", "0.5", "--p", "2", "--fn"], {"values": ["1", "0", "2", "3"]}, "grid"),
+    (["norm", "--delta", "0.5", "--p", "2", "--fn"],
+     {"grid": {k: v for k, v in _SMALL_GRID.items() if k != "origin"}, "values": ["1", "0", "2", "3"]},
+     "origin"),
+    (["content", "--delta", "0.5", "--set"], {"grid": _SMALL_GRID}, "cells"),
+], ids=["gridfunction_without_grid", "grid_without_origin", "cellset_without_cells"])
+def test_document_without_a_key_exits_2(argv, doc, key, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    message = f"{path} does not have the document layout: it has no key '{key}'"
+    read = io.read_cellset if key == "cells" else io.read_gridfunction
+    with pytest.raises(io.DocumentError) as excinfo:
+        read(str(path))
+    assert str(excinfo.value) == message
+    assert run([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # the grid-function schema asks for a list of decimal strings; numbers, true and a

@@ -3,8 +3,12 @@
 The one-pass tree sweep is checked against from-scratch content DPs; the
 value clustering and the counting path against a plain loop over the
 sorted distinct values, and the counting path bit for bit against the
-per-value counts it replaced.
+per-value counts it replaced.  The dyadic-level sum's one lookup of all
+its levels is checked value for value and refusal for refusal against a
+per-level `content_at` loop.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.choquet import (MERGE_RTOL, _GAP_SLICE, _clusters, _counting_distribution,  # noqa: E402
-                             distribution)
+from capnorm.choquet import (MERGE_RTOL, _GAP_SLICE, ExponentError, StepDistribution,  # noqa: E402
+                             _clusters, _counting_distribution, _largest_pow2_below, checked_norm,
+                             distribution, dyadic_sum_norm_of)
 from capnorm.content import content_value  # noqa: E402
 from capnorm.grid import CellSet, GridFunction, make_grid  # noqa: E402
 
@@ -209,3 +214,66 @@ def test_gap_test_slices_match_per_value_counts_and_a_loop(n):
     opens, _ = _clusters(sorted_values)
     gaps = [True] + [b - a > MERGE_RTOL * b for a, b in zip(sorted_values[:-1], sorted_values[1:])]
     assert opens.tolist() == gaps
+
+
+def _dyadic_sum_per_level(dist, p, q):
+    """The dyadic-level sum with one content_at lookup per level, in two Python loops."""
+
+    def closed_form():
+        i_tail = _largest_pow2_below(float(dist.thresholds[0]))
+        i_top = _largest_pow2_below(float(dist.thresholds[-1]))
+        h0 = float(dist.plateaus[0])
+        if q == math.inf:
+            norm = math.ldexp(1.0, i_tail) * h0 ** (1.0 / p)
+            for i in range(i_tail + 1, i_top + 1):
+                h = dist.content_at(math.ldexp(1.0, i))
+                norm = max(norm, math.ldexp(1.0, i) * h ** (1.0 / p))
+            return norm
+        total = h0 ** (q / p) * math.ldexp(1.0, i_tail) ** q / (1.0 - 2.0**-q)
+        for i in range(i_tail + 1, i_top + 1):
+            lam = math.ldexp(1.0, i)
+            h = dist.content_at(lam)
+            if h > 0:
+                total += lam**q * h ** (q / p)
+        return total ** (1.0 / q)
+
+    return checked_norm("dyadic sum norm", dist.is_zero, p, q, closed_form)
+
+
+def _norm_or_refusal(norm, dist, p, q):
+    try:
+        return norm(dist, p, q)
+    except ExponentError as exc:
+        return str(exc)
+
+
+@st.composite
+def step_distributions(draw):
+    """Up to 40 thresholds within e^+-span (span up to 700), exact powers of two among them in
+    half the draws; nonincreasing plateaus scaled down as far as 1e-320, the top ones zeroed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([1.0, 10.0, 100.0, 700.0]))
+    thresholds = np.exp(rng.uniform(-span, span, draw(st.integers(1, 40))))
+    if draw(st.booleans()):
+        thresholds = np.append(thresholds, np.ldexp(1.0, rng.integers(-20, 20, 3)))
+    thresholds = np.unique(thresholds)
+    plateaus = np.sort(rng.random(thresholds.size))[::-1] * draw(st.sampled_from([1.0, 1e-300, 1e-320]))
+    plateaus[thresholds.size - draw(st.integers(0, thresholds.size)):] = 0.0
+    return StepDistribution(thresholds, plateaus)
+
+
+@given(step_distributions(), st.sampled_from([0.3, 1.0, 1.5, 2.5, 7.0]),
+       st.sampled_from([1e-300, 1e-3, 0.5, 1.0, 2.0, 4.0, 300.0, math.inf]))
+@settings(max_examples=300, deadline=None)
+# levels that land on thresholds: each reads the plateau to the right of its threshold
+@example(StepDistribution([1.0, 2.0, 4.0, 5.0], [4.0, 3.0, 2.0, 1.0]), 1.5, 2.0)
+@example(StepDistribution([1.0, 2.0, 4.0, 5.0], [4.0, 3.0, 2.0, 1.0]), 1.5, math.inf)
+# zero plateaus under levels whose lam**q overflows: they add no term, so no refusal
+@example(StepDistribution([1.0, 1e300, 1e308], [1.0, 0.0, 0.0]), 1.0, 4.0)
+@example(StepDistribution([0.75], [2.0]), 1.0, 1.0)  # m = 1: the tail alone
+@example(StepDistribution([], []), 1.0, 2.0)  # f == 0
+def test_dyadic_sum_matches_per_level_lookup(dist, p, q):
+    norm = _norm_or_refusal(dyadic_sum_norm_of, dist, p, q)
+    assert norm == _norm_or_refusal(_dyadic_sum_per_level, dist, p, q)
+    if dist.thresholds.tolist() == [1.0, 1e300, 1e308]:
+        assert norm == pytest.approx(15.0**-0.25, rel=1e-15)  # the tail at 2^-1 alone

@@ -179,6 +179,19 @@ def test_mean_value_ball_constant_must_be_positive_and_finite(c_ball):
         mean_value_ball(dom, c_ball)
 
 
+def test_l_shape_is_two_dimensional():
+    with pytest.raises(DomainError, match="l_shape is two-dimensional"):
+        Shape.l_shape((0.0, 0.0, 0.0), 1.0)
+
+
+def test_john_domain_needs_the_grid_dimension_and_a_cell_center():
+    with pytest.raises(DomainError, match="shape dimension 2 does not match grid dimension 3"):
+        make_john_domain(Shape.ball((0.0, 0.0), 0.5), make_grid(3, 3, 2.0))
+    # a ball about a cell corner smaller than the distance to the nearest center
+    with pytest.raises(DomainError, match="shape contains no cell centers at this grid depth"):
+        make_john_domain(Shape.ball((0.0, 0.0), 0.01), make_grid(2, 4, 2.0))
+
+
 def test_punctured_ball_requires_corner_alignment():
     g = make_grid(2, 4, 2.0, origin=(-1.01, -1.0))
     with pytest.raises(DomainError, match="corner"):

@@ -114,6 +114,34 @@ def test_gridfunction_rejects_negative_and_nonfinite():
         GridFunction(g, np.array([1.0, np.inf, 0.0, 0.0]))
 
 
+def test_gridfunction_and_cellset_refuse_another_shape():
+    g = make_grid(2, 2, 1.0)
+    with pytest.raises(GridError, match=r"values shape \(4,\) does not match grid shape \(4, 4\)"):
+        GridFunction(g, np.ones(4))
+    with pytest.raises(GridError, match=r"mask shape \(16,\) does not match grid shape \(4, 4\)"):
+        CellSet(g, np.ones(16, dtype=bool))
+    with pytest.raises(GridError, match="scale factor must be nonnegative"):
+        GridFunction(g, np.ones((4, 4))).scale(-1.0)
+
+
+def test_radial_power_singular_at_a_cell_center_is_refused():
+    g = make_grid(2, 3, 1.0, origin=(0.0, 0.0))
+    s = Sampler.radial_power(-0.5, center=(0.0625, 0.0625))  # the center of cell (0, 0)
+    with pytest.raises(GridError, match="sampler produced non-finite values at cell centers"):
+        sample(s, g)
+    with pytest.raises(GridError, match="gradient sampler produced non-finite values"):
+        gradient_magnitude(s, g)
+
+
+def test_gridfunction_equality():
+    g = make_grid(1, 2, 1.0)
+    f = GridFunction(g, np.array([0.0, 1.0, 2.0, 0.5]))
+    assert f == GridFunction(g, np.array([0.0, 1.0, 2.0, 0.5]))
+    assert f != GridFunction(g, np.array([0.0, 1.0, 2.0, 0.25]))
+    assert f != GridFunction(make_grid(1, 2, 2.0), f.values)
+    assert f != CellSet(g, f.values > 0)
+
+
 def test_gradient_constant_is_zero():
     g = make_grid(2, 3, 1.0, origin=(0.0, 0.0))
     assert np.all(gradient_magnitude(Sampler.constant(5.0), g).values == 0.0)
@@ -193,6 +221,7 @@ def test_cellset_de_morgan():
         b = CellSet(g, rng.random(g.shape) < 0.5)
         assert (a | b).complement() == a.complement() & b.complement()
         assert (a & b).complement() == a.complement() | b.complement()
+        assert a - b == a.difference(b) == a & b.complement()
 
 
 def test_cellset_grid_mismatch():

@@ -108,6 +108,21 @@ def test_interpolation_norm_refuses_an_envelope_of_one_line():
             front_end()
 
 
+# the hull pass on given lines (a, b), cut k = 0 first: a line that is the minimum
+# at no t > 0, or at one t only, is not an envelope line
+@pytest.mark.parametrize("a, b, hull_a, hull_b, breaks", [
+    # three lines through (1, 2): the middle one touches the envelope at t = 1 alone
+    ([2.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0], [2.0, 0.0], [1.0]),
+    # two lines of intercept 0 (an intercept that underflowed): the steeper one is above
+    # the other at every t > 0
+    ([2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0], [1.0, 0.0], [2.0]),
+], ids=["concurrent", "equal_intercepts"])
+def test_hull_keeps_only_lines_active_on_an_interval(a, b, hull_a, hull_b, breaks, monkeypatch):
+    monkeypatch.setattr(interp, "_truncation_lines", lambda dist, p0, p1: (np.array(a), np.array(b)))
+    env = k_envelope(distribution(random_step_function(), PAIR.delta), PAIR)
+    assert (env.a.tolist(), env.b.tolist(), env.breaks.tolist()) == (hull_a, hull_b, breaks)
+
+
 def test_interpolation_norm_indicator_closed_form():
     cells = CellSet(GRID, RNG.random(GRID.shape) < 0.4)
     ind = GridFunction(GRID, cells.mask.astype(float))

@@ -69,11 +69,16 @@ def _pair(p0, gap, eta=0.5):
 
 @given(distributions(), P0, st.floats(0.1, 4.0))
 @settings(max_examples=150, deadline=None)
+# a_(m-1) underflows to 0 ((2^-36)^40 = 2^-1440), so two lines have intercept 0
+@example(StepDistribution([1.0, 1.0 + 2.0**-36], [1.0, 0.5]), 40.0, 1.0)
 def test_envelope_runs_from_intercept_zero_to_slope_zero(dist, p0, gap):
-    """a_m = 0 and b_0 = 0 exactly, so both tails of the envelope are pure powers."""
+    """a_m = 0 and b_0 = 0 exactly, so both tails of the envelope are pure powers.
+
+    Each line is the envelope on an interval of t > 0: the breaks are positive and increasing.
+    """
     env = interp.k_envelope(dist, _pair(p0, gap))
     assert env.a[0] == 0.0 and env.b[-1] == 0.0
-    assert np.all(np.diff(env.b) < 0) and np.all(np.diff(env.breaks) > 0)
+    assert np.all(np.diff(env.b) < 0) and np.all(np.diff(env.breaks) > 0) and env.breaks[0] > 0
 
 
 @given(distributions(), P0, st.floats(0.1, 4.0), st.floats(0.1, 0.9),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -60,11 +61,16 @@ def test_radius_sweep_spans_grid():
     assert np.all(np.diff(radii) > 0)
 
 
-def test_radius_validation():
+@pytest.mark.parametrize("mu", [2.0, -0.5])
+def test_radius_validation(mu):
+    # the field and the point evaluator refuse mu with one message
     g = make_grid(2, 4, 2.0)
     f = sample(Sampler.constant(1.0), g)
-    with pytest.raises(OperatorError, match="mu"):
-        maximal(f, MaximalParams(2.0))
+    message = re.escape(f"mu must be in [0, dim) = [0, 2), got {mu}")
+    with pytest.raises(OperatorError, match=message):
+        maximal(f, MaximalParams(mu))
+    with pytest.raises(OperatorError, match=message):
+        maximal_at(f, (0.0, 0.0), mu)
 
 
 def test_maximal_constant_bracket():
@@ -375,6 +381,12 @@ def test_hedberg_zero_function():
     g = make_grid(2, 4, 2.0)
     assert hedberg_ratio(GridFunction.zeros(g), (0, 0), 1.0, 0.0,
                          LorentzExponents(1.5, 1.5, 2.0)) == 0.0
+
+
+def test_hedberg_field_of_zero_function_is_zero():
+    g = make_grid(2, 4, 2.0)
+    field = hedberg_ratio_field(GridFunction.zeros(g), 1.0, 0.0, LorentzExponents(1.5, 1.5, 2.0))
+    assert field == GridFunction.zeros(g)
 
 
 def test_hedberg_exponent_errors_by_name():

@@ -128,6 +128,18 @@ def test_growth_factors():
     assert not growth_factors_ok([1.0, math.inf])
 
 
+def test_safe_ratio_refuses_a_vanishing_right_side():
+    assert verify._safe_ratio(0.0, 0.0, "poincare") == 0.0
+    with pytest.raises(VerifyError, match="poincare: right side vanished while the left side is 0.5"):
+        verify._safe_ratio(0.5, 0.0, "poincare")
+
+
+def test_growth_factor_verdict_at_the_limit():
+    # the limit 1.2 stated as a literal: a growth of 1.19 passes and one of 1.205 fails
+    assert growth_factors_ok([1.0, 1.19])
+    assert not growth_factors_ok([1.0, 1.205])
+
+
 def test_poincare_constant_u_reports_exact_zero():
     rep = verify.poincare_check(BALL, Sampler.constant(3.3), 2.0, 1.5, 1.5, [3, 4])
     ratios = [v for k, v in rep.series if k.startswith("ratio")]

@@ -72,20 +72,55 @@ MUTANTS = [
            "            by_offset = np.argsort(offset, kind=\"stable\")",
            ("tests/test_content.py::test_superlevel_sweep_bit_identical",
             "tests/test_distribution_properties.py::test_one_pass_distribution_matches_from_scratch")),
-    # the only pinned run whose values sit within 1e-9 of each other but not within 1e-12
+    # the rule against its literal, and the only pinned run whose values sit within
+    # 1e-9 of each other but not within 1e-12
     Mutant("merge_rtol_1e-9", "choquet.py",
            "MERGE_RTOL = 1e-12", "MERGE_RTOL = 1e-9",
-           ("tests/test_registry.py::test_pinned_report[sharpness_riesz_delta_1_5]",)),
+           ("tests/test_choquet.py::test_merge_rule_is_1e_12_relative",
+            "tests/test_registry.py::test_pinned_report[sharpness_riesz_delta_1_5]")),
     Mutant("quad_rtol_1e-6", "interp.py",
            "QUAD_RTOL = 1e-10", "QUAD_RTOL = 1e-6",
            ("tests/test_interp.py::test_interpolation_norm_refuses_an_estimate_just_above_quad_rtol",)),
+    # a verdict at the limit, and the params, which record it
     Mutant("growth_factor_limit_1.21", "verify.py",
            "GROWTH_FACTOR_LIMIT = 1.2\n", "GROWTH_FACTOR_LIMIT = 1.21\n",
-           ("tests/test_registry.py::test_pinned_report[poincare]",)),  # params record the limit
+           ("tests/test_verify.py::test_growth_factor_verdict_at_the_limit",
+            "tests/test_registry.py::test_pinned_report[poincare]")),
     Mutant("riesz_self_cell_weight", "operators.py",
            "return unit_sphere_area(grid.dim) * rho**alpha / alpha",
            "return unit_sphere_area(grid.dim) * rho**alpha / alpha * 1.0001",
            ("tests/test_operators.py",)),
+    # the content DP against the exhaustive oracle: a node costs at most its own weight
+    Mutant("content_dp_no_node_weight", "content.py",
+           "return np.where(acc > 0, np.minimum(self.weights[k], acc), 0.0)",
+           "return np.where(acc > 0, acc, 0.0)",
+           ("tests/test_content_properties.py::test_content_value_matches_oracle_and_is_monotone",)),
+    # io.dumps against the stdlib's bytes: floats by repr
+    Mutant("dumps_float_16_digits", "io.py",
+           "return float.__repr__(value)", "return format(value, \".16g\")",
+           ("tests/test_io_properties.py::test_dumps_matches_stdlib_json",)),
+    # the b-scan evaluates a prefix of the full scan: the same arithmetic for each new point
+    Mutant("b_scan_point_from_a", "verify.py",
+           "            c = b - INVPHI * (b - a)\n            fc = fun(c)",
+           "            c = a + (1.0 - INVPHI) * (b - a)\n            fc = fun(c)",
+           ("tests/test_verify.py::test_golden_min_evaluates_a_prefix_of_the_60_step_scan",)),
+    # the KEnvelope hull: a line active on an interval is kept ...
+    Mutant("hull_over_eager_pop", "interp.py",
+           "if t_new <= t_prev:", "if t_new <= t_prev * (1.0 + 1e-6):",
+           ("tests/test_interp_properties.py",)),
+    # ... and a line active at one t, or at none, is dropped
+    Mutant("hull_keeps_a_line_active_at_one_t", "interp.py",
+           "if t_new <= t_prev:", "if t_new < t_prev:",
+           ("tests/test_interp.py::test_hull_keeps_only_lines_active_on_an_interval",)),
+    Mutant("hull_keeps_an_equal_intercept", "interp.py",
+           "if ai <= aj:", "if ai < aj:",
+           ("tests/test_interp.py::test_hull_keeps_only_lines_active_on_an_interval",
+            "tests/test_interp_properties.py::test_envelope_runs_from_intercept_zero_to_slope_zero")),
+    # the dyadic-level sum's one lookup: a level on a threshold reads the plateau to its right
+    Mutant("dyadic_levels_left_lookup", "choquet.py",
+           "np.searchsorted(dist.thresholds, levels, side=\"right\")",
+           "np.searchsorted(dist.thresholds, levels, side=\"left\")",
+           ("tests/test_distribution_properties.py::test_dyadic_sum_matches_per_level_lookup",)),
 ]
 
 EQUIVALENT = [
