@@ -35,7 +35,6 @@ from .choquet import (
 )
 from .operators import (
     MaximalParams,
-    hedberg_ratio,
     l1_content_bound_check,
     maximal,
     riesz,

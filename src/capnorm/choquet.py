@@ -47,6 +47,14 @@ class ExponentError(ValueError):
     """Invalid Lorentz exponents."""
 
 
+def _check_lorentz(p: float, q: float):
+    """Refuse a p outside (0, inf) or a q outside (0, inf], each by name."""
+    if not (0 < p < math.inf):
+        raise ExponentError(f"p must be in (0, inf), got {p}")
+    if not (0 < q):
+        raise ExponentError(f"q must be in (0, inf], got {q}")
+
+
 @dataclass(frozen=True)
 class LorentzExponents:
     """Primary exponent p in (0, inf), secondary q in (0, inf], content delta (checked by `distribution`)."""
@@ -56,10 +64,7 @@ class LorentzExponents:
     delta: float
 
     def __post_init__(self):
-        if not (0 < self.p < math.inf):
-            raise ExponentError(f"p must be in (0, inf), got {self.p}")
-        if not (0 < self.q):
-            raise ExponentError(f"q must be in (0, inf], got {self.q}")
+        _check_lorentz(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,7 @@ def checked_norm(name: str, is_zero: bool, p: float, q: float,
     underflow to zero, is an ExponentError naming the norm, p and q: such
     exponents lie outside double precision for this function.
     """
-    if not (0 < p < math.inf) or not (0 < q):
-        raise ExponentError(f"invalid Lorentz exponents p={p}, q={q}")
+    _check_lorentz(p, q)
     if is_zero:
         return 0.0
     try:

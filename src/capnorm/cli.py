@@ -291,8 +291,9 @@ def run(argv=None) -> int:
             return 0 if doc["all_pass"] else 1
 
     # ConfigError, GridError, io.DocumentError and json.JSONDecodeError are ValueErrors;
-    # OSError covers a missing file and a directory given as a file
-    except (ValueError, KeyError, OSError) as exc:
+    # OSError covers a missing file and a directory given as a file.  A document's
+    # missing key is a DocumentError, so a KeyError is a bug and shows its traceback.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

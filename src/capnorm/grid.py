@@ -17,6 +17,7 @@ point evaluators measure distances by one rule, :func:`distance`.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -108,8 +109,16 @@ def grid_integer(key: str, value) -> int:
     """An integer argument; as in JSON Schema, 3.0 counts as an integer, 3.5, true and "3" do not."""
     integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
-        raise GridError(f"grid {key} must be an integer, got {value!r}")
+        raise GridError(f"grid {key} must be an integer, got {json_text(value)}")
     return int(value)
+
+
+def json_text(value) -> str:
+    """value as JSON text, the way a config spells it (true, "3", NaN); its repr where JSON has none."""
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return repr(value)
 
 
 def json_number(value) -> bool:

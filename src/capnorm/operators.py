@@ -1,4 +1,4 @@
-"""Fractional maximal operator, Riesz potential, and pointwise diagnostics.
+"""Fractional maximal operator, Riesz potential, and the Hedberg ratio field.
 
 Both operators act on grid functions extended by zero outside the grid.
 Ball membership is decided by cell centers (consistent with midpoint
@@ -434,48 +434,25 @@ def maximal_at(f: GridFunction, x, mu: float) -> float:
     return best
 
 
-# Hedberg diagnostics -------------------------------------------------------
-
-
-def _hedberg_factors(f: GridFunction, alpha: float, mu: float, exps: LorentzExponents):
-    """Check the exponents; return (maximal_power, norm**norm_power), or None for f = 0.
-
-    The bound reads LHS <= C * M_mu(f)^maximal_power * ||f||^norm_power,
-    the norm the right side of `improved_exponents` at exps.
-    """
-    p, q, delta = exps.p, exps.q, exps.delta
-    _check_delta(delta, f.grid.dim)  # first: the p window of improved_exponents is read off delta
-    _, norm_exps = improved_exponents(p, q, delta, mu, alpha, f.grid.dim)
-    maximal_power = (delta - p * alpha) / (delta - mu * p)
-    norm_power = p * (alpha - mu) / (delta - mu * p)
-    if not f.values.any():
-        return None
-    return maximal_power, lorentz_norm(f, norm_exps) ** norm_power
-
-
-def hedberg_ratio(f: GridFunction, x, alpha: float, mu: float, exps: LorentzExponents) -> float:
-    """Empirical constant at x for the pointwise Riesz-by-maximal bound.
-
-    Returns 0 for f identically zero (both sides vanish).
-    """
-    factors = _hedberg_factors(f, alpha, mu, exps)
-    lhs = riesz_unnormalized_at(f, x, alpha)  # checks x, also for f = 0
-    mf = maximal_at(f, x, mu)
-    if factors is None:
-        return 0.0
-    maximal_power, norm_factor = factors
-    # nonzero f has mf > 0 everywhere: some sweep ball reaches the support
-    return lhs / (mf**maximal_power * norm_factor)
+# Hedberg bound ---------------------------------------------------------------
 
 
 def hedberg_ratio_field(
     f: GridFunction, alpha: float, mu: float, exps: LorentzExponents
 ) -> GridFunction:
-    """Hedberg ratio at every cell center; the max is the empirical constant."""
-    factors = _hedberg_factors(f, alpha, mu, exps)
-    if factors is None:
+    """Hedberg ratio at every cell center; the max is the empirical constant.
+
+    The bound reads I_alpha f <= C * M_mu(f)^maximal_power * ||f||^norm_power,
+    the norm the right side of `improved_exponents` at exps.  f = 0 gives
+    the zero field; a nonzero f has M_mu f > 0 at every center.
+    """
+    p, q, delta = exps.p, exps.q, exps.delta
+    _check_delta(delta, f.grid.dim)  # first: the p window of improved_exponents is read off delta
+    _, norm_exps = improved_exponents(p, q, delta, mu, alpha, f.grid.dim)
+    if not f.values.any():
         return GridFunction.zeros(f.grid)
-    maximal_power, norm_factor = factors
+    maximal_power = (delta - p * alpha) / (delta - mu * p)
+    norm_factor = lorentz_norm(f, norm_exps) ** (p * (alpha - mu) / (delta - mu * p))
     lhs = _riesz_sums(f, alpha)
     mf = maximal(f, MaximalParams(mu)).values
     return GridFunction(f.grid, lhs / (mf**maximal_power * norm_factor))

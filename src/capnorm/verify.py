@@ -65,7 +65,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import __version__
 from .choquet import LorentzExponents, lorentz_norm
 from .content import _check_delta
-from .domains import JohnDomain, Shape, make_john_domain, mean_value, mean_value_ball
+from .domains import (DEFAULT_MEAN_BALL_CONSTANT, JohnDomain, Shape, make_john_domain, mean_value,
+                      mean_value_ball)
 from .grid import GridFunction, Sampler, gradient_magnitude, grid_integer, json_number, make_grid, sample
 from .operators import (MaximalParams, _check_alpha, _check_mu, hedberg_ratio_field, improved_exponents,
                         maximal, riesz, riesz_left_exponent)
@@ -471,7 +472,7 @@ def poincare_check(
     p: float,
     q: float,
     depths: Sequence[int],
-    c_ball: float = 0.25,
+    c_ball: float = DEFAULT_MEAN_BALL_CONSTANT,
     b_scan: bool = True,
 ) -> ExperimentReport:
     """Mean-oscillation norm against the John-weighted gradient norm.
@@ -508,7 +509,7 @@ def poincare_weak_check(
     delta: float,
     p: float,
     depths: Sequence[int],
-    c_ball: float = 0.25,
+    c_ball: float = DEFAULT_MEAN_BALL_CONSTANT,
 ) -> ExperimentReport:
     """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
     params = _params(locals())
@@ -531,7 +532,7 @@ def poincare_sobolev_check(
     p: float,
     q: Optional[float],
     depths: Sequence[int],
-    c_ball: float = 0.25,
+    c_ball: float = DEFAULT_MEAN_BALL_CONSTANT,
 ) -> ExperimentReport:
     """Sobolev-improved oscillation norm over the lowered content dimension.
 

@@ -101,6 +101,19 @@ def test_norm_outside_double_precision_exits_2(indicator_fn, args, message, caps
     assert f"{message} is not finite" in err
 
 
+# norm refused both exponents at once as "invalid Lorentz exponents p=-1.0,
+# q=-1.0", where verify named the one outside its window
+@pytest.mark.parametrize("args, message", [
+    (["--p", "-1"], "p must be in (0, inf), got -1.0"),
+    (["--p", "inf", "--q", "2"], "p must be in (0, inf), got inf"),
+    (["--p", "1.5", "--q", "0"], "q must be in (0, inf], got 0.0"),
+    (["--p", "1.5", "--q", "-1", "--dyadic"], "q must be in (0, inf], got -1.0"),
+])
+def test_norm_exponent_outside_its_window_exits_2_naming_it(indicator_fn, args, message, capsys):
+    assert run(["norm", "--fn", indicator_fn, "--delta", "1.5", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("q", ["inf", "Infinity", "INF"])
 def test_norm_q_reads_infinity_in_any_case(indicator_fn, q, capsys):
     assert run(["norm", "--fn", indicator_fn, "--delta", "1.5", "--p", "2", "--q", q]) == 0
@@ -294,7 +307,9 @@ def test_verify_integral_float_depths_give_the_int_report(experiment, floats, in
 
 @pytest.mark.parametrize("experiment, override, message", [
     ("riesz_bound", "depths=[3,3.5]", "grid depth must be an integer, got 3.5"),
-    ("riesz_bound", "depths=[true,4]", "grid depth must be an integer, got True"),
+    # booleans and strings as the config spells them: this read "got True" and "got '3'"
+    ("riesz_bound", "depths=[true,4]", "grid depth must be an integer, got true"),
+    ("riesz_bound", 'depths=["3",4]', 'grid depth must be an integer, got "3"'),
     ("sharpness_poincare", "depth=6.5", "grid depth must be an integer, got 6.5"),
     ("sharpness_poincare", "depth=true", "config key 'depth' must not be true or false, got true"),
 ])

@@ -116,6 +116,11 @@ MUTANTS = [
            "if ai <= aj:", "if ai < aj:",
            ("tests/test_interp.py::test_hull_keeps_only_lines_active_on_an_interval",
             "tests/test_interp_properties.py::test_envelope_runs_from_intercept_zero_to_slope_zero")),
+    # the Hedberg field against the ratio of the point references: the maximal power keeps mu
+    Mutant("hedberg_maximal_power_without_mu", "operators.py",
+           "maximal_power = (delta - p * alpha) / (delta - mu * p)",
+           "maximal_power = (delta - p * alpha) / delta",
+           ("tests/test_operators.py::test_hedberg_field_matches_point_references",)),
     # the dyadic-level sum's one lookup: a level on a threshold reads the plateau to its right
     Mutant("dyadic_levels_left_lookup", "choquet.py",
            "np.searchsorted(dist.thresholds, levels, side=\"right\")",
