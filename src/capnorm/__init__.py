@@ -22,7 +22,7 @@ from .content import (
     content_oracle,
     content_value,
     dyadic_content,
-    strong_subadditivity_check,
+    subadditivity_slack,
 )
 from .choquet import (
     LorentzExponents,
@@ -35,7 +35,7 @@ from .choquet import (
 )
 from .operators import (
     MaximalParams,
-    l1_content_bound_check,
+    l1_content_ratio,
     maximal,
     riesz,
 )

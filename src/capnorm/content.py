@@ -357,27 +357,10 @@ def ball_bracket_ratio_bound(dim: int, delta: float) -> float:
     return 1.0 / (2**dim * 4.0**delta * (math.sqrt(dim) / 2.0) ** delta)
 
 
-@dataclass(frozen=True)
-class SubadditivityReport:
-    content_a: float
-    content_b: float
-    content_union: float
-    content_intersection: float
-
-    @property
-    def slack(self) -> float:
-        return (self.content_a + self.content_b) - (
-            self.content_union + self.content_intersection
-        )
-
-
-def strong_subadditivity_check(a: CellSet, b: CellSet, delta: float) -> SubadditivityReport:
-    """H(A) + H(B) - H(A u B) - H(A n B), which must be >= -1e-12."""
+def subadditivity_slack(a: CellSet, b: CellSet, delta: float) -> float:
+    """(H(A) + H(B)) - (H(A u B) + H(A n B)), which must be >= -1e-12."""
     if a.grid != b.grid:
         raise GridError("cell sets live on different grids")
-    return SubadditivityReport(
-        content_a=content_value(a, delta),
-        content_b=content_value(b, delta),
-        content_union=content_value(a.union(b), delta),
-        content_intersection=content_value(a.intersection(b), delta),
+    return (content_value(a, delta) + content_value(b, delta)) - (
+        content_value(a.union(b), delta) + content_value(a.intersection(b), delta)
     )

@@ -53,7 +53,8 @@ depth 11 and 64 MB at 1D depth 23, the largest grids the cap admits.
 `improved_exponents` is the one rule for the exponents of the improved
 Sobolev-Riesz inequalities: the Hedberg bound's norm and verify's sides.
 `_check_alpha` owns the alpha window, `_check_mu` the mu windows [0, dim)
-(`maximal`, `maximal_at`) and [0, alpha), content's `_check_delta` (0, dim].
+(`maximal`, `maximal_at`) and [0, alpha), content's `_check_delta` (0, dim]
+(`hedberg_ratio_field`, `l1_content_ratio`, before any power of delta).
 """
 
 from __future__ import annotations
@@ -458,25 +459,18 @@ def hedberg_ratio_field(
     return GridFunction(f.grid, lhs / (mf**maximal_power * norm_factor))
 
 
-@dataclass(frozen=True)
-class L1ContentReport:
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else math.inf
-        return self.lhs / self.rhs
-
-
-def l1_content_bound_check(f: GridFunction, delta: float) -> L1ContentReport:
-    """Plain integral of f against the content integral of f^(delta/dim).
+def l1_content_ratio(f: GridFunction, delta: float) -> float:
+    """Plain integral of f over the content integral of f^(delta/dim), 0/0 read as 0.
 
     For the dyadic content, measure(E) <= content(E)^(dim/delta) holds
     with constant one, and the layer-cake argument keeps the constant,
-    so the ratio is bounded by exactly L1_CONTENT_BOUND = 1.
+    so the ratio is bounded by exactly L1_CONTENT_BOUND = 1.  The content
+    side can underflow to 0 under a positive integral: the ratio is inf.
     """
+    dim = f.grid.dim
+    _check_delta(delta, dim)  # before f.power reads an exponent off delta
     lhs = f.lebesgue_integral()
-    rhs = choquet_integral(f.power(delta / f.grid.dim), delta) ** (f.grid.dim / delta)
-    return L1ContentReport(lhs=lhs, rhs=rhs)
+    rhs = choquet_integral(f.power(delta / dim), delta) ** (dim / delta)
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return lhs / rhs

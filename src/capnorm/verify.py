@@ -10,9 +10,10 @@ records them: every runner calls it on its locals() as its first
 statement, which records each argument (shape and sampler through
 to_config, the inverse of the config parsers here; depths and eps_list
 as the lists _depth_list and _eps_list check before any grid is built,
-each depth as grid_integer's int) and what the runner derives.  _params
-is also where delta meets content._check_delta, before any window is
-read off it.  The sweep skeletons add the limits of their verdicts.
+each depth as grid_integer's int) and what the runner derives, such as
+poincare_weak's endpoint p = delta/dim.  _params is also where delta
+meets content._check_delta, before any window is read off it.  The sweep
+skeletons add the limits of their verdicts.
 
 One point loop, _sweep, runs every experiment; compact_support and
 hedberg call it directly, the rest through two adapters.  _ratio_sweep
@@ -507,14 +508,12 @@ def poincare_weak_check(
     shape: Shape,
     sampler: Sampler,
     delta: float,
-    p: float,
     depths: Sequence[int],
     c_ball: float = DEFAULT_MEAN_BALL_CONSTANT,
 ) -> ExperimentReport:
-    """Endpoint p = delta/dim: weak norm on the left, plain p-norm on the right."""
-    params = _params(locals())
-    if p != delta / shape.dim:
-        raise VerifyError(f"endpoint check requires p = delta/dim = {delta / shape.dim:g}, got {p}")
+    """Endpoint p = delta/dim, recorded in params: weak norm left, plain p-norm right."""
+    params = _params(locals(), p=delta / shape.dim)
+    p = params["p"]
     weak, strong = LorentzExponents(p, math.inf, delta), LorentzExponents(p, p, delta)
 
     def sides(depth):
@@ -795,7 +794,7 @@ EXPERIMENTS = {
     "poincare": _declare("poincare_check", shape=_UNIT_BALL, sampler=_LINEAR, delta=2.0, p=1.5,
                          q=1.5, depths=[4, 5, 6]),
     "poincare_weak": _declare("poincare_weak_check", shape=_UNIT_BALL, sampler=_LINEAR, delta=2.0,
-                              p=1.0, depths=[4, 5, 6]),
+                              depths=[4, 5, 6]),
     "poincare_sobolev": _declare("poincare_sobolev_check", shape=_UNIT_BALL, sampler=_LINEAR,
                                  mu=0.0, delta=2.0, p=1.5, q=6.0, depths=[4, 5, 6]),
     "compact_support": _declare("compact_support_check", shape=_UNIT_BALL,

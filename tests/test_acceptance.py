@@ -20,7 +20,7 @@ from capnorm.choquet import (
     lorentz_norm_dyadic,
 )
 from capnorm.cli import run
-from capnorm.content import content_oracle, content_value, strong_subadditivity_check
+from capnorm.content import content_oracle, content_value, subadditivity_slack
 from capnorm.domains import Shape
 from capnorm.grid import CellSet, GridFunction, Sampler, make_grid
 from capnorm.verify import growth_factors_ok
@@ -78,8 +78,7 @@ def test_criterion_03_strong_subadditivity():
     for _ in range(500):
         a = CellSet(g, rng.random(g.shape) < rng.random())
         b = CellSet(g, rng.random(g.shape) < rng.random())
-        rep = strong_subadditivity_check(a, b, float(rng.uniform(0.3, 2.0)))
-        if rep.slack < -1e-12:
+        if subadditivity_slack(a, b, float(rng.uniform(0.3, 2.0))) < -1e-12:
             violations += 1
     _line(3, "strong subadditivity on 500 random pairs", violations == 0)
 
@@ -159,9 +158,9 @@ def test_criterion_08_poincare_family():
     ok &= verify.poincare_check(ball, x1, 2.0, 1.5, 1.5, [4, 5, 6]).verdict
     ok &= verify.poincare_check(ball, Sampler.radial_power(0.5, center=(0.0, 0.0)),
                                 1.5, 1.2, 1.2, [4, 5, 6]).verdict
-    ok &= verify.poincare_weak_check(ball, x1, 2.0, 1.0, [4, 5, 6]).verdict
+    ok &= verify.poincare_weak_check(ball, x1, 2.0, [4, 5, 6]).verdict
     ok &= verify.poincare_weak_check(ball, Sampler.radial_power(0.6, center=(0.0, 0.0)),
-                                     1.0, 0.5, [4, 5, 6]).verdict
+                                     1.0, [4, 5, 6]).verdict
     ok &= verify.poincare_sobolev_check(ball, x1, 0.0, 2.0, 1.5, 6.0, [4, 5, 6]).verdict
     ok &= verify.poincare_sobolev_check(ball, x1, 0.5, 2.0, 1.2, 2.1, [4, 5, 6]).verdict
     ok &= verify.poincare_sobolev_check(ball, x1, 0.5, 2.0, 1.0, None, [4, 5, 6]).verdict

@@ -3,7 +3,7 @@
 Random cell sets small enough for the oracle's exhaustive search; the DP
 value must equal the oracle's minimum, and growing a set must not lower
 its content.  On larger random pairs the DP content is strongly
-subadditive.
+subadditive, with zero slack when one set holds the other.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from capnorm.content import content_oracle, content_value, strong_subadditivity_check  # noqa: E402
+from capnorm.content import content_oracle, content_value, subadditivity_slack  # noqa: E402
 from capnorm.grid import CellSet, make_grid  # noqa: E402
 
 # deepest grid per dimension whose random sets the oracle searches in milliseconds
@@ -72,4 +72,12 @@ def cell_set_pairs(draw):
 @settings(max_examples=80, deadline=None)
 def test_strong_subadditivity(case):
     a, b, delta = case
-    assert strong_subadditivity_check(a, b, delta).slack >= -1e-12
+    assert subadditivity_slack(a, b, delta) >= -1e-12
+
+
+@given(cell_set_pairs())
+@settings(max_examples=80, deadline=None)
+def test_nested_sets_have_zero_slack(case):
+    # b holds a, so A u B = B and A n B = A: the two sums add the same two floats
+    a, b, delta = case
+    assert subadditivity_slack(a, a.union(b), delta) == 0.0

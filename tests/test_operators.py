@@ -9,6 +9,7 @@ from scipy import fft
 
 from capnorm import operators
 from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
+from capnorm.content import ContentError
 from capnorm.grid import GridError, GridFunction, Sampler, make_grid, sample
 from capnorm.operators import (
     L1_CONTENT_BOUND,
@@ -16,7 +17,7 @@ from capnorm.operators import (
     OperatorError,
     default_radius_sweep,
     hedberg_ratio_field,
-    l1_content_bound_check,
+    l1_content_ratio,
     maximal,
     maximal_at,
     riesz,
@@ -455,13 +456,18 @@ def test_l1_content_bound():
     for delta in (0.8, 1.5, 2.0):
         for _ in range(30):
             mask = rng.random(g.shape) < rng.random()
-            rep = l1_content_bound_check(GridFunction(g, mask.astype(float)), delta)
-            assert rep.ratio <= L1_CONTENT_BOUND + 1e-12
-    zero = l1_content_bound_check(GridFunction.zeros(g), 1.5)
-    assert zero.lhs == 0.0 and zero.ratio == 0.0
+            ratio = l1_content_ratio(GridFunction(g, mask.astype(float)), delta)
+            assert ratio <= L1_CONTENT_BOUND + 1e-12
+    assert l1_content_ratio(GridFunction.zeros(g), 1.5) == 0.0
     f = sample(Sampler.radial_power(-0.7, center=(0.0, 0.0)), g)
-    rep = l1_content_bound_check(f, 1.5)
-    assert 0 < rep.ratio <= 1 + 1e-12
+    assert 0 < l1_content_ratio(f, 1.5) <= 1 + 1e-12
+
+
+def test_l1_content_ratio_refuses_delta_before_the_power():
+    f = sample(Sampler.ball_indicator((0.0, 0.0), 0.5), make_grid(2, 3, 2.0))
+    for delta in (-1.0, 0.0, 2.5):
+        with pytest.raises(ContentError, match=re.escape(f"delta must be in (0, 2], got {delta}")):
+            l1_content_ratio(f, delta)
 
 
 def test_maximal_at_matches_field():

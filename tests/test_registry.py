@@ -82,7 +82,7 @@ CASES = [
     ("sharpness_riesz_delta_1_5", "sharpness_riesz", {
         "depth": 7, "delta": 1.5, "p": 1.2, "eta": -1.22}),
     # the weak endpoint p = delta/dim = 0.75 at delta = 1.5; passes
-    ("poincare_weak_delta_1_5", "poincare_weak", {"depths": [3, 4], "delta": 1.5, "p": 0.75}),
+    ("poincare_weak_delta_1_5", "poincare_weak", {"depths": [3, 4], "delta": 1.5}),
     # p = 1.2 inside the gradient's main branch (delta/dim, delta) = (0.75, 1.5); passes
     ("poincare_sobolev_delta_1_5", "poincare_sobolev", {"depths": [3, 4], "delta": 1.5, "p": 1.2}),
     # p = 1.2 inside (delta/dim, delta) = (0.75, 1.5), its weak forms at p = 0.75; passes
@@ -539,6 +539,8 @@ def test_removed_runner_keywords_rejected():
     assert run(["verify", "sharpness_poincare", "--set", 'qt="inf"']) == 2
     assert run(["verify", "sharpness_riesz", "--set", "qt=4.0"]) == 2
     assert run(["verify", "sharpness_riesz", "--set", "outer_radius=10.0"]) == 2
+    # poincare_weak runs at its endpoint p = delta/dim
+    assert run(["verify", "poincare_weak", "--set", "p=1.0"]) == 2
 
 
 def test_defaults_are_fresh_copies():

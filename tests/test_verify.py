@@ -173,9 +173,10 @@ def test_poincare_exponent_validation():
         verify.poincare_check(BALL, LINEAR, 2.0, 1.5, 0.9, [3])
 
 
-def test_poincare_weak_requires_endpoint():
-    with pytest.raises(VerifyError, match="delta/dim"):
-        verify.poincare_weak_check(BALL, LINEAR, 2.0, 1.5, [3])
+def test_poincare_weak_records_its_endpoint_p():
+    ball = Shape.ball((0.0, 0.0, 0.0), 1.0)
+    rep = verify.poincare_weak_check(ball, Sampler.linear([1.0, 0.0, 0.0]), 2.2, [3, 4])
+    assert rep.params["p"] == 0.7333333333333334 == 2.2 / 3
 
 
 def test_sobolev_validation_by_name():

@@ -126,6 +126,15 @@ MUTANTS = [
            "np.searchsorted(dist.thresholds, levels, side=\"right\")",
            "np.searchsorted(dist.thresholds, levels, side=\"left\")",
            ("tests/test_distribution_properties.py::test_dyadic_sum_matches_per_level_lookup",)),
+    # strong subadditivity's slack keeps H(A n B) on the right: nested sets read exactly 0.0
+    Mutant("subadditivity_slack_without_intersection", "content.py",
+           "content_value(a.union(b), delta) + content_value(a.intersection(b), delta)",
+           "content_value(a.union(b), delta)",
+           ("tests/test_content_properties.py::test_nested_sets_have_zero_slack",)),
+    # the content side of the L1 ratio is the content integral of f^(delta/dim) to the dim/delta
+    Mutant("l1_content_ratio_outer_power_inverted", "operators.py",
+           "** (dim / delta)", "** (delta / dim)",
+           ("tests/test_operator_properties.py::test_l1_content_ratio_is_at_most_its_bound",)),
 ]
 
 EQUIVALENT = [
