@@ -12,11 +12,13 @@ Sampling uses the midpoint rule (value at the cell center).  Grids for
 radial samplers are expected to be placed so the singular point sits on
 a cell corner (``origin = -root_side / 2`` does this); cell centers then
 never coincide with the singularity.  Samplers, ball shapes and the
-point evaluators measure distances by one rule, :func:`distance`.
+point evaluators measure distances by one rule, :func:`distance`;
+`DyadicGrid.center_distances` applies it to a whole grid for sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -95,11 +97,21 @@ class DyadicGrid:
     def diameter(self) -> float:
         return self.root_side * math.sqrt(self.dim)
 
+    def _axis_centers(self) -> np.ndarray:
+        """The cell-center coordinates along each axis, one row per axis."""
+        return np.asarray(self.origin)[:, None] + self.h * (np.arange(self.cells_per_axis) + 0.5)
+
     def centers(self) -> np.ndarray:
         """All cell centers as an ``(n_cells, dim)`` array in C (row-major) order."""
-        ax = np.asarray(self.origin)[:, None] + self.h * (np.arange(self.cells_per_axis) + 0.5)
-        grids = np.meshgrid(*ax, indexing="ij")
+        grids = np.meshgrid(*self._axis_centers(), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
+
+    def center_distances(self, center) -> np.ndarray:
+        """`distance(self.centers(), center)` in the grid's shape, summed in axis order: bit for bit."""
+        if len(center) != self.dim:
+            raise GridError(f"center has {len(center)} coordinates, the points have {self.dim}")
+        total = functools.reduce(np.add.outer, (self._axis_centers() - np.asarray(center)[:, None]) ** 2)
+        return np.sqrt(total, out=total)
 
     def side_at_level(self, level: int) -> float:
         return self.root_side * 2.0 ** (-level)
@@ -381,42 +393,6 @@ class Sampler:
             amplitude=float(amplitude),
         )
 
-    def _cut(self, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """vals at radii r, zero outside the annulus eps_inner <= r < r_outer if there is one."""
-        if self.annulus is None:
-            return vals
-        eps_inner, r_outer = self.annulus
-        return np.where((r >= eps_inner) & (r < r_outer), vals, 0.0)
-
-    def _radial_powers(self, r: np.ndarray, gradient: bool) -> np.ndarray:
-        """|x - center|^exponent at radii r, or with gradient its |grad|, before the annulus cut."""
-        with np.errstate(divide="ignore"):
-            if gradient:
-                return abs(self.exponent) * r ** (self.exponent - 1.0)
-            return r**self.exponent
-
-    def annuli(self, grid: DyadicGrid, gradient: bool = False):
-        """`sample` on grid of this radial_power sampler with any annulus in place of its own.
-
-        Returns cut(annulus) -> (values,), or with gradient (values,
-        |grad|) as `gradient_magnitude` gives it, each equal to sampling
-        Sampler.radial_power(exponent, center, annulus) bit for bit.  The
-        radii and powers at the cell centers do not depend on the annulus,
-        so they are computed once, here; each cut only applies its mask.
-        """
-        if self.kind != "radial_power":
-            raise GridError(f"annuli need a radial_power sampler, got {self.kind!r}")
-        r = distance(grid.centers(), self.center).reshape(grid.shape)
-        powers = [self._radial_powers(r, gradient=False)]
-        if gradient:
-            powers.append(self._radial_powers(r, gradient=True))
-
-        def cut(annulus) -> tuple[GridFunction, ...]:
-            sampler = Sampler.radial_power(self.exponent, self.center, annulus)
-            return tuple(GridFunction(grid, sampler._cut(r, vals)) for vals in powers)
-
-        return cut
-
     def evaluate(self, points: np.ndarray, gradient: bool = False) -> np.ndarray:
         """Raw (possibly signed) values at the given points, shape (N, dim); with gradient, |grad|."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -427,23 +403,44 @@ class Sampler:
             if gradient:
                 return np.full(n, float(np.linalg.norm(self.coeffs)))
             return points @ np.asarray(self.coeffs) + self.offset
+        return self._of_radius(distance(points, self.center), gradient)
+
+    def _of_radius(self, r: np.ndarray, gradient: bool) -> np.ndarray:
+        """A distance kind's values (with gradient, |grad|) at distances r, in place where it can."""
         if self.kind == "radial_power":
-            r = distance(points, self.center)
-            return self._cut(r, self._radial_powers(r, gradient))
-        if self.kind == "ball_indicator" and not gradient:
-            return (distance(points, self.center) < self.radius).astype(np.float64)
-        if self.kind == "bump":
-            r = distance(points, self.center)
-            t = 1.0 - (r / self.radius) ** 2
+            with np.errstate(divide="ignore"):
+                vals = r ** (self.exponent - 1.0 if gradient else self.exponent)
             if gradient:
-                return self.amplitude * 4.0 * r / self.radius**2 * np.where(t > 0, t, 0.0)
-            return self.amplitude * np.where(t > 0, t, 0.0) ** 2
+                vals *= abs(self.exponent)
+            if self.annulus is not None:
+                eps_inner, r_outer = self.annulus
+                vals[~((r >= eps_inner) & (r < r_outer))] = 0.0
+            return vals
+        if self.kind == "ball_indicator" and not gradient:
+            return (r < self.radius).astype(np.float64)
+        if self.kind == "bump":
+            t = 1.0 - (r / self.radius) ** 2
+            t[~(t > 0)] = 0.0  # np.where(t > 0, t, 0.0) in place: a NaN reads 0 too
+            if gradient:
+                vals = self.amplitude * 4.0 * r
+                vals /= self.radius**2
+                vals *= t
+                return vals
+            t **= 2
+            t *= self.amplitude
+            return t
         raise GridError(f"{self.kind!r} sampler has no closed-form {'gradient' if gradient else 'value'}")
+
+    def _at_centers(self, grid: DyadicGrid, gradient: bool) -> np.ndarray:
+        """evaluate at the cell centers, in the grid's shape; a distance kind reads center_distances."""
+        if self.kind in ("constant", "linear"):
+            return self.evaluate(grid.centers(), gradient).reshape(grid.shape)
+        return self._of_radius(grid.center_distances(self.center), gradient)
 
 
 def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
     """Midpoint-rule sampling onto a grid; values must be finite and >= 0."""
-    vals = sampler.evaluate(grid.centers()).reshape(grid.shape)
+    vals = sampler._at_centers(grid, gradient=False)
     if not np.all(np.isfinite(vals)):
         raise GridError("sampler produced non-finite values at cell centers")
     return GridFunction(grid, vals)
@@ -451,7 +448,7 @@ def sample(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
 
 def gradient_magnitude(sampler: Sampler, grid: DyadicGrid) -> GridFunction:
     """|grad u| sampled at cell centers, from the closed-form gradient."""
-    vals = sampler.evaluate(grid.centers(), gradient=True).reshape(grid.shape)
+    vals = sampler._at_centers(grid, gradient=True)
     if not np.all(np.isfinite(vals)):
         raise GridError("gradient sampler produced non-finite values")
     return GridFunction(grid, vals)

@@ -68,7 +68,8 @@ from .choquet import LorentzExponents, lorentz_norm
 from .content import _check_delta
 from .domains import (DEFAULT_MEAN_BALL_CONSTANT, JohnDomain, Shape, make_john_domain, mean_value,
                       mean_value_ball)
-from .grid import GridFunction, Sampler, gradient_magnitude, grid_integer, json_number, make_grid, sample
+from .grid import (GridFunction, Sampler, gradient_magnitude, grid_integer, json_number, json_text, make_grid,
+                   sample)
 from .operators import (MaximalParams, _check_alpha, _check_mu, hedberg_ratio_field, improved_exponents,
                         maximal, riesz, riesz_left_exponent)
 
@@ -257,16 +258,25 @@ def _depth_list(depths: Sequence[int]) -> list:
 
 
 def _eps_list(eps_list: Sequence[float]) -> list:
-    """The truncation radii of a sweep, sorted, as floats: at least 4 positive numbers, no two labelled alike."""
-    eps = sorted(eps_list)
-    if len(eps) < 4 or not all(map(json_number, eps)) or eps[0] <= 0:
-        raise VerifyError(f"eps_list must hold at least 4 positive values, each a number, got {eps}")
-    eps = [float(e) for e in eps]
+    """The truncation radii of a sweep, sorted, as floats: at least 4 positive finite numbers, no
+    two labelled alike."""
+    eps = list(eps_list) if isinstance(eps_list, (list, tuple)) else []
+    if len(eps) < 4 or not all(json_number(e) and 0 < e < math.inf for e in eps):
+        raise VerifyError("eps_list must hold at least 4 positive values, each a finite number, "
+                          f"got {json_text(eps_list)}")
+    eps = sorted(float(e) for e in eps)
     labels = [f"{e:g}" for e in eps]
     for label, twin in zip(labels, labels[1:]):  # sorted, so a repeated label sits next to its twin
         if label == twin:
             raise VerifyError(f"eps_list repeats the label eps={label}, got {eps}")
     return eps
+
+
+def _eps_inside(eps: list, outer_radius: float):
+    """Refuse a truncation radius (of a list _eps_list gave) not below the annuli's outer radius."""
+    if eps[-1] >= outer_radius:
+        raise VerifyError(f"eps_list must hold values below the outer radius {outer_radius:g}, "
+                          f"got {json_text(eps)}")
 
 
 # runner argument -> its recorded form; every other argument is recorded as given
@@ -381,8 +391,7 @@ def _eps_sweep(
 ) -> ExperimentReport:
     """Over params["eps_list"]: fields(eps) = (left, right) grid functions.
 
-    Each runner builds fields on its one grid, from a `Sampler.annuli`
-    cut, which computes the radii and powers of the sampled family once.
+    Each runner samples the pair afresh for each eps on its one grid.
     The norms of the pair are the sides, in L^{s,q} over the content of
     exponent delta - mu p and in L^{p,SHARPNESS_QT}.  The verdict needs
     slope_ok(fitted slope, predicted) and a right-side variation below
@@ -696,9 +705,9 @@ def sharpness_poincare(
 ) -> ExperimentReport:
     """Scaling of the truncated radial-power family against its gradient.
 
-    u_eps = |x|^eta on the annulus eps <= |x| < 1.  The truncated
-    left norm ||u_eps||_{L^{s,q}} over the content of exponent
-    delta - mu p follows an exact power law in eps with slope
+    u_eps = |x|^eta on the annulus eps <= |x| < 1, each eps below 1.
+    The truncated left norm ||u_eps||_{L^{s,q}} over the content of
+    exponent delta - mu p follows an exact power law in eps with slope
     eta + (delta - mu p)/s; the gradient norm stays uniformly bounded.
     Verdict: fitted slope within SLOPE_TOLERANCE of the prediction and
     right-norm variation below RHS_VARIATION_LIMIT.
@@ -714,10 +723,15 @@ def sharpness_poincare(
     if not (lo < eta <= hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}], got {eta}")
 
+    _eps_inside(params["eps_list"], 1.0)
     grid = make_grid(dim, depth, ROOT_SIDE)
-    cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid, gradient=True)
+
+    def fields(eps):
+        u = Sampler.radial_power(eta, (0.0,) * dim, (eps, 1.0))
+        return sample(u, grid), gradient_magnitude(u, grid)
+
     return _eps_sweep("sharpness_poincare", params, "predicted_slope",
-                      gradient_slope_prediction(eta, p, s, delta, mu), lambda eps: cut((eps, 1.0)),
+                      gradient_slope_prediction(eta, p, s, delta, mu), fields,
                       lambda slope, predicted: abs(slope - predicted) <= SLOPE_TOLERANCE)
 
 
@@ -735,11 +749,11 @@ def sharpness_riesz(
 ) -> ExperimentReport:
     """Blow-up of the Riesz potential of the truncated radial family.
 
-    f_eps = |x|^eta on eps <= |x| < RIESZ_OUTER_RADIUS, on the root
-    [-RIESZ_ROOT_SIDE/2, RIESZ_ROOT_SIDE/2)^dim.  The potential norm
-    must blow up at least like eps^(eta + alpha + (delta - mu p)/s)
-    (slope at most the prediction, up to tolerance) while the source
-    norm stays uniformly bounded.
+    f_eps = |x|^eta on eps <= |x| < RIESZ_OUTER_RADIUS, each eps below
+    it, on the root [-RIESZ_ROOT_SIDE/2, RIESZ_ROOT_SIDE/2)^dim.  The
+    potential norm must blow up at least like
+    eps^(eta + alpha + (delta - mu p)/s) (slope at most the prediction,
+    up to tolerance) while the source norm stays uniformly bounded.
     """
     params = _params(locals(), root_side=RIESZ_ROOT_SIDE, outer_radius=RIESZ_OUTER_RADIUS)
     # riesz_left_exponent divides by delta - p alpha; the p bound does not divide by
@@ -755,11 +769,11 @@ def sharpness_riesz(
     if not (lo < eta < hi):
         raise VerifyError(f"eta must lie in ({lo:g}, {hi:g}), got {eta}")
 
+    _eps_inside(params["eps_list"], RIESZ_OUTER_RADIUS)
     grid = make_grid(dim, depth, RIESZ_ROOT_SIDE)
-    cut = Sampler.radial_power(eta, center=(0.0,) * dim).annuli(grid)
 
     def fields(eps):
-        (ff,) = cut((eps, RIESZ_OUTER_RADIUS))
+        ff = sample(Sampler.radial_power(eta, (0.0,) * dim, (eps, RIESZ_OUTER_RADIUS)), grid)
         return riesz(ff, alpha), ff
 
     return _eps_sweep("sharpness_riesz", params, "predicted_blowup",

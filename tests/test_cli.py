@@ -354,6 +354,16 @@ def test_verify_eps_list_must_hold_four_positive_values(experiment, eps_list, ca
     assert "eps_list must hold at least 4 positive values" in capsys.readouterr().err
 
 
+# a radius not below the outer one used to be refused only once the sweep reached it,
+# under a message naming the annulus; now no field is computed
+@pytest.mark.parametrize("experiment, outer", [("sharpness_poincare", "1"), ("sharpness_riesz", "10")])
+def test_verify_eps_list_refuses_a_radius_at_the_outer_one(experiment, outer, capsys):
+    assert run(["verify", experiment, "--set", f"eps_list=[0.5,0.25,0.125,{outer}]"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: eps_list must hold values below the outer radius {outer}, "
+                                 f"got [0.125, 0.25, 0.5, {outer}.0]\n")
+
+
 # two radii with one {eps:g} label used to run: the report and CSV held that label
 # twice, and the slope was fitted from 3 distinct radii
 @pytest.mark.parametrize("eps_list", ["[0.25,0.125,0.0625,0.0625]", "[0.25,0.125,0.06250001,0.0625]"])

@@ -1,5 +1,5 @@
-"""Property tests: samplers, shapes and the mean value share one distance rule,
-and each sampler and shape is rebuilt from its config bit for bit."""
+"""Property tests: samplers, shapes and the mean value share one distance rule, at
+points and on grids, and each sampler and shape is rebuilt from its config bit for bit."""
 
 import json
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from capnorm.domains import DomainError, Shape, mean_value  # noqa: E402
-from capnorm.grid import Sampler, distance, make_grid, sample  # noqa: E402
+from capnorm.grid import GridError, Sampler, distance, gradient_magnitude, make_grid, sample  # noqa: E402
 from capnorm.verify import (SAMPLER_KINDS, SHAPE_KINDS, sampler_from_config,  # noqa: E402
                             shape_from_config, to_config)
 
@@ -45,6 +45,20 @@ def test_one_distance_rule(geometry):
     with np.errstate(divide="ignore"):  # a center on a cell center puts r = 0 under a negative power
         expected = distance(points, center) ** exponent
     assert np.array_equal(Sampler.radial_power(exponent, center).evaluate(points), expected)
+    # sampling reads grid-shaped center distances, summed in axis order as distance sums
+    assert grid.center_distances(center).tobytes() == distance(points, center).tobytes()
+    for sampler in (Sampler.radial_power(exponent, center),
+                    Sampler.radial_power(exponent, center, (radius / 2, radius)),
+                    Sampler.ball_indicator(center, radius), Sampler.bump(center, radius)):
+        for on_grid, gradient in ((sample, False), (gradient_magnitude, True)):
+            if sampler.kind == "ball_indicator" and gradient:
+                continue
+            expected = sampler.evaluate(points, gradient)
+            if np.all(np.isfinite(expected)):
+                assert on_grid(sampler, grid).values.tobytes() == expected.reshape(grid.shape).tobytes()
+            else:
+                with pytest.raises(GridError, match="non-finite"):
+                    on_grid(sampler, grid)
 
 
 NUMBER = st.floats(-10.0, 10.0)

@@ -16,6 +16,7 @@ from capnorm import operators  # noqa: E402
 from capnorm.grid import GridFunction, Sampler, make_grid, sample  # noqa: E402
 from capnorm.operators import (  # noqa: E402
     L1_CONTENT_BOUND,
+    L1_CONTENT_DELTA_FLOOR,
     MaximalParams,
     default_radius_sweep,
     l1_content_ratio,
@@ -69,11 +70,10 @@ def test_riesz_field_equals_point_evaluator(f, alpha_frac):
 
 
 # The outer power dim/delta multiplies the relative rounding of the content
-# integral: a constant function reads 1 + 7e-12 at delta/dim = 1e-5, and at
-# 1e-20 its f^(delta/dim) rounds to 1, so the ratio loses f's scale
-# altogether.  At delta/dim >= 0.01 the worst of 4000 seeded draws read
-# 1 + 1.1e-14.
-@given(functions(), st.floats(0.01, 1.0))
+# integral, so l1_content_ratio refuses delta/dim below L1_CONTENT_DELTA_FLOOR.
+# At delta/dim >= 0.01 the worst of 4000 seeded draws read 1 + 1.1e-14, and
+# from the floor to 0.01 the worst of 1500 read 1 + 2.2e-13.
+@given(functions(), st.floats(L1_CONTENT_DELTA_FLOOR, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_l1_content_ratio_is_at_most_its_bound(f, delta_frac):
     delta = delta_frac * f.grid.dim

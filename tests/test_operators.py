@@ -13,6 +13,7 @@ from capnorm.content import ContentError
 from capnorm.grid import GridError, GridFunction, Sampler, make_grid, sample
 from capnorm.operators import (
     L1_CONTENT_BOUND,
+    L1_CONTENT_DELTA_FLOOR,
     MaximalParams,
     OperatorError,
     default_radius_sweep,
@@ -468,6 +469,17 @@ def test_l1_content_ratio_refuses_delta_before_the_power():
     for delta in (-1.0, 0.0, 2.5):
         with pytest.raises(ContentError, match=re.escape(f"delta must be in (0, 2], got {delta}")):
             l1_content_ratio(f, delta)
+
+
+# at delta/dim = 1e-20 f^(delta/dim) rounds every value to 1.0, and this
+# constant field, whose ratio is exactly 1, read 7,562,500
+def test_l1_content_ratio_refuses_delta_below_its_floor():
+    g = make_grid(2, 2, 2.75)
+    f = GridFunction(g, np.full(g.shape, 1e6))
+    with pytest.raises(ContentError, match=re.escape("delta must be at least 0.001 dim = 0.002 for the "
+                                                      "L1-content ratio, got 2e-20")):
+        l1_content_ratio(f, 2e-20)
+    assert abs(l1_content_ratio(f, L1_CONTENT_DELTA_FLOOR * 2) - 1.0) <= 1e-12
 
 
 def test_maximal_at_matches_field():

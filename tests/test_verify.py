@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from capnorm.domains import Shape
 from capnorm.grid import Sampler, gradient_magnitude, make_grid, sample
 from capnorm.operators import riesz, riesz_left_exponent, riesz_right_q
-from capnorm import verify
+from capnorm import operators, verify
 from capnorm.verify import (
     VerifyError,
     fit_loglog,
@@ -233,16 +234,68 @@ def test_sharpness_riesz_window_errors():
                                [0.5, 0.25, 0.125, 0.0625], depth=4)
 
 
-@pytest.mark.parametrize("eps_list", [[0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0]])
-def test_sharpness_eps_list_refused_before_any_grid(eps_list, monkeypatch):
-    # three radii used to compute three depth-10 fields before the fit refused them
-    def no_grid(*args, **kwargs):
+@pytest.fixture
+def no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("a grid was built before eps_list was checked")
 
-    monkeypatch.setattr(verify, "make_grid", no_grid)
-    monkeypatch.setattr(verify, "sample", no_grid)
+    monkeypatch.setattr(verify, "make_grid", refuse)
+    monkeypatch.setattr(verify, "sample", refuse)
+
+
+@pytest.mark.parametrize("eps_list", [[0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0]])
+def test_sharpness_eps_list_refused_before_any_grid(eps_list, no_grid):
+    # three radii used to compute three depth-10 fields before the fit refused them
     with pytest.raises(VerifyError, match="^eps_list must hold at least 4 positive values"):
         verify.sharpness_riesz(2.0, 0.0, 1.0, 1.5, 8.0, 8.0, -1.3, eps_list)
+
+
+# a radius at or past the outer one used to run three 1M-cell Riesz potentials
+# before the annulus refused it as "invalid truncation annulus (20.0, 10.0)";
+# NaN passed and failed the same way mid-sweep; a string, null or a bare number
+# failed with Python's TypeError text, and true was spelled True
+_FINITE = "eps_list must hold at least 4 positive values, each a finite number, got "
+
+
+@pytest.mark.parametrize("experiment, eps_list, message", [
+    ("sharpness_riesz", [0.5, 0.25, 0.125, 20],
+     "eps_list must hold values below the outer radius 10, got [0.125, 0.25, 0.5, 20.0]"),
+    ("sharpness_riesz", [0.5, 0.25, 0.125, verify.RIESZ_OUTER_RADIUS],
+     "eps_list must hold values below the outer radius 10, got [0.125, 0.25, 0.5, 10.0]"),
+    ("sharpness_poincare", [0.5, 0.25, 0.125, 1],
+     "eps_list must hold values below the outer radius 1, got [0.125, 0.25, 0.5, 1.0]"),
+    ("sharpness_poincare", [0.25, 0.125, 0.0625, math.nan], _FINITE + "[0.25, 0.125, 0.0625, NaN]"),
+    ("sharpness_riesz", "a", _FINITE + '"a"'),
+    ("sharpness_riesz", None, _FINITE + "null"),
+    ("sharpness_poincare", 0.5, _FINITE + "0.5"),
+    ("sharpness_poincare", [True, 0.25, 0.125, 0.0625], _FINITE + "[true, 0.25, 0.125, 0.0625]"),
+])
+def test_sharpness_eps_list_refused_by_name_before_any_grid(experiment, eps_list, message, no_grid):
+    runner = getattr(verify, verify.EXPERIMENTS[experiment].runner)
+    with pytest.raises(VerifyError) as refused:
+        runner(**{**verify.EXPERIMENTS[experiment].defaults, "eps_list": eps_list})
+    assert str(refused.value) == message
+
+
+# traced peak bytes per cell of a sharpness run at 2D depth 9, with the Riesz
+# kernel spectrum built inside it.  While a Sampler.annuli cut held the radii
+# and powers of the grid through the sweep, the peaks were 58.5 (riesz) and
+# 48.7 (poincare) B/cell; sampling each eps afresh they are 42.5 and 26.0
+# (numpy 2.4.6).
+@pytest.mark.parametrize("experiment, bytes_per_cell", [("sharpness_riesz", 45),
+                                                        ("sharpness_poincare", 35)])
+def test_sharpness_peak_memory(experiment, bytes_per_cell):
+    runner = getattr(verify, verify.EXPERIMENTS[experiment].runner)
+    cfg = verify.EXPERIMENTS[experiment].defaults
+    runner(**{**cfg, "depth": 4})  # numpy's first-call allocations are not the sweep's
+    operators._riesz_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        runner(**{**cfg, "depth": 9})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_cell * 4**9
 
 
 def _sweep_fields(runner, monkeypatch, **overrides):
@@ -258,8 +311,7 @@ def _same_bits(a, b):
     return a.grid == b.grid and a.values.tobytes() == b.values.tobytes()
 
 
-# the per-grid fields share one radius and power array across eps; each eps
-# must still see what sampling its own truncated sampler gives
+# each eps must see what sampling its own truncated sampler gives
 @pytest.mark.parametrize("dim, depth", [(1, 5), (1, 8), (2, 3), (2, 5), (3, 2), (3, 4)])
 def test_sharpness_shared_fields_equal_sampling(dim, depth, monkeypatch):
     center = (0.0,) * dim

@@ -135,6 +135,17 @@ MUTANTS = [
     Mutant("l1_content_ratio_outer_power_inverted", "operators.py",
            "** (dim / delta)", "** (delta / dim)",
            ("tests/test_operator_properties.py::test_l1_content_ratio_is_at_most_its_bound",)),
+    # grid-shaped center distances sum the squared offsets in axis order, as distance does;
+    # in 2D either order gives the same bits, so only the 3D draws tell them apart
+    Mutant("center_distances_axes_reversed", "grid.py",
+           "total = functools.reduce(np.add.outer, (self._axis_centers() - np.asarray(center)[:, None]) ** 2)",
+           "total = functools.reduce(lambda acc, sq: np.add.outer(sq, acc),\n"
+           "                                 ((self._axis_centers() - np.asarray(center)[:, None]) ** 2)[::-1])",
+           ("tests/test_geometry_properties.py::test_one_distance_rule",)),
+    # a truncation radius equal to the outer one leaves an empty annulus
+    Mutant("eps_outer_radius_admitted", "verify.py",
+           "if eps[-1] >= outer_radius:", "if eps[-1] > outer_radius:",
+           ("tests/test_verify.py::test_sharpness_eps_list_refused_by_name_before_any_grid",)),
 ]
 
 EQUIVALENT = [
