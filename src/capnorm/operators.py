@@ -26,7 +26,11 @@ and written back; the irfft of each line then gives the m^dim sums.
 Each 1D line transform does not depend on how many lines are batched
 with it, so blocking changes no bits.  Against full-lattice transforms
 of the same spectrum the pruning changes no bits in 1D and 2D; the DCT
-spectrum changes rounding by about 1e-16 of the largest value.
+spectrum changes rounding by about 1e-16 of the largest value.  Every
+transform is numpy's pocketfft (numpy.fft, numpy >= 2.0, whose `out=`
+lets the leading axes be transformed in place); the DCT-I is pocketfft's
+own construction from the rfft of each line's even extension, so the
+spectra and fields match those of scipy.fft's pocketfft bit for bit.
 
 The padded lattice holds 2^dim times the grid's cells; a grid whose
 padded transform would exceed ``grid.DEFAULT_CELL_CAP`` cells is refused
@@ -65,7 +69,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from .choquet import LorentzExponents, choquet_integral, lorentz_norm
 from .content import ContentError, _check_delta
@@ -218,8 +222,25 @@ def _kernel_spectrum(quarter: np.ndarray) -> np.ndarray:
 
     The DFT of an even kernel is real and is the DCT-I of its quarter;
     frequency 2m - k repeats frequency k, so the quarter holds every value.
+    The DCT-I runs along each axis in turn on a copy of the quarter: the
+    DCT-I of a line is the real part of the rfft of its even extension
+    [x0 .. xm, x(m-1) .. x1], as pocketfft computes it, and the lines are
+    transformed in slabs whose extensions and their rffts hold about
+    BLOCK_BYTES.
     """
-    return fft.dctn(quarter, type=1)
+    out = np.array(quarter, dtype=np.float64)
+    m = out.shape[0] - 1
+    for axis in range(out.ndim):
+        lines = out.reshape((m + 1) ** axis, m + 1, -1)
+        width = min(lines.shape[2], max(1, BLOCK_BYTES // (32 * m)))
+        depth = max(1, BLOCK_BYTES // (32 * m * width))
+        for p, c in itertools.product(range(0, lines.shape[0], depth), range(0, lines.shape[2], width)):
+            slab = lines[p : p + depth, :, c : c + width]
+            if not slab.any():  # its DCT-I is zero; the ball masks of `maximal` hold many such lines
+                continue
+            even = np.concatenate((slab, slab[:, m - 1 : 0 : -1]), axis=1)
+            slab[...] = fft.rfft(even, axis=1).real
+    return out
 
 
 def _column_blocks(m: int, dim: int) -> list[slice]:
@@ -247,15 +268,19 @@ def _row_spectrum(values: np.ndarray) -> np.ndarray:
 def _forward_block(rows: np.ndarray, cols: slice, n: int) -> np.ndarray:
     """Columns cols of the rfftn of f zero-padded to n per axis, as a new array.
 
-    rows is `_row_spectrum` of f.  Each leading axis is padded and
-    transformed in turn, so lines that hold only zeros are never
-    transformed.  In 1D it is a copy of rows[..., cols], since
-    `_inverse_block` writes its result back into rows.
+    rows is `_row_spectrum` of f.  The block is zero-padded on every
+    leading axis, then each leading axis is transformed in place in turn,
+    so lines that hold only zeros are never transformed.  In 1D it is a
+    copy of rows[..., cols], since `_inverse_block` writes its result back
+    into rows.
     """
-    block = rows[..., cols]
-    for axis in range(rows.ndim - 1):
-        block = fft.fft(block, n=n, axis=axis)
-    return block if rows.ndim > 1 else block.copy()
+    part, m, lead = rows[..., cols], rows.shape[-1] - 1, rows.ndim - 1
+    block = np.zeros((n,) * lead + part.shape[-1:], dtype=complex)
+    block[(slice(0, m),) * lead] = part
+    for axis in range(lead):
+        lines = block[(slice(None),) * (axis + 1) + (slice(0, m),) * (lead - axis - 1)]
+        fft.fft(lines, axis=axis, out=lines)
+    return block
 
 
 def _spectrum_product(block: np.ndarray, spectrum: np.ndarray, cols: slice, out: np.ndarray) -> np.ndarray:
@@ -280,7 +305,7 @@ def _inverse_block(product: np.ndarray, rows: np.ndarray, cols: slice):
     """
     m = rows.shape[-1] - 1
     for axis in range(product.ndim - 1):
-        product = fft.ifft(product, axis=axis, overwrite_x=True)[(slice(None),) * axis + (slice(0, m),)]
+        product = fft.ifft(product, axis=axis, out=product)[(slice(None),) * axis + (slice(0, m),)]
     rows[..., cols] = product
 
 
@@ -332,26 +357,29 @@ def maximal(f: GridFunction, params: MaximalParams) -> GridFunction:
     n = _padded_shape(grid)[0]
     m = grid.cells_per_axis
     vol_unit = unit_ball_volume(grid.dim)
-    total_mass = float(f.values.sum())
     max_offset = (m - 1) * grid.h * math.sqrt(grid.dim)
-    rows = _row_spectrum(f.values)
-    f_hat = [(cols, _forward_block(rows, cols, n)) for cols in _column_blocks(m, grid.dim)]
-    staging = np.empty_like(f_hat[0][1])
     dist = _quarter_distances(grid)
-
     sums = np.empty(grid.shape)
     out = np.zeros(grid.shape)
-    for r in radii:
-        scale = r**params.mu * grid.cell_volume / (vol_unit * r**grid.dim)
-        if r > max_offset:
-            # the ball sees every cell from every center
-            np.maximum(out, scale * total_mass, out=out)
-            continue
-        spectrum = _kernel_spectrum((dist < r).astype(np.float64))
-        for cols, block in f_hat:
-            product = _spectrum_product(block, spectrum, cols, out=staging[..., : block.shape[-1]])
-            _inverse_block(product, rows, cols)
-        np.maximum(out, scale * _clipped_sums(rows, sums), out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an f near the largest double: refused below
+        rows = _row_spectrum(f.values)
+        f_hat = [(cols, _forward_block(rows, cols, n)) for cols in _column_blocks(m, grid.dim)]
+        staging = np.empty_like(f_hat[0][1])
+        total_mass = float(f.values.sum())
+        for r in radii:
+            scale = r**params.mu * grid.cell_volume / (vol_unit * r**grid.dim)
+            if r > max_offset:
+                # the ball sees every cell from every center
+                np.maximum(out, scale * total_mass, out=out)
+                continue
+            spectrum = _kernel_spectrum((dist < r).astype(np.float64))
+            for cols, block in f_hat:
+                product = _spectrum_product(block, spectrum, cols, out=staging[..., : block.shape[-1]])
+                _inverse_block(product, rows, cols)
+            np.maximum(out, scale * _clipped_sums(rows, sums), out=out)
+    if not np.isfinite(out).all():
+        raise OperatorError(f"f too large: the maximal averages at mu={params.mu} are not finite "
+                            "in double precision")
     return GridFunction(grid, out)
 
 

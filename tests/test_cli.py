@@ -897,15 +897,33 @@ def test_cellset_cells_accept_integral_floats():
     assert io.cellset_from_dict(doc).mask.tolist() == [True, False, False, True]
 
 
-# scipy serves scipy.fft only; scipy.integrate would also load scipy.optimize.
+# capnorm needs numpy only: its transforms are numpy.fft's, and scipy serves the tests.
 # The CI step after the selftest runs this line against the installed package.
 IMPORT_GUARD = ("import sys, capnorm.cli; "
-                "bad = sorted({'scipy.integrate', 'scipy.optimize', 'scipy.ndimage'} & set(sys.modules)); "
+                "bad = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'); "
                 "sys.exit('loaded: ' + ', '.join(bad) if bad else 0)")
 
 
-def test_cli_import_loads_no_scipy_beyond_fft():
-    src = os.path.dirname(os.path.dirname(operators.__file__))  # the capnorm under test
+def _run_fresh(argv):
+    """argv in a fresh interpreter that imports the capnorm under test, with default warning filters."""
+    src = os.path.dirname(os.path.dirname(operators.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _run_fresh(["-c", IMPORT_GUARD])
     assert proc.returncode == 0, proc.stderr
+
+
+# a field whose total mass overflows printed numpy's overflow and invalid-value
+# warnings, then "grid function values must be finite"
+def test_maximal_of_an_f_past_double_precision_exits_2_naming_f(tmp_path):
+    g = make_grid(2, 4, 2.0)
+    path = tmp_path / "huge.json"
+    path.write_text(io.dumps(io.gridfunction_to_dict(GridFunction(g, np.full(g.shape, 1e306)))))
+    proc = _run_fresh(["-m", "capnorm.cli", "maximal", "--fn", str(path), "--mu", "0.5"])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: f too large: the maximal averages at mu=0.5 are not finite "
+                           "in double precision\n")

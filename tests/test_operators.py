@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import fft
 
 from capnorm import operators
 from capnorm.choquet import LorentzExponents, choquet_p_norm, distribution, lorentz_norm
@@ -196,6 +195,7 @@ def _mirrored(quarter_spectrum):
 
 
 def test_kernel_spectrum_matches_full_lattice_rfftn():
+    fft = pytest.importorskip("scipy.fft")  # the independent transform reference
     alpha = 0.7
     for dim, depth in TRANSFORM_GRIDS:
         g = make_grid(dim, depth, 2.0)
@@ -213,7 +213,41 @@ def test_kernel_spectrum_matches_full_lattice_rfftn():
             _assert_within(_mirrored(spectrum), fft.rfftn(full))
 
 
+# _kernel_spectrum builds the DCT-I from numpy's rfft of each line's even
+# extension, as pocketfft's own DCT-I does; it must match scipy's bit for bit
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_spectrum_is_scipy_dct1_bit_for_bit(dim):
+    fft = pytest.importorskip("scipy.fft")
+    rng = np.random.default_rng(dim)
+    for m in (2, 3, 4, 5, 7, 8, 16, 31, 32, 64):
+        quarter = rng.random((m + 1,) * dim) * 10.0 ** rng.uniform(-8, 8, (m + 1,) * dim)
+        before = quarter.copy()
+        spectrum = operators._kernel_spectrum(quarter)
+        assert spectrum.tobytes() == fft.dctn(quarter, type=1).tobytes()
+        assert np.array_equal(quarter, before)
+
+
+# traced peak of one kernel spectrum, per quarter cell: the 8-byte result plus
+# one slab of even extensions and their rffts.  Measured 10.0 (2D, m = 512) and
+# 9.9 (3D, m = 64); a 1D quarter is one line, which no slab can cut: 40.5 (m = 4096)
+KERNEL_SPECTRUM_PEAK_BYTES_PER_CELL = {1: 42, 2: 11, 3: 11}
+
+
+@pytest.mark.parametrize("dim, m", [(1, 4096), (2, 512), (3, 64)])
+def test_kernel_spectrum_peak_memory(dim, m):
+    quarter = np.random.default_rng(dim).random((m + 1,) * dim)
+    operators._kernel_spectrum(quarter)  # numpy's first-call allocations are not the transform's
+    tracemalloc.start()
+    try:
+        operators._kernel_spectrum(quarter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= KERNEL_SPECTRUM_PEAK_BYTES_PER_CELL[dim] * quarter.size
+
+
 def test_pruned_convolution_matches_full_lattice():
+    fft = pytest.importorskip("scipy.fft")
     for dim, depth in TRANSFORM_GRIDS:
         g = make_grid(dim, depth, 2.0)
         m = g.cells_per_axis
@@ -395,6 +429,22 @@ def test_hedberg_exponent_errors_by_name():
         riesz(f, 2.0)  # riesz shares hedberg's check
     with pytest.raises(OperatorError, match="^p must equal"):
         hedberg_ratio_field(f, 1.0, 0.0, LorentzExponents(2.5, 1.5, 2.0))
+
+
+# every cell holds 1e306, so the total mass and the transforms of f overflow:
+# maximal leaked numpy's overflow warnings, then GridFunction refused its
+# values without naming f
+def _past_double_precision():
+    g = make_grid(2, 4, 2.0)
+    return GridFunction(g, np.full(g.shape, 1e306))
+
+
+def test_maximal_refuses_an_f_past_double_precision_by_name():
+    f = _past_double_precision()
+    with pytest.raises(OperatorError, match=r"^f too large: the maximal averages at mu=0\.5 are not finite"):
+        maximal(f, MaximalParams(0.5))
+    with pytest.raises(OperatorError, match="f too large"):
+        hedberg_ratio_field(f, 0.8, 0.2, LorentzExponents(1.2, 1.5, 2.0))
 
 
 def test_hedberg_pointwise_stable_across_depths():

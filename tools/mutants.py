@@ -142,6 +142,17 @@ MUTANTS = [
            "total = functools.reduce(lambda acc, sq: np.add.outer(sq, acc),\n"
            "                                 ((self._axis_centers() - np.asarray(center)[:, None]) ** 2)[::-1])",
            ("tests/test_geometry_properties.py::test_one_distance_rule",)),
+    # the DCT-I's even extension mirrors x(m-1) .. x1 behind x0 .. xm
+    Mutant("dct1_mirror_off_by_one", "operators.py",
+           "even = np.concatenate((slab, slab[:, m - 1 : 0 : -1]), axis=1)",
+           "even = np.concatenate((slab, slab[:, m : 1 : -1]), axis=1)",
+           ("tests/test_operators.py::test_kernel_spectrum_is_scipy_dct1_bit_for_bit",
+            "tests/test_operators.py::test_kernel_spectrum_matches_full_lattice_rfftn")),
+    # f's block sits at offsets 0..m-1 of each leading axis of the padded lattice
+    Mutant("forward_pad_wrong_half", "operators.py",
+           "block[(slice(0, m),) * lead] = part",
+           "block[(slice(m, n),) * lead] = part",
+           ("tests/test_operators.py::test_pruned_convolution_matches_full_lattice",)),
     # a truncation radius equal to the outer one leaves an empty annulus
     Mutant("eps_outer_radius_admitted", "verify.py",
            "if eps[-1] >= outer_radius:", "if eps[-1] > outer_radius:",
